@@ -135,6 +135,8 @@ def resolve_config(ns):
         raise ConfigError("sampled mode requires a seed")
     if cfg["workers"] < 1:
         raise ConfigError("workers must be >= 1")
+    if cfg["rho"] < 0:
+        raise ConfigError("rho must be >= 0")
     return cfg
 
 

@@ -8,6 +8,7 @@ re-checked by the scalar reference code.
 
 import numpy as np
 
+from .errors import InvariantViolation
 from .linalg import RrefEnumerator
 
 _RADIX = np.array([64**3, 64**2, 64, 1], dtype=np.int64)
@@ -21,26 +22,20 @@ class Gf64Tables:
     """numpy lookup tables for one degree-6 field."""
 
     def __init__(self, field):
-        assert field.e == 6 and field.h == 1
+        if field.e != 6 or field.h != 1:
+            raise InvariantViolation(
+                "GF(64) tables need the q = 2 tower, got e=%d h=%d"
+                % (field.e, field.h)
+            )
         self.field = field
-        exp = np.array(field._exp, dtype=np.int16)
-        log = np.array(field._log, dtype=np.int32)
-        self.exp = exp
-        self.log = log
-        self.inv = np.array([0] + [field.inv(a) for a in range(1, 64)], dtype=np.int16)
-        self.mulx = np.array(
-            [[field.mul(1 << j, a) for a in range(64)] for j in range(6)],
-            dtype=np.int16,
-        )
-        self.frob = np.array(
-            [[field.frob(a, i) for a in range(64)] for i in range(6)],
-            dtype=np.int16,
-        )
+        table = np.array(field._mul_table, dtype=np.int16)
+        self.prod = table.ravel()  # prod[64 * a + b] = a * b
+        self.inv = np.array(field._inv_table, dtype=np.int16)
+        self.mulx = table[[1 << j for j in range(6)]]
 
     def mul(self, a, b):
-        """Elementwise GF(64) product of two integer arrays."""
-        out = self.exp[(self.log[a] + self.log[b]) % 63].astype(np.int16)
-        return np.where((a == 0) | (b == 0), np.int16(0), out)
+        """Elementwise GF(64) product of two broadcastable integer arrays."""
+        return self.prod[(a << 6) | b]
 
     def inv_arr(self, a):
         return self.inv[a]
@@ -101,19 +96,22 @@ def normalize_points(tables, vecs):
     return out, point_ids(out)
 
 
+def ids_to_points(ids):
+    """Inverse of point_ids: [B] ids -> [B, 4] normalized int16 rows."""
+    ids = np.asarray(ids, dtype=np.int64)
+    if ids.size and (ids.min() < 0 or ids.max() >= POINT_COUNT):
+        raise ValueError("point id out of range [0, %d)" % POINT_COUNT)
+    piv = np.searchsorted(_OFFSET, ids, side="right") - 1
+    rest = ids - _OFFSET[piv]
+    # rest < 64^(3 - piv), so its base-64 digits sit right of the pivot
+    vecs = (rest[:, None] // _RADIX) % 64
+    vecs[np.arange(len(ids)), piv] = 1
+    return vecs.astype(np.int16)
+
+
 def id_to_point(pid):
     """Inverse of point_ids for a single id."""
-    for piv in range(3, -1, -1):
-        if pid >= int(_OFFSET[piv]):
-            rest = pid - int(_OFFSET[piv])
-            v = [0, 0, 0, 0]
-            v[piv] = 1
-            for k in range(3, piv, -1):
-                v[k] = rest % 64
-                rest //= 64
-            assert rest == 0
-            return tuple(v)
-    raise ValueError(pid)
+    return tuple(int(c) for c in ids_to_points([pid])[0])
 
 
 class DualCodimScanner:

@@ -1,11 +1,12 @@
 """Linear-set points in PG(3, q^6) and rho-saturation.
 
 Points carry dense ids (pivot-block offset plus base-q^m digits).  The
-saturation scan walks every (rho+1)-subset of S, canonicalizes the
-spanned subspace, and marks its points once per distinct span: planes
-are deduplicated by their dual point id, lower-dimensional spans by
-their RREF.  A final sweep checks the bitmap; the first unmarked id is
-the witness.
+saturation scan walks every (rho+1)-subset of S and canonicalizes the
+spanned subspace.  Points and lines are marked during the scan, once
+per distinct RREF in each batch; planes are deduplicated by their dual
+point id and marked afterwards in dual-id order, a chunk at a time,
+stopping as soon as every point is covered.  A failing instance marks
+every plane, and the first unmarked id is the witness.
 """
 
 from dataclasses import dataclass
@@ -14,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import WorkLimitExceeded
+from .errors import InvariantViolation, WorkLimitExceeded
 from .field import BinaryField
 from .parallel import run_partitioned
 from .scatter import DEFAULT_BUDGET, Verdict
@@ -98,16 +99,17 @@ def _subset_batches(n, rho_plus_1, start, stride, chunk=32768):
             yield np.concatenate([first, rest], axis=1)
 
 
-def _mark_planes(tables, covered, plane_bitmap, chunk=2048):
-    """Mark every point of each plane flagged in the dual-id bitmap."""
+def _mark_planes(tables, covered, plane_bitmap, chunk=256):
+    """Mark the points of the flagged planes, in dual-id order.
+
+    Stops after the first chunk that leaves every point covered: later
+    planes cannot change the bitmap.  A failing instance stamps every
+    plane, so its bitmap and first uncovered id are those of a full
+    sweep.
+    """
     dual_ids = np.flatnonzero(plane_bitmap)
-    if not len(dual_ids):
-        return
-    normals = np.array(
-        [gfbatch.id_to_point(int(p)) for p in dual_ids], dtype=np.int16
-    )
-    for lo in range(0, len(normals), chunk):
-        piece = normals[lo : lo + chunk]
+    for lo in range(0, len(dual_ids), chunk):
+        piece = gfbatch.ids_to_points(dual_ids[lo : lo + chunk])
         piv = np.argmax(piece != 0, axis=1)
         rows = np.zeros((len(piece), 3, 4), dtype=np.int16)
         bidx = np.arange(len(piece))
@@ -123,6 +125,20 @@ def _mark_planes(tables, covered, plane_bitmap, chunk=2048):
         _, rref, _ = gfbatch.rref_small_batch(tables, rows)
         ids = gfbatch.plane_point_ids(tables, rref)
         covered[ids.ravel()] = True
+        if covered.all():
+            return
+
+
+def _small_span_keys(rref):
+    """int64 keys of RREF matrices of rank <= 2: rows 0 and 1, 24 bits each.
+
+    Rows past the rank are zero, so equal keys mean equal spans.
+    """
+    flats = gfbatch.coords_to_flats(rref[:, :2, :])
+    key = flats[:, 0] << 24
+    if flats.shape[1] > 1:
+        key |= flats[:, 1]
+    return key
 
 
 def _saturation_worker(args, start, stride):
@@ -134,7 +150,7 @@ def _saturation_worker(args, start, stride):
     n = len(coords)
     covered = np.zeros(gfbatch.POINT_COUNT, dtype=bool)
     plane_bitmap = np.zeros(gfbatch.POINT_COUNT, dtype=bool)
-    seen_small = set()
+    small_keys = [np.empty(0, dtype=np.int64)]
     full_span_seen = False
     checked = 0
     for subs in _subset_batches(n, rho + 1, start, stride, chunk):
@@ -149,16 +165,20 @@ def _saturation_worker(args, start, stride):
                 tables, rref[r3][:, :3, :], pivcols[r3]
             )
             plane_bitmap[dual_ids] = True
-        for bi in np.flatnonzero(rank <= 2):
-            rr = rref[bi]
-            key = tuple(int(x) for x in rr[: rank[bi]].ravel())
-            if key in seen_small:
-                continue
-            seen_small.add(key)
-            if rank[bi] == 1:
-                covered[int(gfbatch.point_ids(rr[:1].astype(np.int64))[0])] = True
-            else:
-                ids = gfbatch.line_point_ids(tables, rr[None, :2, :])
+        small = np.flatnonzero(rank <= 2)
+        if len(small):
+            # one representative per distinct span in this chunk; spans
+            # repeated across chunks are stamped again, which is harmless
+            keys, first = np.unique(
+                _small_span_keys(rref[small]), return_index=True
+            )
+            small_keys.append(keys)
+            reps = small[first]
+            points = reps[rank[reps] == 1]
+            covered[gfbatch.point_ids(rref[points, 0])] = True
+            lines = reps[rank[reps] == 2]
+            if len(lines):
+                ids = gfbatch.line_point_ids(tables, rref[lines, :2])
                 covered[ids.ravel()] = True
         if early_exit and full_span_seen:
             break
@@ -166,7 +186,7 @@ def _saturation_worker(args, start, stride):
         "covered": covered,
         "planes": plane_bitmap,
         "checked": checked,
-        "small_keys": seen_small,
+        "small_keys": np.unique(np.concatenate(small_keys)),
         "full_span": full_span_seen,
     }
 
@@ -197,17 +217,20 @@ def is_rho_saturating(
     results = run_partitioned(_saturation_worker, args, workers)
     covered = np.zeros(ambient, dtype=bool)
     plane_bitmap = np.zeros(ambient, dtype=bool)
-    small_keys = set()
     checked = 0
     full_span = False
     for res in results:
         covered |= res["covered"]
         plane_bitmap |= res["planes"]
         checked += res["checked"]
-        small_keys |= res["small_keys"]
         full_span = full_span or res["full_span"]
+    small_keys = np.unique(np.concatenate([res["small_keys"] for res in results]))
     n_planes = int(plane_bitmap.sum())
-    assert n_planes <= min(total, ambient)
+    if n_planes > min(total, ambient):
+        raise InvariantViolation(
+            "%d distinct planes from %d subsets in %d points"
+            % (n_planes, total, ambient)
+        )
     if full_span:
         covered[:] = True
     else:

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from qscat import cli
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(capsys, *argv):
@@ -129,6 +135,32 @@ def test_bad_config_exit_2(tmp_path, capsys):
     cfg.write_text("h=notanint\n")
     code, _ = run_cli(capsys, "field-selftest", "--config", str(cfg))
     assert code == 2
+
+
+def test_negative_rho_exit_2(capsys):
+    code, cert = run_cli(capsys, "saturating", "--rho", "-1")
+    assert code == 2 and cert is None
+
+
+def test_saturating_under_optimize_flag():
+    """2-saturation certifies with asserts stripped (python -O)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "qscat.cli",
+         "saturating", "--rho", "2", "--workers", "2"],
+        env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    reference = json.loads(
+        (ROOT / "perfbench" / "reference" / "saturating_q2.json").read_text()
+    )
+    result = json.loads(proc.stdout)["result"]
+    assert json.dumps(result, sort_keys=True) == json.dumps(
+        reference["result"], sort_keys=True
+    )
 
 
 def test_bad_modulus_exit_2(capsys):

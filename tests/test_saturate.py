@@ -1,24 +1,79 @@
+import json
+from itertools import combinations
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from qscat import gfbatch
 from qscat.errors import WorkLimitExceeded
-from qscat.gfbatch import POINT_COUNT, id_to_point, point_ids
+from qscat.gfbatch import (
+    POINT_COUNT,
+    Gf64Tables,
+    id_to_point,
+    ids_to_points,
+    line_point_ids,
+    plane_point_ids,
+    point_ids,
+    rref_small_batch,
+)
 from qscat.linalg import FqSubspace
 from qscat.rng import XorShift64Star
 from qscat.saturate import LinearSet, is_rho_saturating, linear_set_points
 from qscat.scatter import build_Us
 
+REFERENCE = (
+    Path(__file__).resolve().parents[1]
+    / "perfbench" / "reference" / "saturating_q2.json"
+)
+
 
 def test_point_id_bijection():
     assert POINT_COUNT == 266_305
-    seen = set()
+    ids = np.arange(POINT_COUNT)
+    vecs = ids_to_points(ids)
+    lead = vecs[np.arange(POINT_COUNT), np.argmax(vecs != 0, axis=1)]
+    assert (lead == 1).all()
+    assert (point_ids(vecs) == ids).all()
     for pid in range(0, POINT_COUNT, 97):
-        v = id_to_point(pid)
-        assert v[next(i for i in range(4) if v[i])] == 1
-        back = int(point_ids(np.array([v], dtype=np.int64))[0])
-        assert back == pid
-        seen.add(v)
-    assert len(seen) == len(range(0, POINT_COUNT, 97))
+        assert id_to_point(pid) == tuple(int(c) for c in vecs[pid])
+    for bad in (-1, POINT_COUNT):
+        with pytest.raises(ValueError):
+            id_to_point(bad)
+
+
+def _subset(F, U1, seed, draws):
+    full = linear_set_points(U1)
+    rng = XorShift64Star(seed)
+    pick = sorted(set(rng.randrange(255) for _ in range(draws)))
+    return LinearSet(F, full.ids[pick], full.coords[pick])
+
+
+def _mark_every_span(F, S, rho, chunk=256):
+    """Reference bitmap: the points of every subset span, no deduplication
+    and no early stop (spans of rank <= 1 do not occur: S has no repeats)."""
+    tables = Gf64Tables(F)
+    subs = np.array(list(combinations(range(len(S)), rho + 1)))
+    covered = np.zeros(POINT_COUNT, dtype=bool)
+    for lo in range(0, len(subs), chunk):
+        rank, rref, _ = rref_small_batch(tables, S.coords[subs[lo : lo + chunk]])
+        assert rank.min() >= 2
+        for r, ids_of in ((2, line_point_ids), (3, plane_point_ids)):
+            if (rank == r).any():
+                covered[ids_of(tables, rref[rank == r, :r]).ravel()] = True
+    return covered
+
+
+def _count_planes(monkeypatch):
+    stamped = []
+    mark = gfbatch.plane_point_ids
+
+    def counting(tables, rref):
+        stamped.append(len(rref))
+        return mark(tables, rref)
+
+    monkeypatch.setattr(gfbatch, "plane_point_ids", counting)
+    return stamped
 
 
 def test_linear_set_of_U(F, U1):
@@ -50,13 +105,60 @@ def test_rho0_fails_by_cardinality(F, U1):
     # exactly the points of S are covered for rho = 0
     marked = np.flatnonzero(inst.covered)
     assert list(marked) == [int(i) for i in S.ids]
+    assert v.details["distinct_small_spans"] == 255
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_rho1_small_spans_are_the_weight2_lines(F, U1, workers):
+    # every pair of L(U) lies on one of the [8,2]_2 = 10,795 lines that
+    # meet L(U) in 3 points; each line is reached by 3 pairs, two of them
+    # in one batch (same first index) and the third in a later one
+    inst = is_rho_saturating(linear_set_points(U1), 1, workers=workers)
+    assert inst.verdict.checked_count == 32_385 == 3 * 10_795
+    assert inst.verdict.details["distinct_small_spans"] == 10_795
+
+
+def test_full_linear_set_stops_marking_early(F, U1, monkeypatch):
+    stamped = _count_planes(monkeypatch)
+    inst = is_rho_saturating(linear_set_points(U1), 2, workers=1)
+    # the stored reference certificate was made by marking every plane
+    reference = json.loads(REFERENCE.read_text())["result"]["verdict"]
+    assert json.dumps(inst.verdict.to_json(), sort_keys=True) == json.dumps(
+        reference, sort_keys=True
+    )
+    assert inst.covered.all()
+    assert reference["details"]["distinct_planes"] == 60_265
+    assert sum(stamped) <= 1024
+
+
+@pytest.mark.parametrize(
+    "seed, draws, saturating", [(51, 25, True), (52, 40, True), (53, 16, False)]
+)
+def test_early_stop_matches_marking_every_span(
+    F, U1, monkeypatch, seed, draws, saturating
+):
+    S = _subset(F, U1, seed, draws)
+    reference = _mark_every_span(F, S, 2)
+    stamped = _count_planes(monkeypatch)
+    one = is_rho_saturating(S, 2, workers=1)
+    two = is_rho_saturating(S, 2, workers=2)
+    assert one.verdict.to_json() == two.verdict.to_json()
+    assert (one.covered == two.covered).all()
+    assert (one.covered == reference).all()
+    v = one.verdict
+    assert v.ok is saturating is bool(reference.all())
+    assert v.details["covered_points"] == int(reference.sum())
+    n_planes = v.details["distinct_planes"]
+    assert sum(stamped) <= 2 * n_planes
+    if saturating:
+        assert v.witness is None
+    else:
+        assert v.witness["point_id"] == int(np.argmin(reference))
+        assert sum(stamped) == 2 * n_planes  # a failing run marks every plane
 
 
 def test_marking_monotone_in_rho(F, U1):
-    full = linear_set_points(U1)
-    rng = XorShift64Star(51)
-    pick = sorted(set(rng.randrange(255) for _ in range(25)))
-    S = LinearSet(F, full.ids[pick], full.coords[pick])
+    S = _subset(F, U1, 51, 25)
     prev = None
     for rho in (0, 1, 2):
         inst = is_rho_saturating(S, rho)
@@ -69,10 +171,7 @@ def test_marking_monotone_in_rho(F, U1):
 
 
 def test_worker_count_independence(F, U1):
-    full = linear_set_points(U1)
-    rng = XorShift64Star(52)
-    pick = sorted(set(rng.randrange(255) for _ in range(40)))
-    S = LinearSet(F, full.ids[pick], full.coords[pick])
+    S = _subset(F, U1, 52, 40)
     a = is_rho_saturating(S, 1, workers=1)
     b = is_rho_saturating(S, 1, workers=2)
     assert a.verdict.to_json() == b.verdict.to_json()
