@@ -5,93 +5,9 @@ Builds the subspaces U_s (q = 2^h, h odd), certifies their
 constructs the Delsarte dual, derives the associated [8, 4, 4] rank
 metric code with its generalized weights, and reproduces the q = 2
 saturation computation in PG(3, 64).
-"""
 
-from .errors import (
-    AmbientMismatch,
-    BadSubIndex,
-    ClosedFormMismatch,
-    ConfigError,
-    DegenerateSystem,
-    DegreeMismatch,
-    EvenH,
-    FieldMismatch,
-    InvariantViolation,
-    QscatError,
-    ReducibleModulus,
-    SingularMatrix,
-    WorkLimitExceeded,
-    ZeroInverse,
-)
-from .field import (
-    BinaryField,
-    DEFAULT_MODULI,
-    FieldElement,
-    default_field,
-    make_field,
-    poly_is_irreducible,
-)
-from .linalg import (
-    FqSubspace,
-    FqmSubspace,
-    MatrixFqm,
-    apply_gl,
-    count_fq_subspaces,
-    count_fqm_subspaces,
-    enumerate_fq_subspaces,
-    enumerate_fqm_subspaces,
-    fqm_span_dim,
-    gaussian_binomial,
-    intersect_fq,
-    moore_matrix,
-    row_reduce,
-    rows_from_text,
-    rows_to_text,
-    subspace_span,
-    weight,
-)
-from .rng import XorShift64Star
-from .scatter import (
-    DEFAULT_BUDGET,
-    MaxDimBound,
-    SemilinearSystem,
-    UsParams,
-    Verdict,
-    build_U1,
-    build_U5prime,
-    build_Us,
-    count_solutions,
-    enumerate_frobenius_fixed,
-    frobenius_fixed,
-    is_h_scattered_fast,
-    is_h_scattered_oracle,
-    max_dim_bound,
-    parity_check,
-    semilinear_system,
-    weight_spectrum,
-)
-from .dual import (
-    DelsarteScene,
-    build_scene,
-    dual_from_scene,
-    primal_from_scene,
-    verify_dual_equivalence,
-)
-from .rankcode import (
-    RankCode,
-    WeightProfile,
-    classify,
-    code_from_system,
-    generalized_weight,
-    min_distance,
-    rank_weight,
-)
-from .saturate import (
-    LinearSet,
-    ProjPoint,
-    SaturationInstance,
-    is_rho_saturating,
-    linear_set_points,
-)
+Import from the submodules (`qscat.field`, `qscat.scatter`, ...); the
+package root exports only the version.
+"""
 
 __version__ = "0.1.0"

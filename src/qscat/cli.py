@@ -1,9 +1,12 @@
 """Command-line front end and JSON certificate emission.
 
 Standard output carries exactly one JSON certificate; progress notes go
-to standard error.  Exit codes: 0 = all checked properties hold, 1 = a
-property was refuted (the certificate carries a witness), 2 =
-configuration or work-limit error.
+to standard error.  `run` builds the field once from the configuration
+and hands it to the command's handler.  Exit codes: 0 = all checked
+properties hold, 1 = a property was refuted (the certificate carries a
+witness), 2 = configuration or work-limit error (nothing is printed on
+stdout), 3 = internal error, such as a failed cross-check between two
+algorithms (a one-line message on stderr, no certificate).
 """
 
 import argparse
@@ -11,6 +14,7 @@ import json
 import sys
 import time
 
+from . import __version__
 from .errors import ConfigError, QscatError, WorkLimitExceeded
 from .field import DEFAULT_MODULI, BinaryField, poly_is_irreducible
 from .linalg import apply_gl, rows_to_text, weight
@@ -20,8 +24,8 @@ from . import rankcode
 from . import saturate
 from . import scatter
 
-VERSION = "0.1.0"
 SCHEMA = 1
+MAX_WORKERS = 64  # fixed, so that a config is valid on every host
 
 COMMANDS = (
     "field-selftest",
@@ -133,10 +137,20 @@ def resolve_config(ns):
         cfg["degree"] = 6 * cfg["h"]
     if cfg["mode"] == "sampled" and cfg.get("seed") is None:
         raise ConfigError("sampled mode requires a seed")
-    if cfg["workers"] < 1:
-        raise ConfigError("workers must be >= 1")
+    if not 1 <= cfg["workers"] <= MAX_WORKERS:
+        raise ConfigError("workers must be in 1..%d" % MAX_WORKERS)
+    if cfg["s"] not in (1, 5):
+        raise ConfigError("s must be 1 or 5")
+    if not 1 <= cfg["order"] < 8:
+        raise ConfigError("order must be in 1..7 (dim_q U_s = 8)")
+    if not 0 <= cfg["codim"] <= 4:
+        raise ConfigError("codim must be in 0..4")
     if cfg["rho"] < 0:
         raise ConfigError("rho must be >= 0")
+    if cfg["samples"] < 1:
+        raise ConfigError("samples must be >= 1")
+    if cfg["count"] < 1:
+        raise ConfigError("count must be >= 1")
     return cfg
 
 
@@ -171,8 +185,7 @@ def config_echo(cfg, field):
 # -- command handlers --------------------------------------------------------
 
 
-def cmd_field_selftest(cfg):
-    field = field_from_config(cfg)
+def cmd_field_selftest(cfg, field):
     rng = XorShift64Star(cfg["seed"])
     checks = {}
     checks["modulus_irreducible"] = poly_is_irreducible(field.modulus)
@@ -199,29 +212,27 @@ def cmd_field_selftest(cfg):
     return {"checks": checks}, good
 
 
-def cmd_verify_scattered(cfg):
-    field = field_from_config(cfg)
+def cmd_verify_scattered(cfg, field):
     U = scatter.build_Us(field, cfg["s"])
     payload = {}
     fast = scatter.is_h_scattered_fast(
         U,
         cfg["order"],
         mode=cfg["mode"],
-        samples=cfg["samples"] if cfg["mode"] == "sampled" else None,
-        seed=cfg["seed"] if cfg["mode"] == "sampled" else None,
+        samples=cfg["samples"],
+        seed=cfg["seed"],
         workers=cfg["workers"],
         budget=cfg["budget"],
     )
     payload["fast"] = fast.to_json()
     ok = fast.ok
     if cfg["oracle"] != "off":
-        omode = "sampled" if cfg["oracle"] == "sampled" else "exhaustive"
         oracle = scatter.is_h_scattered_oracle(
             U,
             cfg["order"],
-            mode=omode,
-            samples=cfg["samples"] if omode == "sampled" else None,
-            seed=cfg["seed"] if omode == "sampled" else None,
+            mode=cfg["oracle"],
+            samples=cfg["samples"],
+            seed=cfg["seed"],
             workers=cfg["workers"],
             budget=cfg["budget"],
         )
@@ -230,8 +241,7 @@ def cmd_verify_scattered(cfg):
     return payload, ok
 
 
-def cmd_spectrum(cfg):
-    field = field_from_config(cfg)
+def cmd_spectrum(cfg, field):
     U = scatter.build_Us(field, cfg["s"])
     hist = scatter.weight_spectrum(
         U,
@@ -250,8 +260,7 @@ def cmd_spectrum(cfg):
     return payload, True
 
 
-def cmd_system_count(cfg):
-    field = field_from_config(cfg)
+def cmd_system_count(cfg, field):
     U = scatter.build_Us(field, cfg["s"])
     rng = XorShift64Star(cfg["seed"])
     q2 = field.q**2
@@ -283,8 +292,7 @@ def cmd_system_count(cfg):
     return payload, not violations and agree
 
 
-def cmd_verify_dual(cfg):
-    field = field_from_config(cfg)
+def cmd_verify_dual(cfg, field):
     payload = {}
     try:
         scene = dual_mod.build_scene(field)
@@ -304,16 +312,14 @@ def cmd_verify_dual(cfg):
     return payload, verdict.ok
 
 
-def cmd_code_profile(cfg):
-    field = field_from_config(cfg)
+def cmd_code_profile(cfg, field):
     U = scatter.build_Us(field, cfg["s"])
     C = rankcode.code_from_system(U)
     profile = rankcode.classify(C, workers=cfg["workers"], budget=cfg["budget"])
     return {"profile": profile.to_json()}, True
 
 
-def cmd_saturating(cfg):
-    field = field_from_config(cfg)
+def cmd_saturating(cfg, field):
     U = scatter.build_Us(field, cfg["s"])
     S = saturate.linear_set_points(U, budget=cfg["budget"])
     inst = saturate.is_rho_saturating(
@@ -328,9 +334,8 @@ def cmd_saturating(cfg):
     return payload, inst.verdict.ok
 
 
-def cmd_equivalence(cfg):
-    field = field_from_config(cfg)
-    U1 = scatter.build_U1(field)
+def cmd_equivalence(cfg, field):
+    U1 = scatter.build_Us(field, 1)
     U5p = scatter.build_U5prime(field)
     M = scatter.sec2_equivalence_matrix(field)
     image = apply_gl(M, U5p)
@@ -361,11 +366,11 @@ def run(command, cfg):
     """Dispatch one command; returns the certificate dict and ok flag."""
     field = field_from_config(cfg)
     t0 = time.time()
-    payload, ok = _HANDLERS[command](cfg)
+    payload, ok = _HANDLERS[command](cfg, field)
     wall = time.time() - t0
     cert = {
         "schema": SCHEMA,
-        "tool": "qscat %s" % VERSION,
+        "tool": "qscat %s" % __version__,
         "command": command,
         "config": config_echo(cfg, field),
         "ok": ok,
@@ -385,6 +390,11 @@ def main(argv=None):
     except (ConfigError, WorkLimitExceeded) as exc:
         print("qscat: error: %s" % exc, file=sys.stderr)
         return 2
+    except Exception as exc:
+        # a crash must never read as a refutation (exit 1)
+        name = type(exc).__name__
+        print("qscat: internal error: %s: %s" % (name, exc), file=sys.stderr)
+        return 3
     text = json.dumps(cert, sort_keys=True, indent=2)
     print(text)
     if cfg.get("out"):

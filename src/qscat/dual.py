@@ -119,15 +119,12 @@ def build_scene(field):
 
 def _join_with_fqm(scene, S):
     """<W, S>_{F_q} for an F_{q^6}-subspace S of Z."""
-    field = scene.field
-    gens = list(scene.W.basis)
-    for row in S.rows:
-        for j in range(6):
-            gens.append(vec_scale(field, 1 << j, row))
-    return FqSubspace.span(field, 8, gens)
+    gens = scene.W.basis + _fqm_as_fq(scene.field, S).basis
+    return FqSubspace.span(scene.field, 8, gens)
 
 
 def _fqm_as_fq(field, S):
+    """An F_{q^6}-subspace S of Z seen as an F_q-subspace."""
     gens = []
     for row in S.rows:
         for j in range(6):
@@ -218,7 +215,7 @@ def verify_dual_equivalence(field, matrix_rows=DUAL_EQUIV_MATRIX):
     subspace-level identity apply_gl(A, U_1) == rearranged dual.
     """
     from .linalg import apply_gl, flatten_vector
-    from .scatter import build_U1
+    from .scatter import build_Us
     from . import gf2
 
     frob = field.frob
@@ -257,7 +254,7 @@ def verify_dual_equivalence(field, matrix_rows=DUAL_EQUIV_MATRIX):
             mode="exhaustive",
             details={},
         )
-    U1 = build_U1(field)
+    U1 = build_Us(field, 1)
     image = apply_gl(A, U1)
     target = rearranged_dual(field)
     if image != target:

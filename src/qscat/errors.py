@@ -21,10 +21,6 @@ class ZeroInverse(QscatError):
     """Multiplicative inverse of zero requested."""
 
 
-class FieldMismatch(QscatError):
-    """Operands belong to different fields."""
-
-
 class BadSubIndex(QscatError):
     """Relative trace subfield index must be 1 or 2."""
 

@@ -2,9 +2,8 @@
 
 Field elements are plain ints: bit k is the coefficient of x^k in the
 polynomial representative (constant term first).  A `BinaryField` carries
-all tables; `FieldElement` is a thin wrapper used at API boundaries where
-owner checks and operators are wanted.  Hot loops call the field methods
-on raw ints.
+all tables, and every caller, hot loops included, calls its methods on
+raw ints.
 """
 
 from functools import lru_cache
@@ -13,7 +12,6 @@ from .errors import (
     BadSubIndex,
     DegreeMismatch,
     EvenH,
-    FieldMismatch,
     ReducibleModulus,
     ZeroInverse,
 )
@@ -226,9 +224,6 @@ class BinaryField:
             return self._exp[self._log[a] + self._log[b]]
         return poly_mulmod(a, b, self.modulus)
 
-    def sqr(self, a):
-        return self.mul(a, a)
-
     def inv(self, a):
         if a == 0:
             raise ZeroInverse("0 has no multiplicative inverse")
@@ -381,9 +376,6 @@ class BinaryField:
     def random_element(self, rng):
         return rng.randbits(self.e)
 
-    def element(self, v):
-        return FieldElement(self, v)
-
     def same_as(self, other):
         return (
             self.degree == other.degree
@@ -403,80 +395,6 @@ class BinaryField:
             self.modulus,
             self.h,
         )
-
-
-class FieldElement:
-    """Owner-checked wrapper over the int representation."""
-
-    __slots__ = ("field", "value")
-
-    def __init__(self, field, value):
-        if value >> field.e:
-            raise ValueError("representative degree exceeds field degree")
-        self.field = field
-        self.value = value
-
-    def _coerce(self, other):
-        if isinstance(other, FieldElement):
-            if not self.field.same_as(other.field):
-                raise FieldMismatch("elements of different fields")
-            return other.value
-        if isinstance(other, int):
-            return other
-        return NotImplemented
-
-    def __add__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.value ^ v)
-
-    __radd__ = __add__
-    __sub__ = __add__
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.field, self.field.mul(self.value, v))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n):
-        return FieldElement(self.field, self.field.pow(self.value, n))
-
-    def inverse(self):
-        return FieldElement(self.field, self.field.inv(self.value))
-
-    def frob(self, i=1):
-        return FieldElement(self.field, self.field.frob(self.value, i))
-
-    def rel_trace(self, sub_index):
-        return FieldElement(self.field, self.field.rel_trace(self.value, sub_index))
-
-    def hex(self):
-        return self.field.to_hex(self.value)
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return self.field.same_as(other.field) and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.value, self.field.degree, self.field.modulus))
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __repr__(self):
-        return "FieldElement(0x%x)" % self.value
-
-
-def make_field(degree, modulus, h_exp):
-    """Validated field constructor; see BinaryField."""
-    return BinaryField(degree, modulus, h_exp)
 
 
 @lru_cache(maxsize=None)

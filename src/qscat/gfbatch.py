@@ -37,9 +37,6 @@ class Gf64Tables:
         """Elementwise GF(64) product of two broadcastable integer arrays."""
         return self.prod[(a << 6) | b]
 
-    def inv_arr(self, a):
-        return self.inv[a]
-
 
 def rank_batch(rows, ncols=None):
     """Rank over GF(2) of a batch of bit-packed matrices.
@@ -78,6 +75,16 @@ def coords_to_flats(coords):
     return out
 
 
+def subset_xor_table(vectors):
+    """table[mask] = packed sum of the GF(64)^4 vectors selected by mask."""
+    flats = coords_to_flats(np.reshape(vectors, (-1, 4))).tolist()
+    table = np.zeros(1 << len(flats), dtype=np.int64)
+    for mask in range(1, len(table)):
+        low = mask & -mask
+        table[mask] = table[mask ^ low] ^ flats[low.bit_length() - 1]
+    return table
+
+
 def point_ids(vecs):
     """Dense PG(3, 64) ids of normalized coordinate rows [B, 4]."""
     vecs = np.asarray(vecs, dtype=np.int64)
@@ -91,7 +98,7 @@ def normalize_points(tables, vecs):
     piv = np.argmax(vecs != 0, axis=-1)
     bidx = np.arange(len(vecs))
     lead = vecs[bidx, piv]
-    scale = tables.inv_arr(lead)
+    scale = tables.inv[lead]
     out = tables.mul(vecs, scale[:, None])
     return out, point_ids(out)
 
@@ -112,6 +119,39 @@ def ids_to_points(ids):
 def id_to_point(pid):
     """Inverse of point_ids for a single id."""
     return tuple(int(c) for c in ids_to_points([pid])[0])
+
+
+def _rref_chunks(enum, start, stride, chunk):
+    """Decode one worker's (start, stride) slice of an RrefEnumerator.
+
+    Yields (pos, parts) per chunk of at most `chunk` positions: pos holds
+    the global enumeration positions, and parts yields (lo, hi, piv,
+    digits) for each pivot profile piv met in pos[lo:hi], where digits
+    maps each free RREF cell (i, c) to the array of its entries (the
+    base-Q digits of the position within the profile; scalars are
+    range(Q)).  Consume parts before taking the next chunk.
+    """
+    npos = len(range(start, enum.total, stride))
+    for c0 in range(0, npos, chunk):
+        pos = start + stride * np.arange(c0, min(c0 + chunk, npos), dtype=np.int64)
+        yield pos, _profile_parts(enum, pos)
+
+
+def _profile_parts(enum, pos):
+    Q = len(enum.scalars)
+    lo = 0
+    for p, piv in enumerate(enum.profiles):
+        hi = lo + int(np.searchsorted(pos[lo:], enum.offsets[p] + enum.counts[p]))
+        if hi == lo:
+            continue
+        cells = enum.cells[p]
+        digits = {}
+        rem = pos[lo:hi] - enum.offsets[p]
+        for t in range(len(cells) - 1, -1, -1):
+            digits[cells[t]] = rem % Q
+            rem //= Q
+        yield lo, hi, piv, digits
+        lo = hi
 
 
 class DualCodimScanner:
@@ -158,49 +198,21 @@ class DualCodimScanner:
     def iter_weights(self, d, start=0, stride=1, chunk=1 << 16):
         """Yield (global_position_array, weights_array) over the scan."""
         enum = RrefEnumerator(range(64), 4, d)
-        total = enum.total
-        positions = range(start, total, stride)
-        npos = len(positions)
-        for c0 in range(0, npos, chunk):
-            pos = start + stride * np.arange(
-                c0, min(c0 + chunk, npos), dtype=np.int64
-            )
+        for pos, parts in _rref_chunks(enum, start, stride, chunk):
             weights = np.empty(len(pos), dtype=np.int64)
-            lo = 0
-            for p, piv in enumerate(enum.profiles):
-                off = enum.offsets[p]
-                cnt = enum.counts[p]
-                hi = lo + int(np.searchsorted(pos[lo:], off + cnt))
-                if hi == lo:
-                    continue
-                local = pos[lo:hi] - off
-                weights[lo:hi] = self._profile_weights(
-                    piv, enum.cells[p], local
-                )
-                lo = hi
+            for lo, hi, piv, digits in parts:
+                weights[lo:hi] = self._profile_weights(piv, digits, hi - lo)
             yield pos, weights
 
-    def _profile_weights(self, piv, cells, local):
-        d = len(piv)
-        B = len(local)
-        nfree = len(cells)
-        digits = {}
-        rem = local.copy()
-        for t in range(nfree - 1, -1, -1):
-            digits[cells[t]] = rem % 64
-            rem //= 64
+    def _profile_weights(self, piv, digits, B):
         free_cols = [c for c in range(4) if c not in piv]
         duals = np.zeros((B, len(free_cols), 4), dtype=np.int16)
         for fi, f in enumerate(free_cols):
             duals[:, fi, f] = 1
-            for i in range(d):
-                cell = (i, f)
-                if cell in digits:
-                    duals[:, fi, piv[i]] = digits[cell]
+            for i in range(len(piv)):
+                if (i, f) in digits:
+                    duals[:, fi, piv[i]] = digits[(i, f)]
         return self.weights_for_duals(duals)
-
-    def total(self, d):
-        return RrefEnumerator(range(64), 4, d).total
 
 
 class FqSpanScanner:
@@ -215,13 +227,7 @@ class FqSpanScanner:
     def __init__(self, tables, u_basis):
         self.tables = tables
         self.nb = len(u_basis)
-        field = tables.field
-        flats = [sum(v[k] << (6 * k) for k in range(4)) for v in u_basis]
-        combo = np.zeros(1 << self.nb, dtype=np.int64)
-        for mask in range(1, 1 << self.nb):
-            low = mask & -mask
-            combo[mask] = combo[mask ^ low] ^ flats[low.bit_length() - 1]
-        self.combo = combo
+        self.combo = subset_xor_table(u_basis)
 
     def span_rows(self, masks):
         """masks: [B, d] coefficient rows -> [B, 6d] span generator rows."""
@@ -241,43 +247,15 @@ class FqSpanScanner:
     def iter_span_dims(self, d, start=0, stride=1, chunk=1 << 15):
         """Yield (positions, span_dims) over all d-dim subspaces of U."""
         enum = RrefEnumerator((0, 1), self.nb, d)
-        positions = range(start, enum.total, stride)
-        npos = len(positions)
-        for c0 in range(0, npos, chunk):
-            pos = start + stride * np.arange(
-                c0, min(c0 + chunk, npos), dtype=np.int64
-            )
-            masks = self._decode_masks(enum, d, pos)
-            rows = self.span_rows(masks)
-            rank = rank_batch(rows, 24)
+        for pos, parts in _rref_chunks(enum, start, stride, chunk):
+            masks = np.zeros((len(pos), d), dtype=np.int64)
+            for lo, hi, piv, digits in parts:
+                for i, c in enumerate(piv):
+                    masks[lo:hi, i] |= 1 << c
+                for (i, c), bit in digits.items():
+                    masks[lo:hi, i] |= bit << c
+            rank = rank_batch(self.span_rows(masks), 24)
             yield pos, rank // 6
-
-    def _decode_masks(self, enum, d, pos):
-        B = len(pos)
-        masks = np.zeros((B, d), dtype=np.int64)
-        lo = 0
-        for p, piv in enumerate(enum.profiles):
-            off = enum.offsets[p]
-            cnt = enum.counts[p]
-            hi = lo + int(np.searchsorted(pos[lo:], off + cnt))
-            if hi == lo:
-                continue
-            local = pos[lo:hi] - off
-            cells = enum.cells[p]
-            sub = np.zeros((hi - lo, d), dtype=np.int64)
-            for i, c in enumerate(piv):
-                sub[:, i] |= np.int64(1) << np.int64(c)
-            rem = local.copy()
-            for t in range(len(cells) - 1, -1, -1):
-                i, c = cells[t]
-                sub[:, i] |= (rem & 1) << np.int64(c)
-                rem >>= 1
-            masks[lo:hi] = sub
-            lo = hi
-        return masks
-
-    def total(self, d):
-        return RrefEnumerator((0, 1), self.nb, d).total
 
 
 def codeword_pack(field, gen_rows, message):
@@ -373,7 +351,7 @@ def rref_small_batch(tables, mats):
         work[bidx, piv] = drow
         # normalize the pivot row
         lead = work[bidx, dest, c]
-        scale = np.where(anyact, tables.inv_arr(lead), np.int16(1))
+        scale = np.where(anyact, tables.inv[lead], np.int16(1))
         work[bidx, dest] = tables.mul(work[bidx, dest], scale[:, None])
         # eliminate the pivot column from every other row
         prow = work[bidx, dest]

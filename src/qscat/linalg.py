@@ -211,10 +211,6 @@ class MatrixFqm:
     def shape(self):
         return (len(self.rows), len(self.rows[0]) if self.rows else 0)
 
-    def transpose(self):
-        n, m = self.shape
-        return MatrixFqm(self.field, [[self.rows[i][j] for i in range(n)] for j in range(m)])
-
     def mat_mul(self, other):
         mul = self.field.mul
         n, m = self.shape
@@ -398,6 +394,15 @@ class FqSubspace:
     def dim_q(self):
         return len(self.basis)
 
+    def combine(self, coeffs):
+        """The vector sum_i coeffs[i] * basis[i], coefficients in F_q."""
+        field = self.field
+        v = (0,) * self.r
+        for c, b in zip(coeffs, self.basis):
+            if c:
+                v = vec_add(v, vec_scale(field, c, b))
+        return v
+
     def f2rows(self):
         if self._f2rows is None:
             field = self.field
@@ -443,15 +448,6 @@ class FqSubspace:
 
     def __repr__(self):
         return "FqSubspace(r=%d, dim_q=%d)" % (self.r, self.dim_q)
-
-
-def subspace_span(field, r, gens, scalar="fq"):
-    """Span of `gens` over F_q ("fq") or F_{q^m} ("fqm")."""
-    if scalar == "fq":
-        return FqSubspace.span(field, r, gens)
-    if scalar == "fqm":
-        return FqmSubspace.span(field, r, gens)
-    raise ValueError("scalar must be 'fq' or 'fqm'")
 
 
 def _check_ambient(U, H):
@@ -575,27 +571,12 @@ def enumerate_fqm_subspaces(field, r, d, start=0, stride=1):
         yield FqmSubspace(field, r, rows, piv)
 
 
-def count_fqm_subspaces(field, r, d):
-    return gaussian_binomial(r, d, field.order)
-
-
 def enumerate_fq_subspaces(U, d, start=0, stride=1):
     """All d-dim F_q-subspaces of U via coefficient RREFs over F_q."""
     field = U.field
     enum = RrefEnumerator(field.fq_elements, U.dim_q, d)
     for _, rows, _ in enum.iter_slice(start, stride):
-        gens = []
-        for row in rows:
-            v = (0,) * U.r
-            for c, b in zip(row, U.basis):
-                if c:
-                    v = vec_add(v, vec_scale(field, c, b))
-            gens.append(v)
-        yield FqSubspace(field, U.r, gens)
-
-
-def count_fq_subspaces(U, d):
-    return gaussian_binomial(U.dim_q, d, U.field.q)
+        yield FqSubspace(field, U.r, [U.combine(row) for row in rows])
 
 
 # -- wire format ----------------------------------------------------------

@@ -14,7 +14,7 @@ weights d_rho are each computed by two independent algorithms:
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
-from .errors import DegenerateSystem, WorkLimitExceeded
+from .errors import DegenerateSystem, InvariantViolation, WorkLimitExceeded
 from .field import BinaryField
 from .parallel import run_partitioned
 from .linalg import fqm_span_dim, gaussian_binomial
@@ -188,13 +188,24 @@ def span_table(C, workers=1, budget=DEFAULT_BUDGET, chunk=1 << 14):
 # -- distances ----------------------------------------------------------------
 
 
+def _checked_distance(C, workers, budget):
+    """d by codeword scan and by hyperplane scan, which must agree.
+
+    Returns (d, codeword weight distribution, hyperplane weight histogram).
+    """
+    d_code, dist = codeword_scan(C, workers=workers, budget=budget)
+    spec1 = weight_spectrum(C.system, codim=1, workers=workers, budget=budget)
+    d_hyper = C.n - max(spec1)
+    if d_code != d_hyper:
+        raise InvariantViolation(
+            "codeword scan gives d = %d, hyperplane scan d = %d" % (d_code, d_hyper)
+        )
+    return d_code, dist, spec1
+
+
 def min_distance(C, workers=1, budget=DEFAULT_BUDGET):
     """Minimum distance by codeword scan and hyperplane scan; must agree."""
-    d_code, dist = codeword_scan(C, workers=workers, budget=budget)
-    spec = weight_spectrum(C.system, codim=1, workers=workers, budget=budget)
-    d_hyper = C.n - max(spec)
-    assert d_code == d_hyper, (d_code, d_hyper)
-    return d_code
+    return _checked_distance(C, workers, budget)[0]
 
 
 def generalized_weight(
@@ -215,7 +226,8 @@ def generalized_weight(
                 C.system, codim=rho, workers=workers, budget=budget
             )
             vals["subspace_scan"] = C.n - max(spec)
-    assert len(set(vals.values())) == 1, vals
+    if len(set(vals.values())) != 1:
+        raise InvariantViolation("d_%d disagrees between algorithms: %r" % (rho, vals))
     return next(iter(vals.values()))
 
 
@@ -266,30 +278,30 @@ def classify(C, workers=1, budget=DEFAULT_BUDGET, oracle_rhos=(1, 3, 4)):
     is opt-in).
     """
     n, k, m = C.n, C.k, C.m
-    d_code, dist = codeword_scan(C, workers=workers, budget=budget)
-    spec1 = weight_spectrum(C.system, codim=1, workers=workers, budget=budget)
-    d_hyper = n - max(spec1)
-    assert d_code == d_hyper, (d_code, d_hyper)
-    d = d_code
+    d, dist, spec1 = _checked_distance(C, workers, budget)
     best = span_table(C, workers=workers, budget=budget)
     d_rho = tuple(n - best[k - rho] for rho in range(1, k + 1))
     checks = {
-        "d_codeword_scan": d_code,
-        "d_hyperplane_scan": d_hyper,
+        "d_codeword_scan": d,
+        "d_hyperplane_scan": d,
         "hyperplane_weight_hist": {str(w): c for w, c in sorted(spec1.items())},
     }
     for rho in oracle_rhos:
         got = generalized_weight(
             C, rho, algorithm="subspace_scan", workers=workers, budget=budget
         )
-        assert got == d_rho[rho - 1], (rho, got, d_rho)
+        if got != d_rho[rho - 1]:
+            raise InvariantViolation(
+                "subspace scan gives d_%d = %d, F_q side %r" % (rho, got, d_rho)
+            )
         checks["d_%d_subspace_scan" % rho] = got
     mk = m * k
     singleton_ok = mk <= min(m * (n - d + 1), n * (m - d + 1))
     is_mrd = mk == min(m * (n - d + 1), n * (m - d + 1))
     rho_mrd_flags = tuple(d_rho[rho - 1] == n - k + rho for rho in range(1, k + 1))
     near_mrd = d == n - k and all(rho_mrd_flags[1:])
-    assert d == d_rho[0]
+    if d != d_rho[0]:
+        raise InvariantViolation("d = %d but d_1 = %d" % (d, d_rho[0]))
     return WeightProfile(
         n=n,
         k=k,

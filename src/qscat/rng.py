@@ -46,6 +46,3 @@ class XorShift64Star:
             v = self.randbits(k)
             if v < n:
                 return v
-
-    def choice(self, seq):
-        return seq[self.randrange(len(seq))]

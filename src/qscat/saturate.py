@@ -22,12 +22,6 @@ from .scatter import DEFAULT_BUDGET, Verdict
 from . import gfbatch
 
 
-@dataclass(frozen=True)
-class ProjPoint:
-    pid: int
-    coords: tuple
-
-
 @dataclass
 class LinearSet:
     """The point set L(U) with dense ids, in id order."""
@@ -38,12 +32,6 @@ class LinearSet:
 
     def __len__(self):
         return len(self.ids)
-
-    def points(self):
-        return [
-            ProjPoint(int(i), tuple(int(c) for c in v))
-            for i, v in zip(self.ids, self.coords)
-        ]
 
 
 @dataclass
@@ -68,11 +56,7 @@ def linear_set_points(U, budget=DEFAULT_BUDGET):
     if total > budget:
         raise WorkLimitExceeded(total, budget)
     tables = gfbatch.Gf64Tables(field)
-    flats = [sum(v[k] << (6 * k) for k in range(4)) for v in U.basis]
-    combo = np.zeros(1 << U.dim_q, dtype=np.int64)
-    for mask in range(1, 1 << U.dim_q):
-        low = mask & -mask
-        combo[mask] = combo[mask ^ low] ^ flats[low.bit_length() - 1]
+    combo = gfbatch.subset_xor_table(U.basis)
     vecs = gfbatch.flats_to_coords(combo[1:])
     norm, ids = gfbatch.normalize_points(tables, vecs)
     order = np.argsort(ids, kind="stable")

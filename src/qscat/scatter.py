@@ -14,7 +14,7 @@ sampled-evidence verdicts.
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
-from .errors import WorkLimitExceeded
+from .errors import InvariantViolation, WorkLimitExceeded
 from .field import BinaryField
 from .rng import XorShift64Star
 from .parallel import run_partitioned
@@ -23,11 +23,10 @@ from .linalg import (
     FqmSubspace,
     MatrixFqm,
     RrefEnumerator,
+    enumerate_fqm_subspaces,
     fqm_span_dim,
     gaussian_binomial,
     rows_to_text,
-    vec_add,
-    vec_scale,
     weight,
 )
 
@@ -115,10 +114,6 @@ def build_Us(field, s=1):
     return U
 
 
-def build_U1(field):
-    return build_Us(field, 1)
-
-
 def build_U5prime(field):
     """The representative {(x, y, x^(q2)+y^q+y^(q3), x^q+x^(q3)+y^(q3))}."""
     frob = field.frob
@@ -162,14 +157,7 @@ def _fqm_witness(U, position, H, w):
 def _decode_fq_subspace(U, position, d):
     enum = RrefEnumerator(U.field.fq_elements, U.dim_q, d)
     rows, _ = enum.decode(position)
-    gens = []
-    for row in rows:
-        v = (0,) * U.r
-        for c, b in zip(row, U.basis):
-            if c:
-                v = vec_add(v, vec_scale(U.field, c, b))
-        gens.append(v)
-    return FqSubspace.span(U.field, U.r, gens)
+    return FqSubspace.span(U.field, U.r, [U.combine(row) for row in rows])
 
 
 def _decode_fqm_subspace(field, r, position, d):
@@ -182,26 +170,22 @@ def _decode_fqm_subspace(field, r, position, d):
 
 
 def _fast_scan_worker(args, start, stride):
+    import numpy as np
+
     from .gfbatch import Gf64Tables, FqSpanScanner
 
     degree, modulus, h, basis, d, early_exit, chunk = args
     fld = BinaryField(degree, modulus, h)
     scanner = FqSpanScanner(Gf64Tables(fld), basis)
     first = None
-    checked = 0
-    import numpy as np
-
-    min_span = d
     for pos, spans in scanner.iter_span_dims(d, start=start, stride=stride, chunk=chunk):
-        checked += len(pos)
         bad = spans < d
-        if bad.any():
+        if first is None and bad.any():
             i = int(np.argmax(bad))
             first = (int(pos[i]), int(spans[i]))
-            min_span = min(min_span, int(spans[bad].min()))
             if early_exit:
                 break
-    return {"first": first, "checked": checked, "min_span": min_span}
+    return {"first": first}
 
 
 def _oracle_scan_worker(args, start, stride):
@@ -214,18 +198,16 @@ def _oracle_scan_worker(args, start, stride):
     scanner = DualCodimScanner(Gf64Tables(fld), basis)
     hist = np.zeros(len(basis) + 1, dtype=np.int64)
     first = None
-    checked = 0
     for pos, w in scanner.iter_weights(d, start=start, stride=stride, chunk=chunk):
-        checked += len(pos)
         hist += np.bincount(w, minlength=len(basis) + 1)
-        if order_limit is not None:
+        if order_limit is not None and first is None:
             bad = w > order_limit
             if bad.any():
                 i = int(np.argmax(bad))
                 first = (int(pos[i]), int(w[i]))
                 if early_exit:
                     break
-    return {"first": first, "checked": checked, "hist": [int(c) for c in hist]}
+    return {"first": first, "hist": [int(c) for c in hist]}
 
 
 def _merge_first(results):
@@ -233,7 +215,52 @@ def _merge_first(results):
     return min(firsts) if firsts else None
 
 
+def _oracle_scan(U, d, order_limit, workers, early_exit, chunk):
+    """Weights of U against the d-dim F_{q^m}-subspaces, in enumeration order.
+
+    Returns (first, hist): first is (position, weight) of the first
+    subspace heavier than order_limit (None if there is none, or if
+    order_limit is None), and hist[w] counts the scanned subspaces of
+    weight w.  hist covers the whole enumeration only when first is None
+    or early_exit is off.
+    """
+    field = U.field
+    if field.e == 6 and 6 * U.dim_q <= 63:
+        args = (
+            field.degree, field.modulus, field.h, U.basis, d, order_limit,
+            early_exit, chunk,
+        )
+        results = run_partitioned(_oracle_scan_worker, args, workers)
+        hist = [sum(col) for col in zip(*(r["hist"] for r in results))]
+        return _merge_first(results), hist
+    # scalar fallback for fields without GF(64) tables
+    first = None
+    hist = [0] * (U.dim_q + 1)
+    for pos, H in enumerate(enumerate_fqm_subspaces(field, U.r, d)):
+        w = weight(U, H)
+        hist[w] += 1
+        if order_limit is not None and first is None and w > order_limit:
+            first = (pos, w)
+            if early_exit:
+                break
+    return first, hist
+
+
 # -- scatteredness tests ----------------------------------------------------
+
+
+def _not_spanning(U, order, mode):
+    """The refuting verdict when U does not span the ambient, else None."""
+    span_full = fqm_span_dim(U.field, U.basis)
+    if span_full == U.r:
+        return None
+    return Verdict(
+        ok=False,
+        witness={"kind": "not_spanning", "fqm_span_dim": span_full},
+        checked_count=0,
+        mode=mode,
+        details={"order": order},
+    )
 
 
 def is_h_scattered_fast(
@@ -254,15 +281,9 @@ def is_h_scattered_fast(
     """
     field = U.field
     d = order + 1
-    span_full = fqm_span_dim(field, U.basis)
-    if span_full < U.r:
-        return Verdict(
-            ok=False,
-            witness={"kind": "not_spanning", "fqm_span_dim": span_full},
-            checked_count=0,
-            mode="fast",
-            details={"order": order},
-        )
+    not_spanning = _not_spanning(U, order, "fast")
+    if not_spanning:
+        return not_spanning
     if mode == "sampled":
         return _fast_sampled(U, order, samples, seed)
     total = gaussian_binomial(U.dim_q, d, field.q)
@@ -284,7 +305,8 @@ def is_h_scattered_fast(
         )
     pos, span = first
     S = _decode_fq_subspace(U, pos, d)
-    assert fqm_span_dim(field, S.basis) == span
+    if fqm_span_dim(field, S.basis) != span:
+        raise InvariantViolation("fast-test witness at %d does not re-check" % pos)
     return Verdict(
         ok=False,
         witness=_fq_witness(U, pos, S, span),
@@ -298,85 +320,46 @@ def _fast_scalar_scan(U, d):
     field = U.field
     enum = RrefEnumerator(field.fq_elements, U.dim_q, d)
     for pos, rows, _ in enum.iter_slice():
-        vecs = []
-        for row in rows:
-            v = (0,) * U.r
-            for c, b in zip(row, U.basis):
-                if c:
-                    v = vec_add(v, vec_scale(field, c, b))
-            vecs.append(v)
-        s = fqm_span_dim(field, vecs)
+        s = fqm_span_dim(field, [U.combine(row) for row in rows])
         if s < d:
             return (pos, s)
     return None
 
 
-def _fast_sampled(U, order, samples, seed):
+def _sampled(order, samples, seed, draw):
+    """Sampled verdict: draw(rng) per sample returns a witness or None."""
     if samples is None or seed is None:
         raise ValueError("sampled mode requires samples and seed")
-    field = U.field
     rng = XorShift64Star(seed)
+    details = {"order": order, "seed": seed, "samples": samples}
+    for k in range(samples):
+        witness = draw(rng)
+        if witness is not None:
+            return Verdict(False, witness, k + 1, "sampled", details)
+    return Verdict(True, None, samples, "sampled", details)
+
+
+def _fast_sampled(U, order, samples, seed):
+    field = U.field
     d = order + 1
     nb = U.dim_q
     elems = field.fq_elements
-    for k in range(samples):
+
+    def draw(rng):
         while True:
             rows = [
                 [elems[rng.randrange(len(elems))] for _ in range(nb)]
                 for _ in range(d)
             ]
-            if _fq_matrix_rank(field, rows) == d:
+            if fqm_span_dim(field, rows) == d:
                 break
-        vecs = []
-        for row in rows:
-            v = (0,) * U.r
-            for c, b in zip(row, U.basis):
-                if c:
-                    v = vec_add(v, vec_scale(field, c, b))
-            vecs.append(v)
+        vecs = [U.combine(row) for row in rows]
         s = fqm_span_dim(field, vecs)
         if s < d:
-            S = FqSubspace.span(field, U.r, vecs)
-            return Verdict(
-                ok=False,
-                witness=_fq_witness(U, -1, S, s),
-                checked_count=k + 1,
-                mode="sampled",
-                details={"order": order, "seed": seed, "samples": samples},
-            )
-    return Verdict(
-        ok=True,
-        witness=None,
-        checked_count=samples,
-        mode="sampled",
-        details={"order": order, "seed": seed, "samples": samples},
-    )
+            return _fq_witness(U, -1, FqSubspace.span(field, U.r, vecs), s)
+        return None
 
-
-def _fq_matrix_rank(field, rows):
-    work = [list(r) for r in rows]
-    ncols = len(work[0])
-    mul, inv = field.mul, field.inv
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(rank, len(work)):
-            if work[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        prow = work[rank]
-        pinv = inv(prow[col])
-        for i in range(rank + 1, len(work)):
-            if work[i][col]:
-                f = mul(work[i][col], pinv)
-                work[i] = [x ^ mul(f, y) for x, y in zip(work[i], prow)]
-        rank += 1
-        if rank == len(work):
-            break
-    return rank
+    return _sampled(order, samples, seed, draw)
 
 
 def is_h_scattered_oracle(
@@ -392,15 +375,9 @@ def is_h_scattered_oracle(
 ):
     """Literal test: every order-dim F_{q^6}-subspace meets U in <= order."""
     field = U.field
-    span_full = fqm_span_dim(field, U.basis)
-    if span_full < U.r:
-        return Verdict(
-            ok=False,
-            witness={"kind": "not_spanning", "fqm_span_dim": span_full},
-            checked_count=0,
-            mode=mode,
-            details={"order": order},
-        )
+    not_spanning = _not_spanning(U, order, mode)
+    if not_spanning:
+        return not_spanning
     if order >= U.r:
         return Verdict(
             ok=True,
@@ -414,37 +391,7 @@ def is_h_scattered_oracle(
     total = gaussian_binomial(U.r, order, field.order)
     if total > budget:
         raise WorkLimitExceeded(total, budget)
-    if field.e == 6 and 6 * U.dim_q <= 63:
-        args = (
-            field.degree,
-            field.modulus,
-            field.h,
-            U.basis,
-            order,
-            order,
-            early_exit,
-            chunk,
-        )
-        results = run_partitioned(_oracle_scan_worker, args, workers)
-        first = _merge_first(results)
-        hist = None
-        if first is None:
-            hist = [0] * (U.dim_q + 1)
-            for r in results:
-                hist = [a + b for a, b in zip(hist, r["hist"])]
-    else:
-        first = None
-        hist = [0] * (U.dim_q + 1)
-        pos = 0
-        from .linalg import enumerate_fqm_subspaces
-
-        for H in enumerate_fqm_subspaces(field, U.r, order):
-            w = weight(U, H)
-            hist[w] += 1
-            if w > order:
-                first = (pos, w)
-                break
-            pos += 1
+    first, hist = _oracle_scan(U, order, order, workers, early_exit, chunk)
     if first is None:
         details = {
             "order": order,
@@ -457,7 +404,8 @@ def is_h_scattered_oracle(
         )
     pos, w = first
     H = _decode_fqm_subspace(field, U.r, pos, order)
-    assert weight(U, H) == w
+    if weight(U, H) != w:
+        raise InvariantViolation("oracle witness at %d does not re-check" % pos)
     return Verdict(
         ok=False,
         witness=_fqm_witness(U, pos, H, w),
@@ -468,28 +416,12 @@ def is_h_scattered_oracle(
 
 
 def _oracle_sampled(U, order, samples, seed):
-    if samples is None or seed is None:
-        raise ValueError("sampled mode requires samples and seed")
-    field = U.field
-    rng = XorShift64Star(seed)
-    for k in range(samples):
-        H = random_fqm_subspace(field, U.r, order, rng)
+    def draw(rng):
+        H = random_fqm_subspace(U.field, U.r, order, rng)
         w = weight(U, H)
-        if w > order:
-            return Verdict(
-                ok=False,
-                witness=_fqm_witness(U, -1, H, w),
-                checked_count=k + 1,
-                mode="sampled",
-                details={"order": order, "seed": seed, "samples": samples},
-            )
-    return Verdict(
-        ok=True,
-        witness=None,
-        checked_count=samples,
-        mode="sampled",
-        details={"order": order, "seed": seed, "samples": samples},
-    )
+        return _fqm_witness(U, -1, H, w) if w > order else None
+
+    return _sampled(order, samples, seed, draw)
 
 
 # -- Frobenius-fixed subspaces and parity -----------------------------------
@@ -581,20 +513,8 @@ def weight_spectrum(
         raise ValueError("weight_spectrum runs exhaustively; use oracle sampling")
     if total > budget:
         raise WorkLimitExceeded(total, budget)
-    if field.e == 6 and 6 * U.dim_q <= 63:
-        args = (field.degree, field.modulus, field.h, U.basis, d, None, False, chunk)
-        results = run_partitioned(_oracle_scan_worker, args, workers)
-        hist = [0] * (U.dim_q + 1)
-        for r in results:
-            hist = [a + b for a, b in zip(hist, r["hist"])]
-        return {i: c for i, c in enumerate(hist) if c}
-    from .linalg import enumerate_fqm_subspaces
-
-    hist = {}
-    for H in enumerate_fqm_subspaces(field, U.r, d):
-        w = weight(U, H)
-        hist[w] = hist.get(w, 0) + 1
-    return hist
+    _, hist = _oracle_scan(U, d, None, workers, False, chunk)
+    return {i: c for i, c in enumerate(hist) if c}
 
 
 # -- the semilinear system ---------------------------------------------------
@@ -745,7 +665,10 @@ def solutions(sys, cap=4096):
                 u ^= field.mul(coeff, tu)
                 v ^= field.mul(coeff, tv)
         sols.append((u, v))
-    assert len(set(sols)) == n
+    if len(set(sols)) != n:
+        raise InvariantViolation(
+            "%d distinct solutions, expected %d" % (len(set(sols)), n)
+        )
     return sols
 
 
@@ -828,14 +751,10 @@ def random_fq_subspace_of(U, d, rng):
     field = U.field
     elems = field.fq_elements
     while True:
-        gens = []
-        for _ in range(d):
-            v = (0,) * U.r
-            for b in U.basis:
-                c = elems[rng.randrange(len(elems))]
-                if c:
-                    v = vec_add(v, vec_scale(field, c, b))
-            gens.append(v)
+        gens = [
+            U.combine([elems[rng.randrange(len(elems))] for _ in U.basis])
+            for _ in range(d)
+        ]
         S = FqSubspace.span(field, U.r, gens)
         if S.dim_q == d:
             return S

@@ -2,7 +2,7 @@ import pytest
 
 from qscat.field import default_field
 from qscat.rankcode import code_from_system
-from qscat.scatter import build_U1
+from qscat.scatter import build_Us
 
 
 @pytest.fixture(scope="session")
@@ -19,7 +19,7 @@ def F8():
 
 @pytest.fixture(scope="session")
 def U1(F):
-    return build_U1(F)
+    return build_Us(F, 1)
 
 
 @pytest.fixture(scope="session")

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from qscat import cli
+from qscat.errors import ClosedFormMismatch, InvariantViolation
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -63,11 +64,11 @@ def test_saturating_rho0_refutes_with_exit_1(capsys):
     # round-trip: re-verify the witness from the parsed certificate
     from qscat.field import default_field
     from qscat.saturate import linear_set_points
-    from qscat.scatter import build_U1
+    from qscat.scatter import build_Us
 
     F = default_field(cert["config"]["h"])
     coords = tuple(F.from_hex(hx) for hx in v["witness"]["coords"])
-    S = linear_set_points(build_U1(F))
+    S = linear_set_points(build_Us(F, 1))
     span_points = {tuple(int(c) for c in row) for row in S.coords}
     assert coords not in span_points  # rho = 0 marks exactly the S points
     assert v["witness"]["point_id"] not in set(int(i) for i in S.ids)
@@ -203,3 +204,48 @@ def test_out_file(tmp_path, capsys):
     assert code == 0
     on_disk = json.loads(path.read_text())
     assert on_disk == cert
+
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify-scattered", "--s", "3"),
+        ("spectrum", "--codim", "9"),
+        ("spectrum", "--codim", "-1"),
+        ("verify-scattered", "--order", "-1"),
+        ("verify-scattered", "--order", "0"),
+        ("verify-scattered", "--order", "8"),
+        ("verify-scattered", "--mode", "sampled", "--samples", "0", "--seed", "1"),
+        ("system-count", "--count", "-5"),
+        ("spectrum", "--codim", "3", "--workers", "0"),
+        ("spectrum", "--codim", "3", "--workers", str(10**9)),
+    ],
+)
+def test_invalid_input_exit_2(argv, capsys, monkeypatch):
+    from qscat import parallel
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was requested")
+
+    monkeypatch.setattr(parallel.multiprocessing, "get_context", no_pool)
+    code = cli.main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].startswith("qscat: error: ")
+
+
+@pytest.mark.parametrize("exc", [InvariantViolation, ClosedFormMismatch, RuntimeError])
+def test_internal_error_exit_3(exc, capsys, monkeypatch):
+    def broken(cfg, field):
+        raise exc("planted failure")
+
+    monkeypatch.setitem(cli._HANDLERS, "field-selftest", broken)
+    code = cli.main(["field-selftest"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == (
+        "qscat: internal error: %s: planted failure" % exc.__name__
+    )

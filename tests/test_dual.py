@@ -15,7 +15,7 @@ from qscat.dual import (
 )
 from qscat.linalg import MatrixFqm, apply_gl, fqm_span_dim, weight
 from qscat.rng import XorShift64Star
-from qscat.scatter import build_U1, is_h_scattered_fast
+from qscat.scatter import is_h_scattered_fast
 
 
 def _trace_abs(F, z):

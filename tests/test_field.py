@@ -4,7 +4,6 @@ from qscat.errors import (
     BadSubIndex,
     DegreeMismatch,
     EvenH,
-    FieldMismatch,
     ReducibleModulus,
     ZeroInverse,
 )
@@ -12,7 +11,6 @@ from qscat.field import (
     BinaryField,
     DEFAULT_MODULI,
     default_field,
-    make_field,
     poly_is_irreducible,
 )
 from qscat.rng import XorShift64Star
@@ -48,27 +46,27 @@ def schoolbook_mul(a, b, mod):
 
 
 def test_make_field_accepts_default_modulus():
-    f = make_field(6, MOD6, 1)
+    f = BinaryField(6, MOD6, 1)
     assert f.degree == 6 and f.q == 2
     assert brute_force_irreducible(MOD6)
 
 
 def test_make_field_rejects_reducible():
     with pytest.raises(ReducibleModulus):
-        make_field(6, (1 << 6) | (1 << 2), 1)  # x^6 + x^2 = x^2(x^4 + 1)
+        BinaryField(6, (1 << 6) | (1 << 2), 1)  # x^6 + x^2 = x^2(x^4 + 1)
     assert not brute_force_irreducible((1 << 6) | (1 << 2))
 
 
 def test_make_field_rejects_even_h():
     with pytest.raises(EvenH):
-        make_field(12, None, 2)
+        BinaryField(12, None, 2)
 
 
 def test_make_field_rejects_degree_mismatch():
     with pytest.raises(DegreeMismatch):
-        make_field(7, MOD6, 1)
+        BinaryField(7, MOD6, 1)
     with pytest.raises(DegreeMismatch):
-        make_field(12, MOD6, 1)
+        BinaryField(12, MOD6, 1)
 
 
 def test_default_moduli_all_irreducible():
@@ -215,20 +213,6 @@ def test_hex_wire_format(F, F8):
             assert fld.from_hex(fld.to_hex(z)) == z
     with pytest.raises(ValueError):
         F.from_hex("f")  # wrong width
-
-
-def test_field_element_wrapper(F, F8):
-    a = F.element(0b101)
-    b = F.element(0b011)
-    assert (a + b).value == 0b110
-    assert (a * b).value == F.mul(0b101, 0b011)
-    assert (a * a.inverse()).value == 1
-    assert a.frob(6) == a
-    assert a.hex() == F.to_hex(0b101)
-    with pytest.raises(FieldMismatch):
-        _ = a + F8.element(1)
-    with pytest.raises(ZeroInverse):
-        F.element(0).inverse()
 
 
 def test_degree30_tower_table_free_path():

@@ -1,6 +1,7 @@
 import pytest
 
-from qscat.errors import DegenerateSystem, WorkLimitExceeded
+from qscat import rankcode
+from qscat.errors import DegenerateSystem, InvariantViolation, WorkLimitExceeded
 from qscat.linalg import FqSubspace, apply_gl, weight
 from qscat.rankcode import (
     code_from_system,
@@ -150,3 +151,14 @@ def test_planted_low_weight_codeword(F, U1):
     # both algorithms agreed inside min_distance; cross-check the value
     spec = weight_spectrum(U, codim=1, workers=2)
     assert d == 8 - max(spec)
+
+
+def test_distance_disagreement_raises(F, monkeypatch):
+    """A hyperplane scan that contradicts the codeword scan is an internal
+    error, raised with asserts stripped too."""
+    T = F.trace_kernel_basis()
+    U = FqSubspace.span(F, 1, [(t,) for t in T])
+    C = code_from_system(U)
+    monkeypatch.setattr(rankcode, "weight_spectrum", lambda *a, **kw: {1: 1})
+    with pytest.raises(InvariantViolation):
+        min_distance(C)

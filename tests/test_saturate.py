@@ -83,8 +83,8 @@ def test_linear_set_of_U(F, U1):
     assert len(set(int(i) for i in S.ids)) == 255
     assert (S.ids[1:] > S.ids[:-1]).all()
     assert len(S) <= (2**U1.dim_q - 1) // (2 - 1)
-    for p in S.points()[:10]:
-        assert p.coords[next(i for i in range(4) if p.coords[i])] == 1
+    for coords in S.coords[:10]:
+        assert coords[next(i for i in range(4) if coords[i])] == 1
 
 
 def test_linear_set_single_line(F):

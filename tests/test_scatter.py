@@ -14,7 +14,6 @@ from qscat.linalg import (
 from qscat.rng import XorShift64Star
 from qscat.scatter import (
     UsParams,
-    build_U1,
     build_U5prime,
     build_Us,
     count_solutions,
