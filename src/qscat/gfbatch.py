@@ -11,8 +11,14 @@ import numpy as np
 from .errors import InvariantViolation
 from .linalg import RrefEnumerator
 
-_RADIX = np.array([64**3, 64**2, 64, 1], dtype=np.int64)
-_OFFSET = np.array([0, 64**3, 64**3 + 64**2, 64**3 + 64**2 + 64], dtype=np.int64)
+
+def _radix_offsets(k):
+    """Digit weights and pivot-block offsets of the PG(k-1, 64) point ids."""
+    radix = 64 ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    return radix, np.cumsum(radix) - radix
+
+
+_RADIX, _OFFSET = _radix_offsets(4)
 
 POINT_COUNT = 64**3 + 64**2 + 64 + 1  # points of PG(3, 64)
 PLANE_POINTS = 64**2 + 64 + 1  # points of PG(2, 64)
@@ -103,15 +109,21 @@ def normalize_points(tables, vecs):
     return out, point_ids(out)
 
 
-def ids_to_points(ids):
-    """Inverse of point_ids: [B] ids -> [B, 4] normalized int16 rows."""
+def ids_to_points(ids, k=4):
+    """Inverse of point_ids: [B] ids -> [B, k] normalized int16 rows.
+
+    Ids run over PG(k-1, 64) pivot block by pivot block, each block in
+    base-64 order of the coordinates after the pivot.
+    """
     ids = np.asarray(ids, dtype=np.int64)
-    if ids.size and (ids.min() < 0 or ids.max() >= POINT_COUNT):
-        raise ValueError("point id out of range [0, %d)" % POINT_COUNT)
-    piv = np.searchsorted(_OFFSET, ids, side="right") - 1
-    rest = ids - _OFFSET[piv]
-    # rest < 64^(3 - piv), so its base-64 digits sit right of the pivot
-    vecs = (rest[:, None] // _RADIX) % 64
+    radix, offset = _radix_offsets(k)
+    count = int(offset[-1]) + 1
+    if ids.size and (ids.min() < 0 or ids.max() >= count):
+        raise ValueError("point id out of range [0, %d)" % count)
+    piv = np.searchsorted(offset, ids, side="right") - 1
+    rest = ids - offset[piv]
+    # rest < 64^(k - 1 - piv), so its base-64 digits sit right of the pivot
+    vecs = (rest[:, None] // radix) % 64
     vecs[np.arange(len(ids)), piv] = 1
     return vecs.astype(np.int16)
 
@@ -129,7 +141,8 @@ def _rref_chunks(enum, start, stride, chunk):
     digits) for each pivot profile piv met in pos[lo:hi], where digits
     maps each free RREF cell (i, c) to the array of its entries (the
     base-Q digits of the position within the profile; scalars are
-    range(Q)).  Consume parts before taking the next chunk.
+    range(Q), Q a power of two).  Consume parts before taking the next
+    chunk.
     """
     npos = len(range(start, enum.total, stride))
     for c0 in range(0, npos, chunk):
@@ -138,7 +151,8 @@ def _rref_chunks(enum, start, stride, chunk):
 
 
 def _profile_parts(enum, pos):
-    Q = len(enum.scalars)
+    bits = len(enum.scalars).bit_length() - 1
+    mask = (1 << bits) - 1
     lo = 0
     for p, piv in enumerate(enum.profiles):
         hi = lo + int(np.searchsorted(pos[lo:], enum.offsets[p] + enum.counts[p]))
@@ -147,9 +161,8 @@ def _profile_parts(enum, pos):
         cells = enum.cells[p]
         digits = {}
         rem = pos[lo:hi] - enum.offsets[p]
-        for t in range(len(cells) - 1, -1, -1):
-            digits[cells[t]] = rem % Q
-            rem //= Q
+        for t, cell in enumerate(reversed(cells)):
+            digits[cell] = (rem >> (bits * t)) & mask
         yield lo, hi, piv, digits
         lo = hi
 
@@ -157,27 +170,36 @@ def _profile_parts(enum, pos):
 class DualCodimScanner:
     """Weights of U against every d-dim F_{q^m}-subspace of F_{64}^4.
 
-    For a d-dim subspace H in RREF, weight(U, H) equals
-    dim_q U - rank of the map u -> (u . w : w in basis of H-perp),
-    which is an (nb x 6(4-d))-bit rank per subspace.  Enumeration order
-    matches RrefEnumerator(range(64), 4, d).
+    A d-dim subspace H in RREF has one dual vector per non-pivot column
+    f, w_f = e_f + sum_i rref[i][f] e_{piv_i}, and weight(U, H) is the
+    F_2-dimension of the coefficient vectors a with (sum_j a_j u_j) . w_f
+    = 0 for every f.  Enumeration order matches
+    RrefEnumerator(range(64), 4, d).
+
+    For d <= 2 each w_f depends only on its (profile, f) and on at most
+    two RREF digits, so it takes at most 4,096 values, each met thousands
+    of times.  The scanner builds, once per (profile, f) met, the kernel
+    K[w] = {a in F_2^nb : (sum_j a_j u_j) . w = 0} of each value as a
+    2^nb-bit bitmap, and the weight is log2 |AND_f K[w_f]|.  For d >= 3
+    each dual is met once, so the weight is nb minus the rank of the
+    (nb x 6(4-d))-bit map u -> (u . w_f)_f.
     """
 
     def __init__(self, tables, u_basis):
         self.tables = tables
         self.nb = len(u_basis)
-        assert 6 * self.nb <= 63
-        field = tables.field
+        if 6 * self.nb > 63:
+            raise InvariantViolation(
+                "%d basis vectors of 6 bits do not pack into an int64" % self.nb
+            )
         # packed column tables: TK[k][c] has bit 6j+t set iff bit t of
         # u_j[k] * c is set
-        tk = np.zeros((4, 64), dtype=np.int64)
-        for k in range(4):
-            for c in range(64):
-                pack = 0
-                for j, u in enumerate(u_basis):
-                    pack |= field.mul(u[k], c) << (6 * j)
-                tk[k, c] = pack
-        self.tk = tk
+        basis = np.array(u_basis, dtype=np.int16).reshape(self.nb, 4)
+        scal = np.arange(64, dtype=np.int16)
+        prods = tables.mul(basis[:, :, None], scal[None, None, :]).astype(np.int64)
+        shifts = 6 * np.arange(self.nb, dtype=np.int64)
+        self.tk = np.bitwise_or.reduce(prods << shifts[:, None, None], axis=0)
+        self._kernels = {}  # (piv, f) -> (kernel bitmaps by key, key cells)
 
     def weights_for_duals(self, duals):
         """duals: [B, nd, 4] dual basis vectors; returns [B] weights."""
@@ -195,16 +217,77 @@ class DualCodimScanner:
         rank = rank_batch(rows, 6 * nd)
         return self.nb - rank
 
+    def kernel_bitmaps(self, duals):
+        """[B, 4] dual vectors -> [B, words] uint64 bitmaps of K[w].
+
+        Bit a (a = sum_j a_j 2^j) is set iff (sum_j a_j u_j) . w = 0.
+        """
+        dots = np.zeros(len(duals), dtype=np.int64)
+        for k in range(4):
+            dots ^= self.tk[k][duals[:, k]]
+        sums = np.zeros((len(duals), 1), dtype=np.uint8)
+        for j in range(self.nb):
+            dot_j = ((dots >> (6 * j)) & 63).astype(np.uint8)
+            sums = np.concatenate([sums, sums ^ dot_j[:, None]], axis=1)
+        packed = np.packbits(sums == 0, axis=1, bitorder="little")
+        pad = -packed.shape[1] % 8
+        return np.pad(packed, ((0, 0), (0, pad))).view(np.uint64)
+
+    def _kernel_table(self, piv, f):
+        """Bitmaps of K[w_f] for every value of the digits w_f depends on.
+
+        Returns (bitmaps, rows): w_f reads the digits of the cells (i, f)
+        for i in rows, and its key is their base-64 number in row order.
+        """
+        entry = self._kernels.get((piv, f))
+        if entry is None:
+            rows = [i for i in range(len(piv)) if piv[i] < f]
+            keys = np.arange(64 ** len(rows), dtype=np.int64)
+            duals = np.zeros((len(keys), 4), dtype=np.int16)
+            duals[:, f] = 1
+            for t, i in enumerate(reversed(rows)):
+                duals[:, piv[i]] = (keys >> (6 * t)) & 63
+            # d <= 2: at most 64^2 = 4,096 values, built with 2^nb bytes each
+            entry = (self.kernel_bitmaps(duals), rows)
+            self._kernels[(piv, f)] = entry
+        return entry
+
     def iter_weights(self, d, start=0, stride=1, chunk=1 << 16):
         """Yield (global_position_array, weights_array) over the scan."""
         enum = RrefEnumerator(range(64), 4, d)
         for pos, parts in _rref_chunks(enum, start, stride, chunk):
             weights = np.empty(len(pos), dtype=np.int64)
             for lo, hi, piv, digits in parts:
-                weights[lo:hi] = self._profile_weights(piv, digits, hi - lo)
+                if d <= 2:
+                    weights[lo:hi] = self._bitmap_weights(piv, digits, hi - lo)
+                else:
+                    weights[lo:hi] = self._rank_weights(piv, digits, hi - lo)
             yield pos, weights
 
-    def _profile_weights(self, piv, digits, B):
+    def _bitmap_weights(self, piv, digits, B):
+        common = None
+        for f in range(4):
+            if f in piv:
+                continue
+            bitmaps, rows = self._kernel_table(piv, f)
+            key = np.zeros(B, dtype=np.int64)
+            for i in rows:
+                key = (key << 6) | digits[(i, f)]
+            kernel = np.take(bitmaps, key, axis=0)
+            if common is None:
+                common = kernel
+            else:
+                np.bitwise_and(common, kernel, out=common)
+        # |AND_f K[w_f]| = 2^weight.  Sum the word popcounts: four uint16
+        # counts share a uint64, and one multiply adds them into its top
+        # 16 bits (the sum is at most 256, so nothing carries out)
+        counts = np.bitwise_count(common).astype(np.uint16)
+        pad = -counts.shape[1] % 4
+        counts = np.pad(counts, ((0, 0), (0, pad))).view(np.uint64)
+        size = counts * np.uint64(0x0001000100010001) >> np.uint64(48)
+        return np.bitwise_count(size.sum(axis=1) - np.uint64(1)).astype(np.int64)
+
+    def _rank_weights(self, piv, digits, B):
         free_cols = [c for c in range(4) if c not in piv]
         duals = np.zeros((B, len(free_cols), 4), dtype=np.int16)
         for fi, f in enumerate(free_cols):
@@ -271,58 +354,57 @@ def codeword_pack(field, gen_rows, message):
 
 
 class CodewordScanner:
-    """Rank weights of all nonzero codewords via Gray-ordered messages.
+    """Rank weights of the codewords of the normalized messages.
 
-    Messages m in F_{64}^k are identified with 6k-bit ints; message
-    number i is gray(i) = i ^ (i >> 1), so consecutive codewords differ
-    by one precomputed delta and the packed codeword stream is an XOR
-    prefix-scan.  Partition by contiguous message-index ranges.
+    Scaling a message by F_64^* scales its codeword and keeps its rank
+    weight, so only messages whose first nonzero coordinate is 1 are
+    scanned, one per point of PG(k-1, 64); callers multiply the counts
+    by 63.  Message number i is ids_to_points([i], k) (for k = 4 the
+    point_ids numbering).  A codeword pack (n coordinates x 6 bits) is
+    the XOR of one 64-entry table per message coordinate.  Partition by
+    contiguous message-index ranges.
     """
 
     def __init__(self, tables, gen_rows):
         self.tables = tables
-        self.field = tables.field
-        self.gen_rows = gen_rows
         self.k = len(gen_rows)
         self.n = len(gen_rows[0])
-        assert 6 * self.n <= 63
+        if 6 * self.n > 63:
+            raise InvariantViolation(
+                "%d coordinates of 6 bits do not pack into an int64" % self.n
+            )
         field = tables.field
-        deltas = []
-        for b in range(6 * self.k):
-            k, j = divmod(b, 6)
-            msg = [0] * self.k
-            msg[k] = 1 << j
-            deltas.append(codeword_pack(field, gen_rows, msg))
-        self.deltas = np.array(deltas, dtype=np.int64)
+        coord_packs = np.zeros((self.k, 64), dtype=np.int64)
+        for k in range(self.k):
+            for c in range(64):
+                msg = [0] * self.k
+                msg[k] = c
+                coord_packs[k, c] = codeword_pack(field, gen_rows, msg)
+        self.coord_packs = coord_packs
 
     def total_messages(self):
-        return (1 << (6 * self.k)) - 1
+        return (64**self.k - 1) // 63
 
-    def scan_range(self, lo, hi, chunk=1 << 17):
+    def scan_range(self, lo, hi, chunk=1 << 16):
         """Weights of codewords for message numbers in [lo, hi).
 
-        Returns (min_weight, bincount over weights 0..6).  Message
-        number 0 is the zero codeword; callers pass lo >= 1.
+        Returns (min_weight, bincount over weights 0..6), each message
+        counted once (not 63 times).
         """
         counts = np.zeros(7, dtype=np.int64)
         minw = 7
-        gray_prev = (lo - 1) ^ ((lo - 1) >> 1)
-        msg = [(gray_prev >> (6 * k)) & 63 for k in range(self.k)]
-        carry = np.int64(codeword_pack(self.field, self.gen_rows, msg))
         for c0 in range(lo, hi, chunk):
             idx = np.arange(c0, min(c0 + chunk, hi), dtype=np.int64)
-            low = idx & -idx
-            tz = np.log2(low.astype(np.float64)).astype(np.int64)
-            packs = np.bitwise_xor.accumulate(self.deltas[tz]) ^ carry
-            carry = packs[-1]
+            msgs = ids_to_points(idx, self.k)
+            packs = np.zeros(len(idx), dtype=np.int64)
+            for k in range(self.k):
+                packs ^= self.coord_packs[k][msgs[:, k]]
             rows = np.stack(
                 [(packs >> (6 * t)) & 63 for t in range(self.n)], axis=1
             )
             w = rank_batch(rows, 6)
             counts += np.bincount(w, minlength=7)
-            mw = int(w.min())
-            if mw < minw:
-                minw = mw
+            minw = min(minw, int(w.min()))
         return minw, counts
 
 

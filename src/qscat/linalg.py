@@ -9,7 +9,7 @@ with the F_q-coordinates of ambient coordinate k occupying positions
 
 from itertools import combinations
 
-from .errors import AmbientMismatch, SingularMatrix
+from .errors import AmbientMismatch, InvariantViolation, SingularMatrix
 from . import gf2
 
 
@@ -463,7 +463,10 @@ def weight(U, H):
     rank = gf2.rank_bits(list(urows) + list(hrows))
     inter2 = len(urows) + len(hrows) - rank
     h = U.field.h
-    assert inter2 % h == 0
+    if inter2 % h:
+        raise InvariantViolation(
+            "F_2-dimension %d of U ∩ H is not a multiple of h = %d" % (inter2, h)
+        )
     return inter2 // h
 
 

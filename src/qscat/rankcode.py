@@ -8,13 +8,22 @@ weights d_rho are each computed by two independent algorithms:
   (exhaustive scans over F_{q^m}-subspaces);
 * F_q side: d_rho = n - max{dim_q S : S <= U, dim <S>_{F_{q^m}} <= k - rho}
   (exhaustive scan over F_q-subspaces of U), the primary algorithm;
-* for d additionally a full codeword scan in Gray-code order.
+* for d additionally a codeword scan over one message per
+  F_{q^m}^*-orbit, whose weight distribution must equal (q^m - 1) times
+  the hyperplane weight histogram, and Delsarte's closed form when the
+  code is MRD.
 """
 
 from dataclasses import dataclass, field as dc_field
+from itertools import product
 from typing import Optional
 
-from .errors import DegenerateSystem, InvariantViolation, WorkLimitExceeded
+from .errors import (
+    ClosedFormMismatch,
+    DegenerateSystem,
+    InvariantViolation,
+    WorkLimitExceeded,
+)
 from .field import BinaryField
 from .parallel import run_partitioned
 from .linalg import fqm_span_dim, gaussian_binomial
@@ -69,7 +78,10 @@ def rank_weight(field, v):
         for s in field.fq_basis
     ]
     r2 = gf2.rank_bits(rows)
-    assert r2 % field.h == 0
+    if r2 % field.h:
+        raise InvariantViolation(
+            "F_2-rank %d of a codeword is not a multiple of h = %d" % (r2, field.h)
+        )
     return r2 // field.h
 
 
@@ -84,7 +96,7 @@ def _codeword_scan_worker(args, widx, nworkers):
     scanner = CodewordScanner(Gf64Tables(fld), gen_rows)
     total = scanner.total_messages()
     per, rem = divmod(total, nworkers)
-    lo = 1 + widx * per + min(widx, rem)
+    lo = widx * per + min(widx, rem)
     hi = lo + per + (1 if widx < rem else 0)
     if hi <= lo:
         return {"min": None, "counts": [0] * 7}
@@ -92,28 +104,30 @@ def _codeword_scan_worker(args, widx, nworkers):
     return {"min": minw, "counts": [int(c) for c in counts]}
 
 
-def codeword_scan(C, workers=1, budget=DEFAULT_BUDGET, chunk=1 << 17):
+def codeword_scan(C, workers=1, budget=DEFAULT_BUDGET, chunk=1 << 16):
     """Minimum rank weight and weight distribution over all codewords.
 
-    Exhaustive (q = 2 only); returns (d, distribution dict w -> count).
+    Scaling a message by F_{q^m}^* keeps the rank weight of its codeword,
+    so one message per orbit is scanned (first nonzero coordinate 1, in
+    gfbatch.ids_to_points order) and each count is multiplied by the
+    orbit size q^m - 1.  Exhaustive (q = 2 only); returns (d,
+    distribution dict w -> count).
     """
     field = C.field
-    total = field.order**C.k - 1
-    if total > budget:
-        raise WorkLimitExceeded(total, budget)
+    orbits = (field.order**C.k - 1) // (field.order - 1)
+    if orbits > budget:
+        raise WorkLimitExceeded(orbits, budget)
+    scale = field.order - 1
     if field.e != 6 or 6 * C.n > 63:
         # scalar fallback; only reachable for tiny parameter sets
         dist = {}
         d = C.n
-        for msg_index in range(1, total + 1):
-            message = []
-            rest = msg_index
-            for _ in range(C.k):
-                message.append(rest % field.order)
-                rest //= field.order
-            w = rank_weight(field, C.encode(message))
-            dist[w] = dist.get(w, 0) + 1
-            d = min(d, w)
+        for p in range(C.k):
+            for tail in product(range(field.order), repeat=C.k - 1 - p):
+                message = (0,) * p + (1,) + tail
+                w = rank_weight(field, C.encode(message))
+                dist[w] = dist.get(w, 0) + scale
+                d = min(d, w)
         return d, dist
     args = (field.degree, field.modulus, field.h, C.generator, chunk)
     results = run_partitioned(_codeword_scan_worker, args, workers)
@@ -123,7 +137,7 @@ def codeword_scan(C, workers=1, budget=DEFAULT_BUDGET, chunk=1 << 17):
         if res["min"] is not None:
             d = min(d, res["min"])
         counts = [a + b for a, b in zip(counts, res["counts"])]
-    return d, {w: c for w, c in enumerate(counts) if c}
+    return d, {w: scale * c for w, c in enumerate(counts) if c}
 
 
 # -- span table (F_q side) ----------------------------------------------------
@@ -188,10 +202,35 @@ def span_table(C, workers=1, budget=DEFAULT_BUDGET, chunk=1 << 14):
 # -- distances ----------------------------------------------------------------
 
 
+def mrd_weight_distribution(n, m, d, q):
+    """Rank weight distribution of a linear MRD code (Delsarte 1978).
+
+    The code has minimum distance d in F_q^{m x n}; returns {weight:
+    count} over its nonzero codewords, weights d..min(m, n).
+    """
+    small, large = min(m, n), max(m, n)
+    out = {}
+    for s in range(d, small + 1):
+        acc = 0
+        for j in range(s - d + 1):
+            acc += (
+                (-1) ** j
+                * q ** (j * (j - 1) // 2)
+                * gaussian_binomial(s, j, q)
+                * (q ** (large * (s - d - j + 1)) - 1)
+            )
+        out[s] = gaussian_binomial(small, s, q) * acc
+    return out
+
+
 def _checked_distance(C, workers, budget):
     """d by codeword scan and by hyperplane scan, which must agree.
 
-    Returns (d, codeword weight distribution, hyperplane weight histogram).
+    The nonzero messages of one F_{q^m}^*-orbit have one hyperplane H as
+    kernel, and their codewords have rank weight n - weight(U, H), so the
+    whole codeword distribution must equal q^m - 1 times the hyperplane
+    histogram read at n - w.  Returns (d, codeword weight distribution,
+    hyperplane weight histogram).
     """
     d_code, dist = codeword_scan(C, workers=workers, budget=budget)
     spec1 = weight_spectrum(C.system, codim=1, workers=workers, budget=budget)
@@ -199,6 +238,13 @@ def _checked_distance(C, workers, budget):
     if d_code != d_hyper:
         raise InvariantViolation(
             "codeword scan gives d = %d, hyperplane scan d = %d" % (d_code, d_hyper)
+        )
+    scale = C.field.order - 1
+    from_hyperplanes = {C.n - w: scale * c for w, c in spec1.items()}
+    if dist != from_hyperplanes:
+        raise InvariantViolation(
+            "codeword distribution %r, hyperplane scan gives %r"
+            % (dist, from_hyperplanes)
         )
     return d_code, dist, spec1
 
@@ -274,8 +320,9 @@ def classify(C, workers=1, budget=DEFAULT_BUDGET, oracle_rhos=(1, 3, 4)):
 
     d comes from the codeword scan and the hyperplane scan (must agree);
     d_rho from the F_q-side table, cross-checked by subspace scans for
-    every rho in oracle_rhos (rho = 2 re-runs the full line scan, so it
-    is opt-in).
+    every rho in oracle_rhos (rho = 1 reads the hyperplane scan behind d;
+    rho = 2 re-runs the full line scan, so it is opt-in).  An MRD code's
+    codeword distribution must equal Delsarte's closed form.
     """
     n, k, m = C.n, C.k, C.m
     d, dist, spec1 = _checked_distance(C, workers, budget)
@@ -287,9 +334,12 @@ def classify(C, workers=1, budget=DEFAULT_BUDGET, oracle_rhos=(1, 3, 4)):
         "hyperplane_weight_hist": {str(w): c for w, c in sorted(spec1.items())},
     }
     for rho in oracle_rhos:
-        got = generalized_weight(
-            C, rho, algorithm="subspace_scan", workers=workers, budget=budget
-        )
+        if rho == 1:
+            got = n - max(spec1)
+        else:
+            got = generalized_weight(
+                C, rho, algorithm="subspace_scan", workers=workers, budget=budget
+            )
         if got != d_rho[rho - 1]:
             raise InvariantViolation(
                 "subspace scan gives d_%d = %d, F_q side %r" % (rho, got, d_rho)
@@ -302,6 +352,12 @@ def classify(C, workers=1, budget=DEFAULT_BUDGET, oracle_rhos=(1, 3, 4)):
     near_mrd = d == n - k and all(rho_mrd_flags[1:])
     if d != d_rho[0]:
         raise InvariantViolation("d = %d but d_1 = %d" % (d, d_rho[0]))
+    if is_mrd:
+        delsarte = mrd_weight_distribution(n, m, d, C.field.q)
+        if dist != {w: c for w, c in delsarte.items() if c}:
+            raise ClosedFormMismatch(
+                "MRD code has distribution %r, Delsarte gives %r" % (dist, delsarte)
+            )
     return WeightProfile(
         n=n,
         k=k,

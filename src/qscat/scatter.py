@@ -14,7 +14,7 @@ sampled-evidence verdicts.
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
-from .errors import InvariantViolation, WorkLimitExceeded
+from .errors import ClosedFormMismatch, InvariantViolation, WorkLimitExceeded
 from .field import BinaryField
 from .rng import XorShift64Star
 from .parallel import run_partitioned
@@ -174,18 +174,15 @@ def _fast_scan_worker(args, start, stride):
 
     from .gfbatch import Gf64Tables, FqSpanScanner
 
-    degree, modulus, h, basis, d, early_exit, chunk = args
+    degree, modulus, h, basis, d, chunk = args
     fld = BinaryField(degree, modulus, h)
     scanner = FqSpanScanner(Gf64Tables(fld), basis)
-    first = None
     for pos, spans in scanner.iter_span_dims(d, start=start, stride=stride, chunk=chunk):
         bad = spans < d
-        if first is None and bad.any():
+        if bad.any():
             i = int(np.argmax(bad))
-            first = (int(pos[i]), int(spans[i]))
-            if early_exit:
-                break
-    return {"first": first}
+            return {"first": (int(pos[i]), int(spans[i]))}
+    return {"first": None}
 
 
 def _oracle_scan_worker(args, start, stride):
@@ -193,20 +190,19 @@ def _oracle_scan_worker(args, start, stride):
 
     from .gfbatch import Gf64Tables, DualCodimScanner
 
-    degree, modulus, h, basis, d, order_limit, early_exit, chunk = args
+    degree, modulus, h, basis, d, order_limit, chunk = args
     fld = BinaryField(degree, modulus, h)
     scanner = DualCodimScanner(Gf64Tables(fld), basis)
     hist = np.zeros(len(basis) + 1, dtype=np.int64)
     first = None
     for pos, w in scanner.iter_weights(d, start=start, stride=stride, chunk=chunk):
         hist += np.bincount(w, minlength=len(basis) + 1)
-        if order_limit is not None and first is None:
+        if order_limit is not None:
             bad = w > order_limit
             if bad.any():
                 i = int(np.argmax(bad))
                 first = (int(pos[i]), int(w[i]))
-                if early_exit:
-                    break
+                break
     return {"first": first, "hist": [int(c) for c in hist]}
 
 
@@ -215,35 +211,53 @@ def _merge_first(results):
     return min(firsts) if firsts else None
 
 
-def _oracle_scan(U, d, order_limit, workers, early_exit, chunk):
+def _oracle_scan(U, d, order_limit, workers, chunk):
     """Weights of U against the d-dim F_{q^m}-subspaces, in enumeration order.
 
     Returns (first, hist): first is (position, weight) of the first
     subspace heavier than order_limit (None if there is none, or if
     order_limit is None), and hist[w] counts the scanned subspaces of
-    weight w.  hist covers the whole enumeration only when first is None
-    or early_exit is off.
+    weight w.  The scan stops at first, so hist covers the whole
+    enumeration only when first is None; it is then checked against
+    _incidences.
     """
     field = U.field
     if field.e == 6 and 6 * U.dim_q <= 63:
         args = (
-            field.degree, field.modulus, field.h, U.basis, d, order_limit,
-            early_exit, chunk,
+            field.degree, field.modulus, field.h, U.basis, d, order_limit, chunk,
         )
         results = run_partitioned(_oracle_scan_worker, args, workers)
         hist = [sum(col) for col in zip(*(r["hist"] for r in results))]
-        return _merge_first(results), hist
-    # scalar fallback for fields without GF(64) tables
-    first = None
-    hist = [0] * (U.dim_q + 1)
-    for pos, H in enumerate(enumerate_fqm_subspaces(field, U.r, d)):
-        w = weight(U, H)
-        hist[w] += 1
-        if order_limit is not None and first is None and w > order_limit:
-            first = (pos, w)
-            if early_exit:
+        first = _merge_first(results)
+    else:
+        # scalar fallback for fields without GF(64) tables
+        first = None
+        hist = [0] * (U.dim_q + 1)
+        for pos, H in enumerate(enumerate_fqm_subspaces(field, U.r, d)):
+            w = weight(U, H)
+            hist[w] += 1
+            if order_limit is not None and w > order_limit:
+                first = (pos, w)
                 break
+    if first is None:
+        got = sum((field.q**w - 1) * c for w, c in enumerate(hist))
+        expected = _incidences(U, d)
+        if got != expected:
+            raise ClosedFormMismatch(
+                "weight histogram %r of the %d-dim subspaces counts %d "
+                "incidences, expected %d" % (hist, d, got, expected)
+            )
     return first, hist
+
+
+def _incidences(U, d):
+    """sum over d-dim H of (q^w(H) - 1): the pairs (u in U - 0, H ∋ u).
+
+    Each nonzero u lies in [r-1, d-1]_{q^m} of the d-dim subspaces, so
+    the sum is the same for every U of the same F_q-dimension.
+    """
+    field = U.field
+    return (field.q**U.dim_q - 1) * gaussian_binomial(U.r - 1, d - 1, field.order)
 
 
 # -- scatteredness tests ----------------------------------------------------
@@ -271,7 +285,6 @@ def is_h_scattered_fast(
     seed=None,
     workers=1,
     budget=DEFAULT_BUDGET,
-    early_exit=True,
     chunk=1 << 15,
 ):
     """Fast test: every (order+1)-dim F_q-subspace of U spans >= order+1.
@@ -290,7 +303,7 @@ def is_h_scattered_fast(
     if total > budget:
         raise WorkLimitExceeded(total, budget)
     if field.e == 6 and U.dim_q <= 16:
-        args = (field.degree, field.modulus, field.h, U.basis, d, early_exit, chunk)
+        args = (field.degree, field.modulus, field.h, U.basis, d, chunk)
         results = run_partitioned(_fast_scan_worker, args, workers)
         first = _merge_first(results)
     else:
@@ -370,7 +383,6 @@ def is_h_scattered_oracle(
     seed=None,
     workers=1,
     budget=DEFAULT_BUDGET,
-    early_exit=True,
     chunk=1 << 16,
 ):
     """Literal test: every order-dim F_{q^6}-subspace meets U in <= order."""
@@ -391,7 +403,7 @@ def is_h_scattered_oracle(
     total = gaussian_binomial(U.r, order, field.order)
     if total > budget:
         raise WorkLimitExceeded(total, budget)
-    first, hist = _oracle_scan(U, order, order, workers, early_exit, chunk)
+    first, hist = _oracle_scan(U, order, order, workers, chunk)
     if first is None:
         details = {
             "order": order,
@@ -482,7 +494,6 @@ def random_frobenius_fixed(field, r, d, rng):
 def weight_spectrum(
     U,
     codim,
-    mode="exhaustive",
     frobenius_fixed_only=False,
     workers=1,
     budget=DEFAULT_BUDGET,
@@ -509,11 +520,9 @@ def weight_spectrum(
             hist[w] = hist.get(w, 0) + 1
         return hist
     total = gaussian_binomial(U.r, d, field.order)
-    if mode != "exhaustive":
-        raise ValueError("weight_spectrum runs exhaustively; use oracle sampling")
     if total > budget:
         raise WorkLimitExceeded(total, budget)
-    _, hist = _oracle_scan(U, d, None, workers, False, chunk)
+    _, hist = _oracle_scan(U, d, None, workers, chunk)
     return {i: c for i, c in enumerate(hist) if c}
 
 

@@ -249,3 +249,57 @@ def test_internal_error_exit_3(exc, capsys, monkeypatch):
     assert captured.err.splitlines()[-1] == (
         "qscat: internal error: %s: planted failure" % exc.__name__
     )
+
+
+REFERENCE_RUNS = {
+    "code_profile_q2": ["code-profile"],
+    "verify_scattered_q2": ["verify-scattered", "--order", "2", "--oracle", "exhaustive"],
+}
+
+
+def _reference_result(name):
+    reference = json.loads((ROOT / "perfbench" / "reference" / (name + ".json")).read_text())
+    return json.dumps(reference["result"], sort_keys=True)
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_RUNS))
+@pytest.mark.parametrize("workers", [1, 2])
+def test_q2_certificates_match_reference(name, workers, capsys):
+    code, cert = run_cli(capsys, *REFERENCE_RUNS[name], "--workers", str(workers))
+    assert code == 0
+    assert json.dumps(cert["result"], sort_keys=True) == _reference_result(name)
+
+
+def test_code_profile_under_optimize_flag():
+    """The code profile and its closed-form checks hold under python -O."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "qscat.cli", "code-profile", "--workers", "2"],
+        env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)["result"]
+    assert json.dumps(result, sort_keys=True) == _reference_result("code_profile_q2")
+
+
+def test_corrupted_histogram_exit_3(capsys, monkeypatch):
+    """A line histogram that breaks the incidence count is exit 3."""
+    from qscat import gfbatch
+
+    real = gfbatch.DualCodimScanner.iter_weights
+
+    def corrupted(self, d, *args, **kwargs):
+        for pos, w in real(self, d, *args, **kwargs):
+            w = w.copy()
+            w[pos == 0] += 1  # one line too heavy
+            yield pos, w
+
+    monkeypatch.setattr(gfbatch.DualCodimScanner, "iter_weights", corrupted)
+    code = cli.main(["spectrum", "--codim", "2"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "ClosedFormMismatch" in captured.err.splitlines()[-1]

@@ -1,18 +1,29 @@
 import pytest
 
 from qscat import rankcode
-from qscat.errors import DegenerateSystem, InvariantViolation, WorkLimitExceeded
+from qscat.errors import (
+    ClosedFormMismatch,
+    DegenerateSystem,
+    InvariantViolation,
+    WorkLimitExceeded,
+)
 from qscat.linalg import FqSubspace, apply_gl, weight
 from qscat.rankcode import (
     code_from_system,
     codeword_scan,
     generalized_weight,
     min_distance,
+    mrd_weight_distribution,
     rank_weight,
     span_table,
 )
 from qscat.rng import XorShift64Star
-from qscat.scatter import build_Us, random_invertible, weight_spectrum
+from qscat.scatter import (
+    build_Us,
+    random_fq_subspace,
+    random_invertible,
+    weight_spectrum,
+)
 
 
 def test_code_parameters(F, code):
@@ -162,3 +173,60 @@ def test_distance_disagreement_raises(F, monkeypatch):
     monkeypatch.setattr(rankcode, "weight_spectrum", lambda *a, **kw: {1: 1})
     with pytest.raises(InvariantViolation):
         min_distance(C)
+
+
+def test_mrd_weight_distribution_closed_form():
+    """Delsarte's distribution of the [8, 4, 4]_{64/2} MRD code."""
+    dist = mrd_weight_distribution(8, 6, 4, 2)
+    assert dist == {4: 166_005, 5: 3_630_690, 6: 12_980_520}
+    assert sum(dist.values()) == 64**4 - 1
+    # the formula is symmetric in the two matrix sizes
+    assert mrd_weight_distribution(6, 8, 4, 2) == dist
+
+
+@pytest.mark.parametrize("seed", [51, 52])
+def test_codeword_distribution_is_63_times_hyperplanes(F, seed):
+    """The projective codeword scan of a random spanning system agrees at
+    1 and 2 workers and equals 63 x the hyperplane histogram at n - w."""
+    rng = XorShift64Star(seed)
+    U = random_fq_subspace(F, 4, 8, rng)
+    C = code_from_system(U)
+    d1, dist1 = codeword_scan(C, workers=1)
+    d2, dist2 = codeword_scan(C, workers=2)
+    assert (d1, dist1) == (d2, dist2)
+    spec = weight_spectrum(U, codim=1, workers=2)
+    assert dist1 == {8 - w: 63 * c for w, c in spec.items()}
+    assert sum(dist1.values()) == 64**4 - 1
+    assert d1 == 8 - max(spec)
+
+
+def test_u1_codeword_distribution(code):
+    d, dist = codeword_scan(code, workers=2)
+    assert d == 4
+    assert dist == {4: 166_005, 5: 3_630_690, 6: 12_980_520}
+
+
+def test_distribution_disagreement_raises(F, code, monkeypatch):
+    """A codeword distribution off the hyperplane histogram by a single
+    orbit is an internal error even when d agrees."""
+    real = rankcode.codeword_scan
+
+    def shifted(*args, **kwargs):
+        d, dist = real(*args, **kwargs)
+        dist = dict(dist)
+        dist[5] -= 63
+        dist[6] += 63
+        return d, dist
+
+    monkeypatch.setattr(rankcode, "codeword_scan", shifted)
+    with pytest.raises(InvariantViolation):
+        min_distance(code)
+
+
+def test_mrd_code_off_delsarte_raises(F, code, monkeypatch):
+    """An MRD profile whose distribution is not Delsarte's is refused."""
+    monkeypatch.setattr(
+        rankcode, "mrd_weight_distribution", lambda n, m, d, q: {4: 1}
+    )
+    with pytest.raises(ClosedFormMismatch):
+        rankcode.classify(code, workers=2)

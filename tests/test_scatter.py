@@ -292,3 +292,48 @@ def test_not_spanning_rejected(F):
     assert not v.ok and v.witness["kind"] == "not_spanning"
     vo = is_h_scattered_oracle(flat, 2)
     assert not vo.ok
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_random_subspace_first_line_witness(F, workers):
+    """The oracle's first witness on a refuted random U: position, weight
+    and line are fixed numbers, the same as with the rank_batch line
+    weights of earlier versions."""
+    U = random_fq_subspace(F, 4, 8, XorShift64Star(6))
+    v = is_h_scattered_oracle(U, 2, workers=workers)
+    assert not v.ok
+    assert v.checked_count == 4_293_778
+    assert v.witness["position"] == 4_293_777
+    assert v.witness["weight"] == 3
+    assert v.witness["rref"] == [["10", "00", "01", "81"], ["00", "10", "21", "11"]]
+    # at order 1 the same U is scattered, with the full point histogram
+    v1 = is_h_scattered_oracle(U, 1, workers=workers)
+    assert v1.ok and v1.checked_count == 266_305
+    assert v1.details["weight_hist"] == {"0": 266_050, "1": 255}
+
+
+def test_complete_histograms_count_every_incidence(F, U1):
+    """sum_H (q^w(H) - 1) = (q^8 - 1) [3, d-1]_64 for every complete scan."""
+    for codim, expected in ((1, 1_061_055), (2, 1_061_055), (3, 255)):
+        d = 4 - codim
+        assert expected == 255 * gaussian_binomial(3, d - 1, 64)
+        spec = weight_spectrum(U1, codim, workers=2)
+        assert sum((2**w - 1) * c for w, c in spec.items()) == expected
+
+
+def test_corrupted_histogram_raises(F, U1, monkeypatch):
+    """A point histogram that misses an incidence is a ClosedFormMismatch."""
+    from qscat import gfbatch
+    from qscat.errors import ClosedFormMismatch
+
+    real = gfbatch.DualCodimScanner.iter_weights
+
+    def corrupted(self, d, *args, **kwargs):
+        for pos, w in real(self, d, *args, **kwargs):
+            w = w.copy()
+            w[pos == 0] += 1  # one point too heavy
+            yield pos, w
+
+    monkeypatch.setattr(gfbatch.DualCodimScanner, "iter_weights", corrupted)
+    with pytest.raises(ClosedFormMismatch):
+        weight_spectrum(U1, 3)
