@@ -2,16 +2,19 @@
 
 Field elements are plain ints: bit k is the coefficient of x^k in the
 polynomial representative (constant term first).  A `BinaryField` carries
-all tables, and every caller, hot loops included, calls its methods on
-raw ints.
+all tables, and scalar callers call its methods on raw ints; numpy
+batches multiply through gfbatch.FieldArrays, which views the same
+exp/log tables.
 """
 
+from array import array
 from functools import lru_cache
 
 from .errors import (
     BadSubIndex,
     DegreeMismatch,
     EvenH,
+    InvariantViolation,
     ReducibleModulus,
     ZeroInverse,
 )
@@ -30,8 +33,7 @@ def poly_degree(p):
 
 def poly_mulmod(a, b, mod):
     """Carryless multiply then reduce modulo `mod` over GF(2)."""
-    e = poly_degree(mod)
-    top = 1 << e
+    top = 1 << (mod.bit_length() - 1)
     r = 0
     while a:
         if a & 1:
@@ -149,16 +151,19 @@ class BinaryField:
         return r
 
     def _build_tables(self):
+        # C-int arrays, not lists: 3 MB instead of ~30 MB at GF(2^18), and
+        # numpy views them without a copy (gfbatch.FieldArrays)
         n = self.mult_order
         g = self._find_generator()
-        exp = [1] * (2 * n)
-        log = [0] * self.order
+        mod = self.modulus
+        exp = array("i", [0]) * (2 * n)
+        log = array("i", [0]) * self.order
         v = 1
         for k in range(n):
-            exp[k] = v
-            exp[k + n] = v
+            exp[k] = exp[k + n] = v
             log[v] = k
-            v = poly_mulmod(v, g, self.modulus)
+            # the small generator first: poly_mulmod loops over its bits
+            v = poly_mulmod(g, v, mod)
         self._exp = exp
         self._log = log
         if self.degree == 6:
@@ -191,7 +196,10 @@ class BinaryField:
         fc = self._frob_cols[1]
         cols = [fc[b] ^ (1 << b) for b in range(e)]
         basis = gf2.left_kernel_combos(cols, e)
-        assert len(basis) == self.h
+        if len(basis) != self.h:
+            raise InvariantViolation(
+                "F_q has F_2-dimension %d, expected h = %d" % (len(basis), self.h)
+            )
         _, basis, _ = gf2.rref_bits(basis, e)
         self.fq_basis = tuple(basis)
         # GF(2)-basis {s_i * x^j} of the whole field; column t = j*h + i
@@ -277,7 +285,11 @@ class BinaryField:
             for b in range(e)
         ]
         kernel = gf2.left_kernel_combos(cols, e)
-        assert len(kernel) == 4 * self.h
+        if len(kernel) != 4 * self.h:
+            raise InvariantViolation(
+                "trace kernel has F_2-dimension %d, expected %d"
+                % (len(kernel), 4 * self.h)
+            )
         _, kernel, _ = gf2.rref_bits(kernel, e)
         basis = []
         span_rows = []
@@ -288,7 +300,10 @@ class BinaryField:
                 basis.append(t)
                 if len(basis) == 4:
                     break
-        assert len(basis) == 4
+        if len(basis) != 4:
+            raise InvariantViolation(
+                "trace kernel has F_q-dimension %d, expected 4" % len(basis)
+            )
         self._trace_kernel = tuple(basis)
         return self._trace_kernel
 

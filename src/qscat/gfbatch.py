@@ -1,14 +1,18 @@
-"""Vectorized GF(64)/GF(2) scan engines for the q = 2 tower.
+"""Vectorized GF(2^e)/GF(2) engines.
 
-The exhaustive q = 2 certifications walk 10^7-scale enumerations; these
-run them in numpy batches.  Enumeration indices agree exactly with
-linalg.RrefEnumerator, so witnesses found here can be re-decoded and
-re-checked by the scalar reference code.
+The exhaustive q = 2 certifications walk 10^7-scale enumerations; the
+GF(64) scan engines here run them in numpy batches.  Enumeration indices
+agree exactly with linalg.RrefEnumerator, so witnesses found here can be
+re-decoded and re-checked by the scalar reference code.  The seeded
+sampled tests run in batches over any tower field (`FieldArrays`) and
+draw the same xorshift64* stream as a one-sample-at-a-time loop would.
 """
+
+from itertools import combinations
 
 import numpy as np
 
-from .errors import InvariantViolation
+from .errors import ConfigError, InvariantViolation
 from .linalg import RrefEnumerator
 
 
@@ -508,3 +512,243 @@ def line_point_ids(tables, line_rref):
     ids1 = _family_ids(fam1, piv[:, 0])
     ids2 = _family_ids(rref[:, 1, :].astype(np.int32), piv[:, 1])
     return np.concatenate([ids1.reshape(P, -1), ids2.reshape(P, 1)], axis=1)
+
+
+# -- seeded sampled tests, any tower field ------------------------------------
+
+SAMPLE_BATCH = 4096  # samples drawn and tested per numpy batch
+
+
+class FieldArrays:
+    """Elementwise products of int64 arrays in any tower field GF(2^e).
+
+    With exp/log tables (e <= 20) a product is a gather on numpy views
+    of the field's C-int tables (no copy).  Without them (GF(2^30)) it is
+    a carryless shift-xor product whose bits above e are folded back with
+    x^e = modulus - x^e; the 2e - 1 product bits must fit in an int64.
+    """
+
+    def __init__(self, field):
+        if 2 * field.e - 1 > 63:
+            raise ConfigError(
+                "numpy GF(2^%d) products do not fit in an int64" % field.e
+            )
+        self.e = field.e
+        self.exp = self.log = None
+        if field._exp is not None:
+            self.exp = np.frombuffer(field._exp, dtype=np.intc)
+            self.log = np.frombuffer(field._log, dtype=np.intc)
+        low = field.modulus ^ (1 << field.e)
+        self.fold = [j for j in range(field.e) if low >> j & 1]
+
+    def mul(self, a, b):
+        """Elementwise product of two broadcastable integer arrays."""
+        a = np.asarray(a, dtype=np.int64)
+        b = np.asarray(b, dtype=np.int64)
+        if self.exp is not None:
+            prod = self.exp[self.log[a] + self.log[b]]
+            return np.where((a != 0) & (b != 0), prod, np.int64(0))
+        prod = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.int64)
+        for i in range(self.e):
+            prod ^= (a << i) & -((b >> i) & 1)
+        high = prod >> self.e
+        while high.any():
+            prod &= (1 << self.e) - 1
+            for j in self.fold:
+                prod ^= high << j
+            high = prod >> self.e
+        return prod
+
+
+def fqm_rank_batch(fa, mats):
+    """F_{q^6}-rank of each matrix of a [B, R, C] batch.
+
+    Row by row: row i's first nonzero entry a, in column p, is its pivot,
+    and each later row j becomes a * row_j + row_j[p] * row_i.  No
+    inverse is needed, and the later rows then vanish in column p.
+    """
+    work = np.array(mats, dtype=np.int64)
+    B, R, _ = work.shape
+    rank = np.zeros(B, dtype=np.int64)
+    bidx = np.arange(B)
+    for i in range(R):
+        row = work[:, i]
+        nonzero = row != 0
+        live = nonzero.any(axis=1)
+        rank += live
+        if i + 1 == R:
+            break
+        p = np.argmax(nonzero, axis=1)
+        # a zero row leaves the later rows alone: 1 * row_j + 0
+        lead = np.where(live, row[bidx, p], 1)
+        rest = work[:, i + 1 :]
+        factors = rest[bidx, :, p]  # [B, R - i - 1]
+        work[:, i + 1 :] = fa.mul(rest, lead[:, None, None]) ^ fa.mul(
+            row[:, None, :], factors[:, :, None]
+        )
+    return rank
+
+
+def _maximal_minors(fa, gens):
+    """{S: minor of gens on the columns S} over the d-subsets S.
+
+    gens: [B, d, r].  Laplace expansion along the top row, built up from
+    the bottom row (signs vanish in characteristic 2).
+    """
+    B, d, r = gens.shape
+    minors = {(): np.ones(B, dtype=np.int64)}
+    for k in range(1, d + 1):
+        row = gens[:, d - k]
+        nxt = {}
+        for S in combinations(range(r), k):
+            acc = np.zeros(B, dtype=np.int64)
+            for c in S:
+                acc ^= fa.mul(row[:, c], minors[tuple(x for x in S if x != c)])
+            nxt[S] = acc
+        minors = nxt
+    return minors
+
+
+def _f2_image_rank(img, e):
+    """GF(2) rank of [B, R, T] blocks read as R x (T e)-bit matrices."""
+    B, R, T = img.shape
+    if T * e <= 63:
+        rows = np.zeros((B, R), dtype=np.int64)
+        for t in range(T):
+            rows |= img[:, :, t] << (t * e)
+        return rank_batch(rows, T * e)
+    # too wide for an int64: rank the transpose, one R-bit row per bit
+    if R > 63:
+        raise InvariantViolation("%d rows do not pack into an int64" % R)
+    bits = np.arange(e, dtype=np.int64)
+    cols = np.zeros((B, T, e), dtype=np.int64)
+    for i in range(R):
+        cols |= ((img[:, i, :, None] >> bits) & 1) << i
+    return rank_batch(cols.reshape(B, T * e), R)
+
+
+class SampledFast:
+    """The fast test on random (order+1)-dim F_q-subspaces of U, batched.
+
+    A sample is order+1 rows of dim_q U draws, each an index into
+    field.fq_elements (randrange(q) is one masked draw); it is redrawn
+    when the coefficient rows are F_q-dependent.  Its value is the
+    F_{q^6}-span dimension of the vectors the rows combine from U's
+    basis, and it refutes when that is below order+1.
+    """
+
+    def __init__(self, U, order):
+        field = U.field
+        self.fa = FieldArrays(field)
+        self.d = order + 1
+        self.nb = U.dim_q
+        self.width = self.d * self.nb
+        self.mask = len(field.fq_elements) - 1
+        self.elems = np.array(field.fq_elements, dtype=np.int64)
+        basis = np.array(U.basis, dtype=np.int64)
+        # combo[j, x] = fq_elements[x] * U.basis[j]
+        self.combo = self.fa.mul(self.elems[None, :, None], basis[:, None, :])
+
+    def measure(self, groups):
+        """(kept, spans): the accepted groups and their span dimensions."""
+        idx = groups.reshape(len(groups), self.d, self.nb)
+        kept = fqm_rank_batch(self.fa, self.elems[idx]) == self.d
+        idx = idx[kept]
+        vecs = self.combo[0][idx[:, :, 0]]
+        for j in range(1, self.nb):
+            vecs ^= self.combo[j][idx[:, :, j]]
+        return kept, fqm_rank_batch(self.fa, vecs)
+
+    def refutes(self, spans):
+        return spans < self.d
+
+
+class SampledOracle:
+    """The oracle on random order-dim F_{q^6}-subspaces H, batched.
+
+    A sample is order x r field elements (one masked draw each), the
+    generators of H row by row; it is redrawn when all order x order
+    minors vanish.  With P the first column set whose minor M_P is
+    nonzero, the r - order functionals w_c (c not in P), w_c[x] =
+    M_{P + c - x} for x in P + c and 0 elsewhere, vanish on H and are
+    independent, so they cut out H.  Its value is the weight: the
+    F_2-dimension of the kernel of U -> F^(r - order), u -> (w_c . u),
+    divided by h.  It refutes when that exceeds order.
+    """
+
+    def __init__(self, U, order):
+        field = U.field
+        self.fa = FieldArrays(field)
+        self.order = order
+        self.r = U.r
+        self.h = field.h
+        self.width = order * U.r
+        self.mask = field.order - 1
+        basis = np.array(U.basis, dtype=np.int64)
+        scal = np.array(field.fq_basis, dtype=np.int64)
+        # the F_2-basis {s u : s in fq_basis, u in U.basis} of U, [R, r]
+        self.u2 = self.fa.mul(basis[:, None, :], scal[None, :, None]).reshape(-1, U.r)
+        # duals[p, t, x]: index of the minor that is entry x of the t-th
+        # functional for pivot set subsets[p]; len(subsets) means zero
+        self.subsets = list(combinations(range(U.r), order))
+        where = {S: i for i, S in enumerate(self.subsets)}
+        self.duals = np.full(
+            (len(self.subsets), U.r - order, U.r), len(self.subsets), dtype=np.int64
+        )
+        for p, P in enumerate(self.subsets):
+            for t, c in enumerate(x for x in range(U.r) if x not in P):
+                S = tuple(sorted(P + (c,)))
+                for x in S:
+                    self.duals[p, t, x] = where[tuple(y for y in S if y != x)]
+
+    def measure(self, groups):
+        """(kept, weights): the accepted groups and their weights."""
+        n, r = len(groups), self.r
+        minors = _maximal_minors(self.fa, groups.reshape(n, self.order, r))
+        stack = np.stack(
+            [minors[S] for S in self.subsets] + [np.zeros(n, dtype=np.int64)], axis=1
+        )
+        nonzero = stack[:, :-1] != 0
+        kept = nonzero.any(axis=1)
+        stack = stack[kept]
+        piv = np.argmax(nonzero[kept], axis=1)
+        m = len(stack)
+        duals = np.take_along_axis(stack, self.duals[piv].reshape(m, -1), axis=1)
+        duals = duals.reshape(m, 1, r - self.order, r)
+        img = np.zeros((m, len(self.u2), r - self.order), dtype=np.int64)
+        for x in range(r):
+            img ^= self.fa.mul(duals[..., x], self.u2[None, :, None, x])
+        kernel = len(self.u2) - _f2_image_rank(img, self.fa.e)
+        if (kernel % self.h).any():
+            raise InvariantViolation(
+                "F_2-dimension of some U ∩ H is not a multiple of h = %d" % self.h
+            )
+        return kept, kernel // self.h
+
+    def refutes(self, weights):
+        return weights > self.order
+
+
+def first_refutation(sampler, rng, samples):
+    """The first of `samples` accepted samples that refutes, or None.
+
+    Returns (k, group, value): its 0-based sample index, its draws as a
+    list and its measured value.  Each round draws exactly as many
+    groups as samples are still due, so a run without refutation takes
+    the same draws from rng as a one-sample-at-a-time loop.
+    """
+    nxt = rng.next_u64
+    mask = sampler.mask
+    done = 0
+    while done < samples:
+        n = min(SAMPLE_BATCH, samples - done)
+        count = n * sampler.width
+        draws = np.fromiter((nxt() & mask for _ in range(count)), np.int64, count)
+        groups = draws.reshape(n, sampler.width)
+        kept, values = sampler.measure(groups)
+        bad = sampler.refutes(values)
+        if bad.any():
+            i = int(np.argmax(bad))
+            return done + i, groups[kept][i].tolist(), int(values[i])
+        done += len(values)
+    return None

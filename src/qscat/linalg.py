@@ -21,7 +21,8 @@ def gaussian_binomial(n, k, Q):
     for i in range(k):
         num *= Q ** (n - i) - 1
         den *= Q ** (i + 1) - 1
-    assert num % den == 0
+    if num % den:
+        raise InvariantViolation("[%d, %d]_%d is not an integer" % (n, k, Q))
     return num // den
 
 

@@ -109,9 +109,7 @@ def build_Us(field, s=1):
         gens.append((t, 0, frob(t, 2 * s), frob(t, s)))
     for t in field.trace_kernel_basis():
         gens.append((0, t, frob(t, s), frob(t, 3 * s)))
-    U = FqSubspace.span(field, 4, gens)
-    assert U.dim_q == 8
-    return U
+    return _checked_dim8(FqSubspace.span(field, 4, gens))
 
 
 def build_U5prime(field):
@@ -122,8 +120,12 @@ def build_U5prime(field):
         gens.append((t, 0, frob(t, 2), frob(t, 1) ^ frob(t, 3)))
     for t in field.trace_kernel_basis():
         gens.append((0, t, frob(t, 1) ^ frob(t, 3), frob(t, 3)))
-    U = FqSubspace.span(field, 4, gens)
-    assert U.dim_q == 8
+    return _checked_dim8(FqSubspace.span(field, 4, gens))
+
+
+def _checked_dim8(U):
+    if U.dim_q != 8:
+        raise InvariantViolation("constructed U has dim_q %d, expected 8" % U.dim_q)
     return U
 
 
@@ -298,7 +300,7 @@ def is_h_scattered_fast(
     if not_spanning:
         return not_spanning
     if mode == "sampled":
-        return _fast_sampled(U, order, samples, seed)
+        return _sampled(U, order, samples, seed, oracle=False)
     total = gaussian_binomial(U.dim_q, d, field.q)
     if total > budget:
         raise WorkLimitExceeded(total, budget)
@@ -339,40 +341,36 @@ def _fast_scalar_scan(U, d):
     return None
 
 
-def _sampled(order, samples, seed, draw):
-    """Sampled verdict: draw(rng) per sample returns a witness or None."""
+def _sampled(U, order, samples, seed, oracle):
+    """Sampled verdict of the fast test, or of the oracle if `oracle`.
+
+    The samples run in numpy batches (gfbatch.SampledFast/SampledOracle)
+    on the seeded xorshift64* stream; the first refuting sample is decoded
+    again and re-checked by the scalar code before it becomes the witness.
+    """
     if samples is None or seed is None:
         raise ValueError("sampled mode requires samples and seed")
-    rng = XorShift64Star(seed)
+    from . import gfbatch
+
+    sampler = (gfbatch.SampledOracle if oracle else gfbatch.SampledFast)(U, order)
+    found = gfbatch.first_refutation(sampler, XorShift64Star(seed), samples)
     details = {"order": order, "seed": seed, "samples": samples}
-    for k in range(samples):
-        witness = draw(rng)
-        if witness is not None:
-            return Verdict(False, witness, k + 1, "sampled", details)
-    return Verdict(True, None, samples, "sampled", details)
+    if found is None:
+        return Verdict(True, None, samples, "sampled", details)
+    k, group, value = found
+    recheck = _oracle_sample_witness if oracle else _fast_sample_witness
+    return Verdict(False, recheck(U, order, group, value), k + 1, "sampled", details)
 
 
-def _fast_sampled(U, order, samples, seed):
-    field = U.field
-    d = order + 1
-    nb = U.dim_q
+def _fast_sample_witness(U, order, group, span):
+    field, d, nb = U.field, order + 1, U.dim_q
     elems = field.fq_elements
-
-    def draw(rng):
-        while True:
-            rows = [
-                [elems[rng.randrange(len(elems))] for _ in range(nb)]
-                for _ in range(d)
-            ]
-            if fqm_span_dim(field, rows) == d:
-                break
-        vecs = [U.combine(row) for row in rows]
-        s = fqm_span_dim(field, vecs)
-        if s < d:
-            return _fq_witness(U, -1, FqSubspace.span(field, U.r, vecs), s)
-        return None
-
-    return _sampled(order, samples, seed, draw)
+    rows = [[elems[x] for x in group[i * nb : (i + 1) * nb]] for i in range(d)]
+    vecs = [U.combine(row) for row in rows]
+    s = fqm_span_dim(field, vecs)
+    if fqm_span_dim(field, rows) != d or s != span or s >= d:
+        raise InvariantViolation("sampled fast-test witness does not re-check")
+    return _fq_witness(U, -1, FqSubspace.span(field, U.r, vecs), s)
 
 
 def is_h_scattered_oracle(
@@ -399,7 +397,7 @@ def is_h_scattered_oracle(
             details={"order": order, "degenerate": True},
         )
     if mode == "sampled":
-        return _oracle_sampled(U, order, samples, seed)
+        return _sampled(U, order, samples, seed, oracle=True)
     total = gaussian_binomial(U.r, order, field.order)
     if total > budget:
         raise WorkLimitExceeded(total, budget)
@@ -427,13 +425,13 @@ def is_h_scattered_oracle(
     )
 
 
-def _oracle_sampled(U, order, samples, seed):
-    def draw(rng):
-        H = random_fqm_subspace(U.field, U.r, order, rng)
-        w = weight(U, H)
-        return _fqm_witness(U, -1, H, w) if w > order else None
-
-    return _sampled(order, samples, seed, draw)
+def _oracle_sample_witness(U, order, group, w):
+    r = U.r
+    gens = [tuple(group[i * r : (i + 1) * r]) for i in range(order)]
+    H = FqmSubspace.span(U.field, r, gens)
+    if H.dim != order or weight(U, H) != w or w <= order:
+        raise InvariantViolation("sampled oracle witness does not re-check")
+    return _fqm_witness(U, -1, H, w)
 
 
 # -- Frobenius-fixed subspaces and parity -----------------------------------

@@ -1,7 +1,9 @@
 import pytest
 
 from qscat.field import default_field
+from qscat.linalg import FqSubspace
 from qscat.rankcode import code_from_system
+from qscat.rng import XorShift64Star
 from qscat.scatter import build_Us
 
 
@@ -25,3 +27,14 @@ def U1(F):
 @pytest.fixture(scope="session")
 def code(U1):
     return code_from_system(U1)
+
+
+@pytest.fixture(scope="session")
+def U_planted(F):
+    """A q = 2 system that is not scattered: the F_2-span of (1, 0, 0, 0),
+    (x, 0, 0, 0), (x^2, 0, 0, 0) lies in one F_64-point, and five seeded
+    random vectors make it span F_64^4."""
+    rng = XorShift64Star(2024)
+    gens = [(1, 0, 0, 0), (2, 0, 0, 0), (4, 0, 0, 0)]
+    gens += [tuple(F.random_element(rng) for _ in range(4)) for _ in range(5)]
+    return FqSubspace.span(F, 4, gens)

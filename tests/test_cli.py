@@ -164,12 +164,44 @@ def test_saturating_under_optimize_flag():
     )
 
 
+@pytest.mark.parametrize("args,code,golden", [
+    (["--samples", "300", "--seed", "42"], 0, "verify_scattered_q8_sampled"),
+    (["--order", "4", "--samples", "200", "--seed", "5"], 1, "sampled_h3_order4"),
+])
+def test_sampled_under_optimize_flag(args, code, golden):
+    """The batched sampled tests and their witness re-check hold under
+    python -O: the q = 8 evidence run and the order-4 refutation."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "qscat.cli", "verify-scattered", "--h", "3",
+         "--mode", "sampled", "--oracle", "sampled"] + args,
+        env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == code, proc.stderr
+    result = json.loads(proc.stdout)["result"]
+    expected = (ROOT / "tests" / "golden" / ("%s.json" % golden)).read_text()
+    assert json.dumps(result, sort_keys=True, indent=2) + "\n" == expected
+
+
 def test_bad_modulus_exit_2(capsys):
     code, _ = run_cli(capsys, "field-selftest", "--modulus", "zz")
     assert code == 2
     # reducible modulus: x^6 + x^2 is 0x44 -> little endian nibbles "44"
     code, _ = run_cli(capsys, "field-selftest", "--modulus", "44")
     assert code == 2
+
+
+def test_sampled_past_int64_fields_exit_2(capsys):
+    """h = 7 builds GF(2^42) from a user modulus (x^42 + x^5 + x^2 + x + 1),
+    whose products do not fit the int64 batches: a config error."""
+    code, cert = run_cli(
+        capsys, "verify-scattered", "--h", "7", "--modulus", "72000000004",
+        "--mode", "sampled", "--seed", "1", "--samples", "10",
+    )
+    assert code == 2 and cert is None
 
 
 def test_config_file_and_flag_precedence(tmp_path, capsys):

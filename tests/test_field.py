@@ -1,3 +1,5 @@
+from array import array
+
 import pytest
 
 from qscat.errors import (
@@ -12,6 +14,7 @@ from qscat.field import (
     DEFAULT_MODULI,
     default_field,
     poly_is_irreducible,
+    poly_mulmod,
 )
 from qscat.rng import XorShift64Star
 
@@ -105,6 +108,23 @@ def test_mul_against_schoolbook_oracle_q8(F8):
         a = F8.random_element(rng)
         b = F8.random_element(rng)
         assert F8.mul(a, b) == schoolbook_mul(a, b, F8.modulus)
+
+
+def test_gf2_18_tables(F8):
+    """The compact exp/log tables of GF(2^18): exp steps by the generator
+    g = exp[1] (checked on a stride, with g as the second operand), and
+    log o exp is the identity on every exponent, so exp runs through all
+    2^18 - 1 nonzero elements."""
+    n = F8.mult_order
+    exp, log = F8._exp, F8._log
+    assert isinstance(exp, array) and isinstance(log, array)
+    assert len(exp) == 2 * n and len(log) == F8.order
+    g = exp[1]
+    for k in range(0, n, 1021):
+        assert exp[k + 1] == poly_mulmod(exp[k], g, F8.modulus)
+        assert exp[k + n] == exp[k]
+    assert exp[0] == 1 and exp[n] == 1
+    assert all(log[exp[k]] == k for k in range(n))
 
 
 def test_inverse(F):

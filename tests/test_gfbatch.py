@@ -1,19 +1,33 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from qscat.errors import InvariantViolation
+from qscat import gfbatch
+from qscat.errors import ConfigError, InvariantViolation
+from qscat.field import default_field
 from qscat.gfbatch import (
     POINT_COUNT,
     CodewordScanner,
     DualCodimScanner,
+    FieldArrays,
     Gf64Tables,
+    SampledFast,
+    SampledOracle,
+    first_refutation,
+    fqm_rank_batch,
     ids_to_points,
     point_ids,
 )
-from qscat.linalg import FqmSubspace, RrefEnumerator, weight
+from qscat.linalg import FqmSubspace, RrefEnumerator, fqm_span_dim, weight
 from qscat.rankcode import rank_weight
 from qscat.rng import XorShift64Star
-from qscat.scatter import random_fq_subspace
+from qscat.scatter import (
+    build_Us,
+    is_h_scattered_fast,
+    is_h_scattered_oracle,
+    random_fq_subspace,
+)
 
 
 def test_product_table_matches_field(F):
@@ -109,3 +123,186 @@ def test_scanner_widths_are_checked(F, U1):
         DualCodimScanner(tables, list(U1.basis) + list(U1.basis[:3]))
     with pytest.raises(InvariantViolation):
         CodewordScanner(tables, [[1] * 11] * 4)
+
+
+# -- batched sampled tests -----------------------------------------------------
+
+
+@pytest.mark.parametrize("h", [1, 3, 5])
+def test_field_arrays_match_field_mul(h):
+    """numpy products (exp/log gather for e <= 20, carryless product and
+    fold for GF(2^30)) equal BinaryField.mul, zero operands included."""
+    F = default_field(h)
+    rng = XorShift64Star(100 + h)
+    a = [F.random_element(rng) for _ in range(400)] + [0, 0, 1, F.order - 1]
+    b = [F.random_element(rng) for _ in range(400)] + [0, 5, F.order - 1, F.order - 1]
+    fa = FieldArrays(F)
+    got = fa.mul(np.array(a), np.array(b))
+    assert got.dtype == np.int64
+    assert got.tolist() == [F.mul(x, y) for x, y in zip(a, b)]
+    if F._exp is not None:
+        # views of the field's tables, not copies
+        assert not fa.exp.flags.owndata and not fa.log.flags.owndata
+        assert np.shares_memory(fa.exp, np.frombuffer(F._exp, dtype=np.intc))
+
+
+def test_field_arrays_reject_fields_past_int64():
+    with pytest.raises(ConfigError):
+        FieldArrays(SimpleNamespace(e=42))
+
+
+def _random_rows(F, rng, R, C, q_only=False):
+    """R x C matrix with seeded dependent rows mixed in."""
+    pick = (lambda: F.fq_elements[rng.randrange(F.q)]) if q_only else (
+        lambda: F.random_element(rng)
+    )
+    rows = [[pick() for _ in range(C)] for _ in range(R)]
+    if R > 1 and rng.randrange(2):
+        i, j = rng.randrange(R), rng.randrange(R)
+        c = F.fq_elements[rng.randrange(F.q)] if q_only else F.random_element(rng)
+        rows[i] = [F.mul(c, x) ^ y for x, y in zip(rows[j], rows[i])]
+        if i == j or rng.randrange(2):
+            rows[i] = [F.mul(c, x) for x in rows[j]]
+    if rng.randrange(8) == 0:
+        rows[rng.randrange(R)] = [0] * C
+    return rows
+
+
+@pytest.mark.parametrize("h", [1, 3, 5])
+@pytest.mark.parametrize("shape", [(1, 4), (2, 4), (3, 4), (4, 4), (5, 4), (3, 8)])
+def test_fqm_rank_batch_matches_fqm_span_dim(h, shape):
+    F = default_field(h)
+    rng = XorShift64Star(7 * h + shape[0])
+    mats = [_random_rows(F, rng, *shape, q_only=shape[1] == 8) for _ in range(60)]
+    got = fqm_rank_batch(FieldArrays(F), np.array(mats, dtype=np.int64))
+    assert got.tolist() == [fqm_span_dim(F, m) for m in mats]
+
+
+def _oracle_cases(F, U, rng, order, count):
+    """Generator groups: random, dependent, and through vectors of U."""
+    groups = []
+    for k in range(count):
+        gens = _random_rows(F, rng, order, 4)
+        if k % 3:
+            # the first (k % 3) generators lie in U: weight >= min(k % 3, order)
+            for i in range(min(k % 3, order)):
+                coeffs = [F.fq_elements[rng.randrange(F.q)] for _ in U.basis]
+                gens[i] = list(U.combine(coeffs))
+        groups.append([x for g in gens for x in g])
+    return np.array(groups, dtype=np.int64)
+
+
+def _check_oracle(F, U, order, groups):
+    kept, weights = SampledOracle(U, order).measure(groups)
+    expect_kept, expect_w = [], []
+    for g in groups.tolist():
+        H = FqmSubspace.span(F, 4, [tuple(g[i * 4 : i * 4 + 4]) for i in range(order)])
+        expect_kept.append(H.dim == order)
+        if H.dim == order:
+            expect_w.append(weight(U, H))
+    assert kept.tolist() == expect_kept
+    assert weights.tolist() == expect_w
+    return expect_w
+
+
+def test_oracle_weights_crafted_q8(F8):
+    """Points and lines through vectors of U_1 at q = 8: weights 1 and 2
+    (U_1 is 2-scattered, so they are exactly that), as linalg.weight."""
+    U = build_Us(F8, 1)
+    rng = XorShift64Star(81)
+    seen = set()
+    for order in (1, 2, 3):
+        seen.update((order, w) for w in _check_oracle(
+            F8, U, order, _oracle_cases(F8, U, rng, order, 45)
+        ))
+    assert {(1, 0), (1, 1), (2, 0), (2, 1), (2, 2)} <= seen
+
+
+@pytest.mark.parametrize("h,count", [(1, 300), (5, 24)])
+def test_oracle_weights_random(h, count):
+    """Random draws at q = 2 and q = 32 (both rank orientations: at
+    q = 32, order 1 packs 3 x 30 image bits, so the transpose is ranked)."""
+    F = default_field(h)
+    U = build_Us(F, 1)
+    rng = XorShift64Star(90 + h)
+    for order in (1, 2, 3):
+        _check_oracle(F, U, order, _oracle_cases(F, U, rng, order, count))
+
+
+@pytest.mark.parametrize("h,order,count", [
+    (1, 1, 3000), (1, 2, 1500), (3, 1, 150), (3, 2, 150), (3, 4, 40), (5, 2, 20),
+])
+def test_fast_span_dims_match_fqm_span_dim(h, order, count, U_planted):
+    """Span dims of the combined vectors equal fqm_span_dim, and groups
+    are kept exactly when their coefficient rows are F_q-independent."""
+    F = default_field(h)
+    U = U_planted if h == 1 else build_Us(F, 1)
+    sampler = SampledFast(U, order)
+    rng = XorShift64Star(60 + 10 * h + order)
+    groups = np.array(
+        [[rng.randrange(F.q) for _ in range(sampler.width)] for _ in range(count)],
+        dtype=np.int64,
+    )
+    kept, spans = sampler.measure(groups)
+    d, elems = order + 1, F.fq_elements
+    expect_kept, expect_spans = [], []
+    for g in groups.tolist():
+        rows = [[elems[x] for x in g[i * 8 : i * 8 + 8]] for i in range(d)]
+        expect_kept.append(fqm_span_dim(F, rows) == d)
+        if expect_kept[-1]:
+            expect_spans.append(fqm_span_dim(F, [U.combine(row) for row in rows]))
+    assert kept.tolist() == expect_kept
+    assert spans.tolist() == expect_spans
+    if h == 1 or order == 4:
+        assert min(expect_spans) < d  # refuting samples are among them
+
+
+class _Recorder:
+    """A sampler that refutes nothing and records the accepted groups."""
+
+    def __init__(self, sampler):
+        self.sampler = sampler
+        self.width, self.mask = sampler.width, sampler.mask
+        self.groups = []
+
+    def measure(self, groups):
+        kept, values = self.sampler.measure(groups)
+        self.groups.extend(groups[kept].tolist())
+        return kept, values
+
+    def refutes(self, values):
+        return np.zeros(len(values), dtype=bool)
+
+
+def test_batched_groups_equal_scalar_draws(F, U1, monkeypatch):
+    """q = 2, order 1: ~1.2% of the coefficient pairs are dependent and
+    redrawn.  Over several short batches the accepted groups, and the
+    number of draws, equal a one-sample-at-a-time reference loop."""
+    monkeypatch.setattr(gfbatch, "SAMPLE_BATCH", 64)
+    samples, elems = 600, F.fq_elements
+    ref_rng = XorShift64Star(77)
+    expect, rejected = [], 0
+    for _ in range(samples):
+        while True:
+            idx = [ref_rng.randrange(len(elems)) for _ in range(16)]
+            rows = [[elems[x] for x in idx[:8]], [elems[x] for x in idx[8:]]]
+            if fqm_span_dim(F, rows) == 2:
+                break
+            rejected += 1
+        expect.append(idx)
+    assert rejected > 0
+    rec = _Recorder(SampledFast(U1, 1))
+    rng = XorShift64Star(77)
+    assert first_refutation(rec, rng, samples) is None
+    assert rec.groups == expect
+    assert rng.state == ref_rng.state
+
+
+@pytest.mark.parametrize("test", [is_h_scattered_fast, is_h_scattered_oracle])
+def test_batch_disagreement_raises(F, U1, monkeypatch, test):
+    """A refutation the scalar re-check does not reproduce is an internal
+    error, not a witness."""
+    sampler = SampledFast if test is is_h_scattered_fast else SampledOracle
+    monkeypatch.setattr(sampler, "refutes", lambda self, v: np.ones(len(v), dtype=bool))
+    with pytest.raises(InvariantViolation):
+        test(U1, 2, mode="sampled", samples=10, seed=1)

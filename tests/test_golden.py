@@ -2,7 +2,10 @@
 
 The files under tests/golden/ hold the expected `result` block of each
 command below, so any change to what a certificate says shows up here.
-Commands whose scans take a worker count run at 1 and 2 workers.
+Commands whose scans take a worker count run at 1 and 2 workers.  The
+sampled goldens (h = 1, 3, 5 at orders 1-3, and the order-4 refutation)
+and the planted q = 2 verdicts were written by the one-sample-at-a-time
+sampled loops that the batched ones replaced.
 """
 
 import json
@@ -11,34 +14,74 @@ from pathlib import Path
 import pytest
 
 from qscat import cli
+from qscat.scatter import is_h_scattered_fast, is_h_scattered_oracle
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
+# name -> (argv, takes_workers, exit code)
 CASES = {
-    "field_selftest": (["field-selftest"], False),
-    "verify_dual": (["verify-dual"], False),
-    "equivalence": (["equivalence"], False),
-    "system_count": (["system-count", "--count", "500", "--seed", "7"], False),
-    "spectrum_codim3": (["spectrum", "--codim", "3"], True),
-    "spectrum_codim1_fixed": (["spectrum", "--codim", "1", "--fixed-only"], True),
+    "field_selftest": (["field-selftest"], False, 0),
+    "verify_dual": (["verify-dual"], False, 0),
+    "equivalence": (["equivalence"], False, 0),
+    "system_count": (["system-count", "--count", "500", "--seed", "7"], False, 0),
+    "spectrum_codim3": (["spectrum", "--codim", "3"], True, 0),
+    "spectrum_codim1_fixed": (["spectrum", "--codim", "1", "--fixed-only"], True, 0),
     "verify_scattered_q8_sampled": (
         ["verify-scattered", "--h", "3", "--mode", "sampled", "--oracle",
          "sampled", "--samples", "300", "--seed", "42"],
         True,
+        0,
     ),
 }
+for _h, _samples in ((1, 500), (3, 200), (5, 100)):
+    for _order in (1, 2, 3):
+        CASES["sampled_h%d_order%d" % (_h, _order)] = (
+            ["verify-scattered", "--h", str(_h), "--mode", "sampled", "--oracle",
+             "sampled", "--order", str(_order), "--samples", str(_samples),
+             "--seed", "5"],
+            False,
+            1 if (_h, _order) == (1, 3) else 0,
+        )
+# order + 1 = 5 vectors of F_{q^6}^4 never span 5 dimensions
+CASES["sampled_h3_order4"] = (
+    ["verify-scattered", "--h", "3", "--mode", "sampled", "--oracle", "sampled",
+     "--order", "4", "--samples", "200", "--seed", "5"],
+    False,
+    1,
+)
 
 RUNS = [
     (name, workers)
-    for name, (_, takes_workers) in CASES.items()
+    for name, (_, takes_workers, _) in CASES.items()
     for workers in ((1, 2) if takes_workers else (1,))
 ]
 
 
+def golden_text(name):
+    return (GOLDEN / ("%s.json" % name)).read_text()
+
+
+def as_golden(obj):
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
 @pytest.mark.parametrize("name,workers", RUNS)
 def test_result_matches_golden(name, workers, capsys):
-    argv = CASES[name][0] + ["--workers", str(workers)]
-    assert cli.main(argv) == 0
+    argv, _, code = CASES[name]
+    assert cli.main(argv + ["--workers", str(workers)]) == code
     result = json.loads(capsys.readouterr().out)["result"]
-    expected = (GOLDEN / ("%s.json" % name)).read_text()
-    assert json.dumps(result, sort_keys=True, indent=2) + "\n" == expected
+    assert as_golden(result) == golden_text(name)
+
+
+def test_planted_q2_sampled_verdicts(U_planted):
+    U = U_planted
+    verdicts = {
+        "fast_order1": is_h_scattered_fast(U, 1, mode="sampled", samples=20000, seed=3),
+        "fast_order2": is_h_scattered_fast(U, 2, mode="sampled", samples=20000, seed=3),
+        "oracle_order2": is_h_scattered_oracle(
+            U, 2, mode="sampled", samples=20000, seed=3
+        ),
+    }
+    assert not any(v.ok for v in verdicts.values())
+    got = {name: v.to_json() for name, v in verdicts.items()}
+    assert as_golden(got) == golden_text("planted_q2_sampled")
