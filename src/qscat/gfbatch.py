@@ -48,6 +48,29 @@ class Gf64Tables:
         return self.prod[(a << 6) | b]
 
 
+def check_scan_shape(scanner, field, r, width):
+    """Raise ConfigError unless `scanner` can run this exhaustive scan.
+
+    The one place that decides which shapes the GF(64) scan engines pack,
+    and so which exhaustive scans exist: q = 2 (the GF(64) tables), the
+    ambient F_64^r the scanner is written for (scanner.AMBIENT, None for
+    any r) and at most scanner.MAX_WIDTH basis vectors or coordinates.
+    """
+    if field.e != 6:
+        raise ConfigError(
+            "exhaustive scans run over GF(64) only (q = 2), got q = %d" % field.q
+        )
+    if scanner.AMBIENT is not None and r != scanner.AMBIENT:
+        raise ConfigError(
+            "%s scans F_64^%d only, got r = %d" % (scanner.__name__, scanner.AMBIENT, r)
+        )
+    if width > scanner.MAX_WIDTH:
+        raise ConfigError(
+            "%s packs a width of at most %d, got width %d"
+            % (scanner.__name__, scanner.MAX_WIDTH, width)
+        )
+
+
 def rank_batch(rows, ncols=None):
     """Rank over GF(2) of a batch of bit-packed matrices.
 
@@ -189,10 +212,13 @@ class DualCodimScanner:
     (nb x 6(4-d))-bit map u -> (u . w_f)_f.
     """
 
+    AMBIENT = 4
+    MAX_WIDTH = 10  # nb fields of 6 bits in an int64
+
     def __init__(self, tables, u_basis):
         self.tables = tables
         self.nb = len(u_basis)
-        if 6 * self.nb > 63:
+        if self.nb > self.MAX_WIDTH:
             raise InvariantViolation(
                 "%d basis vectors of 6 bits do not pack into an int64" % self.nb
             )
@@ -311,6 +337,9 @@ class FqSpanScanner:
     multiples, which is 6 times the F_{64} rank).
     """
 
+    AMBIENT = 4
+    MAX_WIDTH = 16  # subset_xor_table holds 2^nb packed sums
+
     def __init__(self, tables, u_basis):
         self.tables = tables
         self.nb = len(u_basis)
@@ -369,11 +398,14 @@ class CodewordScanner:
     contiguous message-index ranges.
     """
 
+    AMBIENT = None  # any k
+    MAX_WIDTH = 10  # n coordinates of 6 bits in an int64
+
     def __init__(self, tables, gen_rows):
         self.tables = tables
         self.k = len(gen_rows)
         self.n = len(gen_rows[0])
-        if 6 * self.n > 63:
+        if self.n > self.MAX_WIDTH:
             raise InvariantViolation(
                 "%d coordinates of 6 bits do not pack into an int64" % self.n
             )

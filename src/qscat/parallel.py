@@ -1,8 +1,8 @@
 """Deterministic (start, stride) work partitioning.
 
-Workers receive small picklable payloads and rebuild field objects on
-their side; results merge in worker-index order so certificates do not
-depend on the worker count.
+Workers receive their arguments, built field objects included, as they
+are (one worker) or pickled into a fork pool; results merge in
+worker-index order so certificates do not depend on the worker count.
 """
 
 import multiprocessing

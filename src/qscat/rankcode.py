@@ -15,7 +15,6 @@ weights d_rho are each computed by two independent algorithms:
 """
 
 from dataclasses import dataclass, field as dc_field
-from itertools import product
 from typing import Optional
 
 from .errors import (
@@ -91,20 +90,19 @@ def rank_weight(field, v):
 def _codeword_scan_worker(args, widx, nworkers):
     from .gfbatch import Gf64Tables, CodewordScanner
 
-    degree, modulus, h, gen_rows, chunk = args
-    fld = BinaryField(degree, modulus, h)
-    scanner = CodewordScanner(Gf64Tables(fld), gen_rows)
+    field, gen_rows = args
+    scanner = CodewordScanner(Gf64Tables(field), gen_rows)
     total = scanner.total_messages()
     per, rem = divmod(total, nworkers)
     lo = widx * per + min(widx, rem)
     hi = lo + per + (1 if widx < rem else 0)
     if hi <= lo:
         return {"min": None, "counts": [0] * 7}
-    minw, counts = scanner.scan_range(lo, hi, chunk=chunk)
+    minw, counts = scanner.scan_range(lo, hi)
     return {"min": minw, "counts": [int(c) for c in counts]}
 
 
-def codeword_scan(C, workers=1, budget=DEFAULT_BUDGET, chunk=1 << 16):
+def codeword_scan(C, workers=1, budget=DEFAULT_BUDGET):
     """Minimum rank weight and weight distribution over all codewords.
 
     Scaling a message by F_{q^m}^* keeps the rank weight of its codeword,
@@ -113,24 +111,15 @@ def codeword_scan(C, workers=1, budget=DEFAULT_BUDGET, chunk=1 << 16):
     orbit size q^m - 1.  Exhaustive (q = 2 only); returns (d,
     distribution dict w -> count).
     """
+    from .gfbatch import CodewordScanner, check_scan_shape
+
     field = C.field
     orbits = (field.order**C.k - 1) // (field.order - 1)
     if orbits > budget:
         raise WorkLimitExceeded(orbits, budget)
+    check_scan_shape(CodewordScanner, field, C.k, C.n)
     scale = field.order - 1
-    if field.e != 6 or 6 * C.n > 63:
-        # scalar fallback; only reachable for tiny parameter sets
-        dist = {}
-        d = C.n
-        for p in range(C.k):
-            for tail in product(range(field.order), repeat=C.k - 1 - p):
-                message = (0,) * p + (1,) + tail
-                w = rank_weight(field, C.encode(message))
-                dist[w] = dist.get(w, 0) + scale
-                d = min(d, w)
-        return d, dist
-    args = (field.degree, field.modulus, field.h, C.generator, chunk)
-    results = run_partitioned(_codeword_scan_worker, args, workers)
+    results = run_partitioned(_codeword_scan_worker, (field, C.generator), workers)
     counts = [0] * 7
     d = C.n
     for res in results:
@@ -146,14 +135,13 @@ def codeword_scan(C, workers=1, budget=DEFAULT_BUDGET, chunk=1 << 16):
 def _span_table_worker(args, start, stride):
     from .gfbatch import Gf64Tables, FqSpanScanner
 
-    degree, modulus, h, basis, chunk = args
-    fld = BinaryField(degree, modulus, h)
-    scanner = FqSpanScanner(Gf64Tables(fld), basis)
+    field, basis = args
+    scanner = FqSpanScanner(Gf64Tables(field), basis)
     nb = len(basis)
     minspan = [0] * (nb + 1)
     for d in range(1, nb + 1):
         best = d  # span never exceeds min(d, ambient)
-        for _, spans in scanner.iter_span_dims(d, start=start, stride=stride, chunk=chunk):
+        for _, spans in scanner.iter_span_dims(d, start=start, stride=stride, chunk=1 << 14):
             m = int(spans.min())
             if m < best:
                 best = m
@@ -161,36 +149,25 @@ def _span_table_worker(args, start, stride):
     return {"minspan": minspan}
 
 
-def span_table(C, workers=1, budget=DEFAULT_BUDGET, chunk=1 << 14):
+def span_table(C, workers=1, budget=DEFAULT_BUDGET):
     """best[j] = max dim_q of S <= U with dim <S>_{F_{q^m}} <= j.
 
     Derived from minspan[d] = min span over d-dim subspaces of U, which
     is non-decreasing in d; cached on the code object.
     """
+    from .gfbatch import FqSpanScanner, check_scan_shape
+
     if C._span_table is not None:
         return C._span_table
     field = C.field
-    U = C.system
     total = sum(gaussian_binomial(C.n, d, field.q) for d in range(C.n + 1))
     if total > budget:
         raise WorkLimitExceeded(total, budget)
-    if field.e == 6 and C.n <= 16:
-        args = (field.degree, field.modulus, field.h, U.basis, chunk)
-        results = run_partitioned(_span_table_worker, args, workers)
-        minspan = [0] * (C.n + 1)
-        for d in range(1, C.n + 1):
-            minspan[d] = min(res["minspan"][d] for res in results)
-    else:
-        from .linalg import enumerate_fq_subspaces
-
-        minspan = [0] * (C.n + 1)
-        for d in range(1, C.n + 1):
-            best = None
-            for S in enumerate_fq_subspaces(U, d):
-                s = fqm_span_dim(field, S.basis)
-                if best is None or s < best:
-                    best = s
-            minspan[d] = best
+    check_scan_shape(FqSpanScanner, field, C.k, C.n)
+    results = run_partitioned(_span_table_worker, (field, C.system.basis), workers)
+    minspan = [0] * (C.n + 1)
+    for d in range(1, C.n + 1):
+        minspan[d] = min(res["minspan"][d] for res in results)
     best = []
     for j in range(C.k + 1):
         best.append(max(d for d in range(C.n + 1) if minspan[d] <= j))

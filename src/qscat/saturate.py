@@ -127,8 +127,7 @@ def _small_span_keys(rref):
 
 def _saturation_worker(args, start, stride):
     """Discovery pass: classify subset spans, flag planes by dual id."""
-    degree, modulus, h, coords_list, rho, early_exit, chunk = args
-    field = BinaryField(degree, modulus, h)
+    field, coords_list, rho, early_exit = args
     tables = gfbatch.Gf64Tables(field)
     coords = np.array(coords_list, dtype=np.int16)
     n = len(coords)
@@ -137,7 +136,7 @@ def _saturation_worker(args, start, stride):
     small_keys = [np.empty(0, dtype=np.int64)]
     full_span_seen = False
     checked = 0
-    for subs in _subset_batches(n, rho + 1, start, stride, chunk):
+    for subs in _subset_batches(n, rho + 1, start, stride):
         checked += len(subs)
         mats = coords[subs]  # [B, rho+1, 4]
         rank, rref, pivcols = gfbatch.rref_small_batch(tables, mats)
@@ -181,7 +180,6 @@ def is_rho_saturating(
     workers=1,
     budget=DEFAULT_BUDGET,
     early_exit=False,
-    chunk=32768,
 ):
     """Decide whether every ambient point lies in a span of rho+1 points.
 
@@ -197,7 +195,7 @@ def is_rho_saturating(
         raise WorkLimitExceeded(total, budget)
     ambient = gfbatch.POINT_COUNT
     coords_list = [tuple(int(c) for c in v) for v in S.coords]
-    args = (field.degree, field.modulus, field.h, coords_list, rho, early_exit, chunk)
+    args = (field, coords_list, rho, early_exit)
     results = run_partitioned(_saturation_worker, args, workers)
     covered = np.zeros(ambient, dtype=bool)
     plane_bitmap = np.zeros(ambient, dtype=bool)

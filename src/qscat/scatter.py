@@ -7,8 +7,10 @@ Two independent algorithms decide h-scatteredness:
 * the oracle enumerates order-dimensional F_{q^6}-subspaces H and
   requires dim_q(U ∩ H) <= order.
 
-Exhaustive certification is defined for q = 2 only; larger q produce
-sampled-evidence verdicts.
+Each exhaustive scan has one path, the numpy GF(64) engines of gfbatch,
+and gfbatch.check_scan_shape is the one check of what they pack: q = 2,
+r = 4 and their width limits.  Any other shape is a ConfigError, raised
+after the work budget check.  Larger q produce sampled-evidence verdicts.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -23,7 +25,6 @@ from .linalg import (
     FqmSubspace,
     MatrixFqm,
     RrefEnumerator,
-    enumerate_fqm_subspaces,
     fqm_span_dim,
     gaussian_binomial,
     rows_to_text,
@@ -176,10 +177,9 @@ def _fast_scan_worker(args, start, stride):
 
     from .gfbatch import Gf64Tables, FqSpanScanner
 
-    degree, modulus, h, basis, d, chunk = args
-    fld = BinaryField(degree, modulus, h)
-    scanner = FqSpanScanner(Gf64Tables(fld), basis)
-    for pos, spans in scanner.iter_span_dims(d, start=start, stride=stride, chunk=chunk):
+    field, basis, d = args
+    scanner = FqSpanScanner(Gf64Tables(field), basis)
+    for pos, spans in scanner.iter_span_dims(d, start=start, stride=stride):
         bad = spans < d
         if bad.any():
             i = int(np.argmax(bad))
@@ -192,12 +192,11 @@ def _oracle_scan_worker(args, start, stride):
 
     from .gfbatch import Gf64Tables, DualCodimScanner
 
-    degree, modulus, h, basis, d, order_limit, chunk = args
-    fld = BinaryField(degree, modulus, h)
-    scanner = DualCodimScanner(Gf64Tables(fld), basis)
+    field, basis, d, order_limit = args
+    scanner = DualCodimScanner(Gf64Tables(field), basis)
     hist = np.zeros(len(basis) + 1, dtype=np.int64)
     first = None
-    for pos, w in scanner.iter_weights(d, start=start, stride=stride, chunk=chunk):
+    for pos, w in scanner.iter_weights(d, start=start, stride=stride):
         hist += np.bincount(w, minlength=len(basis) + 1)
         if order_limit is not None:
             bad = w > order_limit
@@ -213,7 +212,7 @@ def _merge_first(results):
     return min(firsts) if firsts else None
 
 
-def _oracle_scan(U, d, order_limit, workers, chunk):
+def _oracle_scan(U, d, order_limit, workers):
     """Weights of U against the d-dim F_{q^m}-subspaces, in enumeration order.
 
     Returns (first, hist): first is (position, weight) of the first
@@ -223,24 +222,14 @@ def _oracle_scan(U, d, order_limit, workers, chunk):
     enumeration only when first is None; it is then checked against
     _incidences.
     """
+    from .gfbatch import DualCodimScanner, check_scan_shape
+
     field = U.field
-    if field.e == 6 and 6 * U.dim_q <= 63:
-        args = (
-            field.degree, field.modulus, field.h, U.basis, d, order_limit, chunk,
-        )
-        results = run_partitioned(_oracle_scan_worker, args, workers)
-        hist = [sum(col) for col in zip(*(r["hist"] for r in results))]
-        first = _merge_first(results)
-    else:
-        # scalar fallback for fields without GF(64) tables
-        first = None
-        hist = [0] * (U.dim_q + 1)
-        for pos, H in enumerate(enumerate_fqm_subspaces(field, U.r, d)):
-            w = weight(U, H)
-            hist[w] += 1
-            if order_limit is not None and w > order_limit:
-                first = (pos, w)
-                break
+    check_scan_shape(DualCodimScanner, field, U.r, U.dim_q)
+    args = (field, U.basis, d, order_limit)
+    results = run_partitioned(_oracle_scan_worker, args, workers)
+    hist = [sum(col) for col in zip(*(r["hist"] for r in results))]
+    first = _merge_first(results)
     if first is None:
         got = sum((field.q**w - 1) * c for w, c in enumerate(hist))
         expected = _incidences(U, d)
@@ -287,12 +276,11 @@ def is_h_scattered_fast(
     seed=None,
     workers=1,
     budget=DEFAULT_BUDGET,
-    chunk=1 << 15,
 ):
     """Fast test: every (order+1)-dim F_q-subspace of U spans >= order+1.
 
     Requires that U spans the ambient over F_{q^6}; exhaustive mode is
-    feasible at q = 2 and guarded by the work budget elsewhere.
+    guarded by the work budget, then by gfbatch.check_scan_shape.
     """
     field = U.field
     d = order + 1
@@ -304,12 +292,11 @@ def is_h_scattered_fast(
     total = gaussian_binomial(U.dim_q, d, field.q)
     if total > budget:
         raise WorkLimitExceeded(total, budget)
-    if field.e == 6 and U.dim_q <= 16:
-        args = (field.degree, field.modulus, field.h, U.basis, d, chunk)
-        results = run_partitioned(_fast_scan_worker, args, workers)
-        first = _merge_first(results)
-    else:
-        first = _fast_scalar_scan(U, d)
+    from .gfbatch import FqSpanScanner, check_scan_shape
+
+    check_scan_shape(FqSpanScanner, field, U.r, U.dim_q)
+    results = run_partitioned(_fast_scan_worker, (field, U.basis, d), workers)
+    first = _merge_first(results)
     if first is None:
         return Verdict(
             ok=True,
@@ -329,16 +316,6 @@ def is_h_scattered_fast(
         mode="fast",
         details={"order": order, "subspace_dim": d},
     )
-
-
-def _fast_scalar_scan(U, d):
-    field = U.field
-    enum = RrefEnumerator(field.fq_elements, U.dim_q, d)
-    for pos, rows, _ in enum.iter_slice():
-        s = fqm_span_dim(field, [U.combine(row) for row in rows])
-        if s < d:
-            return (pos, s)
-    return None
 
 
 def _sampled(U, order, samples, seed, oracle):
@@ -381,7 +358,6 @@ def is_h_scattered_oracle(
     seed=None,
     workers=1,
     budget=DEFAULT_BUDGET,
-    chunk=1 << 16,
 ):
     """Literal test: every order-dim F_{q^6}-subspace meets U in <= order."""
     field = U.field
@@ -401,7 +377,7 @@ def is_h_scattered_oracle(
     total = gaussian_binomial(U.r, order, field.order)
     if total > budget:
         raise WorkLimitExceeded(total, budget)
-    first, hist = _oracle_scan(U, order, order, workers, chunk)
+    first, hist = _oracle_scan(U, order, order, workers)
     if first is None:
         details = {
             "order": order,
@@ -495,7 +471,6 @@ def weight_spectrum(
     frobenius_fixed_only=False,
     workers=1,
     budget=DEFAULT_BUDGET,
-    chunk=1 << 16,
 ):
     """Histogram of weight(U, H) over all codim-codim subspaces H.
 
@@ -520,7 +495,7 @@ def weight_spectrum(
     total = gaussian_binomial(U.r, d, field.order)
     if total > budget:
         raise WorkLimitExceeded(total, budget)
-    _, hist = _oracle_scan(U, d, None, workers, chunk)
+    _, hist = _oracle_scan(U, d, None, workers)
     return {i: c for i, c in enumerate(hist) if c}
 
 
@@ -688,8 +663,7 @@ def retta4_subspace(field, a, b, c, d):
 
 
 def _agreement_worker(args, start, stride):
-    degree, modulus, h, count, seed, orders = args
-    field = BinaryField(degree, modulus, h)
+    field, count, seed, orders = args
     rows = []
     for i in range(start, count, stride):
         rng = XorShift64Star((seed << 20) ^ i)
@@ -710,7 +684,7 @@ def fast_oracle_agreement(field, count, seed, orders=(1, 2), workers=1):
     the outcome does not depend on the worker count.  Returns
     (mismatches, rows).
     """
-    args = (field.degree, field.modulus, field.h, count, seed, tuple(orders))
+    args = (field, count, seed, tuple(orders))
     results = run_partitioned(_agreement_worker, args, workers)
     rows = sorted(
         (r for res in results for r in res["rows"]), key=lambda r: r["index"]

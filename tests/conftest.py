@@ -25,6 +25,13 @@ def U1(F):
 
 
 @pytest.fixture(scope="session")
+def U_G(F):
+    """U_G = {(x, x^q, x^(q^2)) : x in F_{q^6}} at q = 2: r = 3, dim_q 6."""
+    gens = [(t, F.frob(t, 1), F.frob(t, 2)) for t in F.f2_basis]
+    return FqSubspace.span(F, 3, gens)
+
+
+@pytest.fixture(scope="session")
 def code(U1):
     return code_from_system(U1)
 

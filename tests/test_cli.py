@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -184,6 +185,39 @@ def test_sampled_under_optimize_flag(args, code, golden):
     result = json.loads(proc.stdout)["result"]
     expected = (ROOT / "tests" / "golden" / ("%s.json" % golden)).read_text()
     assert json.dumps(result, sort_keys=True, indent=2) + "\n" == expected
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_exhaustive_q8_exit_2(flags):
+    """An exhaustive q = 8 run whose budget admits it is a config error with
+    one error line, not a scalar scan that never ends; also under -O."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    proc = subprocess.run(
+        [sys.executable, *flags, "-m", "qscat.cli", "verify-scattered", "--h", "3",
+         "--mode", "exhaustive", "--oracle", "exhaustive", "--budget", str(10**30)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    err = proc.stderr.splitlines()
+    assert err[0] == "qscat: running verify-scattered"
+    assert len(err) == 2 and err[1].startswith("qscat: error: ")
+    assert "q = 8" in err[1]
+
+
+def test_no_assert_statements_in_src():
+    """python -O strips asserts, so no check in src/qscat may be one."""
+    found = []
+    for path in sorted((ROOT / "src" / "qscat").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        found += [
+            "%s:%d" % (path.name, node.lineno)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Assert)
+        ]
+    assert found == []
 
 
 def test_bad_modulus_exit_2(capsys):

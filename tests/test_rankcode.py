@@ -230,3 +230,13 @@ def test_mrd_code_off_delsarte_raises(F, code, monkeypatch):
     )
     with pytest.raises(ClosedFormMismatch):
         rankcode.classify(code, workers=2)
+
+
+def test_gabidulin_k3_distribution(U_G):
+    """The code of U_G is the [6, 3]_{64/2} Gabidulin code: MRD with d = 4,
+    so the codeword scan of a k = 3 code must give Delsarte's distribution."""
+    C = code_from_system(U_G)
+    assert (C.n, C.k) == (6, 3)
+    expected = {4: 41013, 5: 134946, 6: 86184}
+    assert mrd_weight_distribution(6, 6, 4, 2) == expected
+    assert codeword_scan(C) == (4, expected)

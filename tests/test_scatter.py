@@ -1,6 +1,6 @@
 import pytest
 
-from qscat.errors import WorkLimitExceeded
+from qscat.errors import ConfigError, WorkLimitExceeded
 from qscat.linalg import (
     FqSubspace,
     FqmSubspace,
@@ -337,3 +337,28 @@ def test_corrupted_histogram_raises(F, U1, monkeypatch):
     monkeypatch.setattr(gfbatch.DualCodimScanner, "iter_weights", corrupted)
     with pytest.raises(ClosedFormMismatch):
         weight_spectrum(U1, 3)
+
+
+def test_r3_shape_is_config_error(U_G):
+    """The GF(64) scan engines pack F_64^4 only: the r = 3 system U_G is a
+    ConfigError naming r, after the budget check, for both tests and the
+    spectrum."""
+    assert (U_G.r, U_G.dim_q) == (3, 6)
+    with pytest.raises(ConfigError, match="r = 3"):
+        is_h_scattered_fast(U_G, 2)
+    with pytest.raises(ConfigError, match="r = 3"):
+        is_h_scattered_oracle(U_G, 2)
+    with pytest.raises(ConfigError, match="r = 3"):
+        weight_spectrum(U_G, 1)
+
+
+def test_q8_exhaustive_is_config_error(F8):
+    """Past the work budget, an exhaustive q = 8 scan is a ConfigError
+    naming q: there is no scalar scan to fall into."""
+    U8 = build_Us(F8, 1)
+    with pytest.raises(ConfigError, match="q = 8"):
+        is_h_scattered_fast(U8, 2, budget=10**30)
+    with pytest.raises(ConfigError, match="q = 8"):
+        is_h_scattered_oracle(U8, 2, budget=10**30)
+    with pytest.raises(ConfigError, match="q = 8"):
+        weight_spectrum(U8, 1, budget=10**30)
