@@ -1,10 +1,10 @@
 """Arithmetic in GF(2^e) for the tower F_q < F_{q^2} < F_{q^6}, q = 2^h.
 
 Field elements are plain ints: bit k is the coefficient of x^k in the
-polynomial representative (constant term first).  A `BinaryField` carries
-all tables, and scalar callers call its methods on raw ints; numpy
-batches multiply through gfbatch.FieldArrays, which views the same
-exp/log tables.
+polynomial representative (constant term first).  A `BinaryField` keeps
+exp/log tables (degree <= 20) and the Frobenius column images at every q;
+scalar callers call its methods on raw ints, and numpy batches multiply
+through gfbatch.FieldArrays, which views the same exp/log tables.
 """
 
 from array import array
@@ -121,8 +121,6 @@ class BinaryField:
 
         self._exp = None
         self._log = None
-        self._mul_table = None
-        self._inv_table = None
         if degree <= _TABLE_LIMIT:
             self._build_tables()
         self._build_frobenius()
@@ -166,12 +164,6 @@ class BinaryField:
             v = poly_mulmod(g, v, mod)
         self._exp = exp
         self._log = log
-        if self.degree == 6:
-            self._mul_table = [
-                [0 if a == 0 or b == 0 else exp[log[a] + log[b]] for b in range(64)]
-                for a in range(64)
-            ]
-            self._inv_table = [0] + [exp[n - log[a]] for a in range(1, 64)]
 
     def _build_frobenius(self):
         e = self.e
@@ -183,12 +175,6 @@ class BinaryField:
         for _ in range(5):
             cols.append([gf2.apply_cols(frob1, c) for c in cols[-1]])
         self._frob_cols = cols
-        if self.degree == 6:
-            self._frob_tables = [
-                [gf2.apply_cols(cols[i], z) for z in range(64)] for i in range(6)
-            ]
-        else:
-            self._frob_tables = None
 
     def _build_fq_basis(self):
         e = self.e
@@ -215,6 +201,7 @@ class BinaryField:
         elems = [0]
         for s in self.fq_basis:
             elems += [v ^ s for v in elems]
+        self._fq_of_mask = tuple(elems)  # bit i of the index selects fq_basis[i]
         self.fq_elements = tuple(sorted(elems))
 
     # -- arithmetic ------------------------------------------------------
@@ -224,8 +211,6 @@ class BinaryField:
         return a ^ b
 
     def mul(self, a, b):
-        if self._mul_table is not None:
-            return self._mul_table[a][b]
         if self._exp is not None:
             if a == 0 or b == 0:
                 return 0
@@ -235,8 +220,6 @@ class BinaryField:
     def inv(self, a):
         if a == 0:
             raise ZeroInverse("0 has no multiplicative inverse")
-        if self._inv_table is not None:
-            return self._inv_table[a]
         if self._exp is not None:
             return self._exp[self.mult_order - self._log[a]]
         return self._pow_raw(a, self.mult_order - 1)
@@ -256,10 +239,7 @@ class BinaryField:
 
     def frob(self, a, i=1):
         """a^(q^i); the Galois group is cyclic of order 6."""
-        i %= 6
-        if self._frob_tables is not None:
-            return self._frob_tables[i][a]
-        return gf2.apply_cols(self._frob_cols[i], a)
+        return gf2.apply_cols(self._frob_cols[i % 6], a)
 
     def rel_trace(self, a, sub_index):
         """Trace onto F_q (sub_index 1) or F_{q^2} (sub_index 2)."""
@@ -340,17 +320,8 @@ class BinaryField:
 
     def fq_coords(self, z):
         """The 6 F_q-coordinates of z over the basis {1, x, ..., x^5}."""
-        bits = self.elem_bits(z)
-        h = self.h
-        out = []
-        for j in range(6):
-            c = 0
-            blk = (bits >> (j * h)) & ((1 << h) - 1)
-            for i in range(h):
-                if (blk >> i) & 1:
-                    c ^= self.fq_basis[i]
-            out.append(c)
-        return tuple(out)
+        bits, h, mask = self.elem_bits(z), self.h, self.q - 1
+        return tuple(self._fq_of_mask[(bits >> (j * h)) & mask] for j in range(6))
 
     def fq_assemble(self, coords):
         z = 0

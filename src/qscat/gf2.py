@@ -2,76 +2,56 @@
 
 Rows are Python ints; bit k is column k.  These routines back every
 flattened-subspace computation, so they stay allocation-light.
+
+`rref_bits` is the one GF(2) elimination: rank, left kernel and inverse
+are all read off the reduced row echelon form it returns.
 """
 
 
 def rank_bits(rows):
     """Rank of the span of `rows` over GF(2)."""
-    work = list(rows)
-    rank = 0
-    n = len(work)
-    for i in range(n):
-        row = work[i]
-        if row == 0:
-            continue
-        low = row & -row
-        for j in range(i + 1, n):
-            if work[j] & low:
-                work[j] ^= row
-        rank += 1
-    return rank
+    rows = list(rows)
+    return rref_bits(rows, max(rows, default=0).bit_length())[0]
 
 
 def rref_bits(rows, ncols):
     """Reduced row echelon form.
 
     Returns (rank, rref_rows, pivots) with rows sorted by pivot column
-    and fully reduced; rref_rows has no zero rows.
+    and fully reduced; rref_rows has no zero rows.  Pivots lie in the
+    first ncols columns; a row with no bit left there is dropped.
     """
-    work = [r for r in rows if r]
-    out = []
-    pivots = []
-    for col in range(ncols):
-        bit = 1 << col
-        piv = None
-        for idx, r in enumerate(work):
-            if r & bit:
-                piv = idx
-                break
-        if piv is None:
-            continue
-        prow = work.pop(piv)
-        work = [(r ^ prow) if (r & bit) else r for r in work]
-        work = [r for r in work if r]
-        out = [(r ^ prow) if (r & bit) else r for r in out]
-        out.append(prow)
-        pivots.append(col)
-        if not work:
-            break
-    return len(out), out, pivots
+    mask = (1 << ncols) - 1
+    piv = {}  # pivot column -> row; each pivot bit is set in its own row only
+    for r in rows:
+        for p, prow in piv.items():
+            if r >> p & 1:
+                r ^= prow
+        if r & mask:
+            low = r & -r
+            for p in list(piv):
+                if piv[p] & low:
+                    piv[p] ^= r
+            piv[low.bit_length() - 1] = r
+    pivots = sorted(piv)
+    return len(pivots), [piv[p] for p in pivots], pivots
+
+
+def _augment(rows, ncols):
+    """[rows | I]: row i carries bit ncols + i after its ncols body bits."""
+    body_mask = (1 << ncols) - 1
+    return [(r & body_mask) | (1 << (ncols + i)) for i, r in enumerate(rows)]
 
 
 def left_kernel_combos(rows, ncols):
     """Combination masks spanning the left kernel of the row list.
 
     Returns masks c (ints over len(rows) bits) with
-    XOR_{i in bits(c)} rows[i] == 0, one per kernel dimension.
+    XOR_{i in bits(c)} rows[i] == 0, one per kernel dimension: the
+    identity parts of the RREF rows of [rows | I] whose body is zero.
     """
-    n = len(rows)
-    body_mask = (1 << ncols) - 1
-    combos = []
-    pivots = []  # (low_bit, reduced_augmented_row)
-    for i in range(n):
-        row = (rows[i] & body_mask) | (1 << (ncols + i))
-        for low, prow in pivots:
-            if row & low:
-                row ^= prow
-        body = row & body_mask
-        if body == 0:
-            combos.append(row >> ncols)
-        else:
-            pivots.append((body & -body, row))
-    return combos
+    _, rref, pivots = rref_bits(_augment(rows, ncols), ncols + len(rows))
+    return [r >> ncols for r, p in zip(rref, pivots) if p >= ncols]
 
 
 def inv_cols(cols, n):
@@ -80,41 +60,13 @@ def inv_cols(cols, n):
     Returns inv such that applying inv undoes applying cols.  Raises
     ValueError when the column list is singular.
     """
-    # row i of the matrix is the i-th bit across the columns
-    rows = []
-    for i in range(n):
-        r = 0
-        for b in range(n):
-            if (cols[b] >> i) & 1:
-                r |= 1 << b
-        rows.append(r)
-    # Gauss-Jordan on [rows | I]
-    aug = [rows[i] | (1 << (n + i)) for i in range(n)]
-    r = 0
-    for col in range(n):
-        bit = 1 << col
-        piv = None
-        for j in range(r, n):
-            if aug[j] & bit:
-                piv = j
-                break
-        if piv is None:
-            raise ValueError("singular bit matrix")
-        aug[r], aug[piv] = aug[piv], aug[r]
-        for j in range(n):
-            if j != r and aug[j] & bit:
-                aug[j] ^= aug[r]
-        r += 1
-    inv_rows = [a >> n for a in aug]
-    # transpose back to column form
-    out = []
-    for b in range(n):
-        c = 0
-        for i in range(n):
-            if (inv_rows[i] >> b) & 1:
-                c |= 1 << i
-        out.append(c)
-    return out
+    # the rows of M^T are the columns, and the RREF of [M^T | I] is
+    # [I | (M^T)^-1] exactly when M is regular; row b of (M^T)^-1 is
+    # column b of M^-1
+    _, rref, pivots = rref_bits(_augment(cols, n), 2 * n)
+    if pivots[:n] != list(range(n)):
+        raise ValueError("singular bit matrix")
+    return [a >> n for a in rref]
 
 
 def apply_cols(cols, z):

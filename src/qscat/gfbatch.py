@@ -38,9 +38,10 @@ class Gf64Tables:
                 % (field.e, field.h)
             )
         self.field = field
-        table = np.array(field._mul_table, dtype=np.int16)
+        elems = np.arange(64)
+        table = FieldArrays(field).mul(elems[:, None], elems).astype(np.int16)
         self.prod = table.ravel()  # prod[64 * a + b] = a * b
-        self.inv = np.array(field._inv_table, dtype=np.int16)
+        self.inv = np.array([0] + [field.inv(a) for a in range(1, 64)], dtype=np.int16)
         self.mulx = table[[1 << j for j in range(6)]]
 
     def mul(self, a, b):

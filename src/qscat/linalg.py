@@ -5,6 +5,10 @@ reduced row echelon form over F_{q^m} (unique canonical form); an
 FqSubspace is kept as the F_q-RREF of its flattened coordinate matrix,
 with the F_q-coordinates of ambient coordinate k occupying positions
 6k..6k+5 (the polynomial basis 1, x, ..., x^5 of F_{q^6} over F_q).
+
+`row_reduce` is the one scalar F_{q^m} elimination: ranks, kernels and
+inverses are read off it, as flattened GF(2) work is off gf2.rref_bits.
+`det_cofactor` is the elimination-free reference the tests use.
 """
 
 from itertools import combinations
@@ -53,6 +57,25 @@ def unflatten_vector(field, r, flat):
     return tuple(field.bits_elem((flat >> (k * e)) & mask) for k in range(r))
 
 
+def _fq_span_rows(field, vectors):
+    """Flattened s * v over the F_2-basis s of F_q: they span <vectors>_{F_q}."""
+    return [
+        flatten_vector(field, vec_scale(field, s, v))
+        for v in vectors
+        for s in field.fq_basis
+    ]
+
+
+def fq_rank(field, vectors):
+    """dim_q of the F_q-span of the vectors, read off its F_2-rank."""
+    r2 = gf2.rank_bits(_fq_span_rows(field, vectors))
+    if r2 % field.h:
+        raise InvariantViolation(
+            "F_2-rank %d of an F_q-span is not a multiple of h = %d" % (r2, field.h)
+        )
+    return r2 // field.h
+
+
 # -- dense matrices over F_{q^m} -----------------------------------------
 
 
@@ -83,11 +106,13 @@ def row_reduce(field, rows):
         if pv != 1:
             pinv = inv(pv)
             work[rank] = [mul(pinv, x) for x in work[rank]]
-        prow = work[rank]
+        support = [(j, y) for j, y in enumerate(work[rank]) if y]
         for i in range(nrows):
-            if i != rank and work[i][col]:
-                f = work[i][col]
-                work[i] = [x ^ mul(f, y) for x, y in zip(work[i], prow)]
+            row = work[i]
+            f = row[col]
+            if f and i != rank:
+                for j, y in support:
+                    row[j] ^= mul(f, y)
         rank += 1
         if rank == nrows:
             break
@@ -117,31 +142,7 @@ def det_cofactor(field, rows):
 
 def fqm_span_dim(field, vectors):
     """Rank over F_{q^m} of the given vectors."""
-    rows = [list(v) for v in vectors if any(v)]
-    if not rows:
-        return 0
-    mul, inv = field.mul, field.inv
-    ncols = len(rows[0])
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(rank, len(rows)):
-            if rows[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        prow = rows[rank]
-        pinv = inv(prow[col])
-        for i in range(rank + 1, len(rows)):
-            if rows[i][col]:
-                f = mul(rows[i][col], pinv)
-                rows[i] = [x ^ mul(f, y) for x, y in zip(rows[i], prow)]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
+    return row_reduce(field, vectors)[0]
 
 
 def null_space(field, rows, r):
@@ -168,28 +169,17 @@ def left_kernel_fq(field, rows):
     """F_q-kernel combos: coefficient tuples c with sum c_i rows[i] = 0.
 
     Entries of `rows` must lie in the subfield F_q; the returned
-    coefficients do too.
+    coefficients do too.  They are the identity parts of the RREF rows
+    of [rows | I] whose body is zero.
     """
     n = len(rows)
     ncols = len(rows[0]) if rows else 0
-    mul, inv = field.mul, field.inv
-    pivots = []
-    combos = []
-    for i in range(n):
-        row = list(rows[i]) + [0] * n
-        row[ncols + i] = 1
-        for col, prow in pivots:
-            f = row[col]
-            if f:
-                row = [x ^ mul(f, y) for x, y in zip(row, prow)]
-        pc = next((c for c in range(ncols) if row[c]), None)
-        if pc is None:
-            combos.append(tuple(row[ncols:]))
-        else:
-            pinv = inv(row[pc])
-            row = [mul(pinv, x) for x in row]
-            pivots.append((pc, row))
-    return combos
+    aug = [
+        tuple(row) + tuple(1 if j == i else 0 for j in range(n))
+        for i, row in enumerate(rows)
+    ]
+    _, rref, _ = row_reduce(field, aug)
+    return [r[ncols:] for r in rref if not any(r[:ncols])]
 
 
 class MatrixFqm:
@@ -370,11 +360,6 @@ class FqSubspace:
             raise AmbientMismatch("generator length differs from ambient")
         if not gens:
             return cls(field, r, ())
-        if field.h == 1:
-            flats = [flatten_vector(field, g) for g in gens]
-            _, rref, _ = gf2.rref_bits(flats, r * field.e)
-            basis = [unflatten_vector(field, r, f) for f in rref]
-            return cls(field, r, basis)
         coord_rows = []
         for g in gens:
             row = []
@@ -407,14 +392,7 @@ class FqSubspace:
     def f2rows(self):
         if self._f2rows is None:
             field = self.field
-            if field.h == 1:
-                rows = [flatten_vector(field, v) for v in self.basis]
-            else:
-                rows = [
-                    flatten_vector(field, vec_scale(field, s, v))
-                    for v in self.basis
-                    for s in field.fq_basis
-                ]
+            rows = _fq_span_rows(field, self.basis)
             _, rref, _ = gf2.rref_bits(rows, self.r * field.e)
             self._f2rows = tuple(rref)
         return self._f2rows

@@ -25,9 +25,8 @@ from .errors import (
 )
 from .field import BinaryField
 from .parallel import run_partitioned
-from .linalg import fqm_span_dim, gaussian_binomial
+from .linalg import fq_rank, fqm_span_dim, gaussian_binomial
 from .scatter import DEFAULT_BUDGET, weight_spectrum
-from . import gf2
 
 
 @dataclass
@@ -68,20 +67,7 @@ def code_from_system(U):
 
 def rank_weight(field, v):
     """dim_{F_q} of the span of the codeword coordinates."""
-    if field.h == 1:
-        return gf2.rank_bits([x for x in v if x])
-    rows = [
-        field.elem_bits(field.mul(s, x))
-        for x in v
-        if x
-        for s in field.fq_basis
-    ]
-    r2 = gf2.rank_bits(rows)
-    if r2 % field.h:
-        raise InvariantViolation(
-            "F_2-rank %d of a codeword is not a multiple of h = %d" % (r2, field.h)
-        )
-    return r2 // field.h
+    return fq_rank(field, [(x,) for x in v])
 
 
 # -- codeword scan -----------------------------------------------------------

@@ -50,11 +50,10 @@ def linear_set_points(U, budget=DEFAULT_BUDGET):
     scattered; for scattered U the enumeration meets no duplicates.
     """
     field = U.field
-    if field.e != 6:
-        raise WorkLimitExceeded(field.order**U.dim_q, budget)
     total = 2**U.dim_q * field.q
     if total > budget:
         raise WorkLimitExceeded(total, budget)
+    gfbatch.check_scan_shape(gfbatch.FqSpanScanner, field, U.r, U.dim_q)
     tables = gfbatch.Gf64Tables(field)
     combo = gfbatch.subset_xor_table(U.basis)
     vecs = gfbatch.flats_to_coords(combo[1:])

@@ -10,13 +10,19 @@ Two independent algorithms decide h-scatteredness:
 Each exhaustive scan has one path, the numpy GF(64) engines of gfbatch,
 and gfbatch.check_scan_shape is the one check of what they pack: q = 2,
 r = 4 and their width limits.  Any other shape is a ConfigError, raised
-after the work budget check.  Larger q produce sampled-evidence verdicts.
+after the work budget check, as is the scalar Frobenius-fixed spectrum at
+q != 2.  Larger q produce sampled-evidence verdicts.
 """
 
 from dataclasses import dataclass, field as dc_field
 from typing import Optional
 
-from .errors import ClosedFormMismatch, InvariantViolation, WorkLimitExceeded
+from .errors import (
+    ClosedFormMismatch,
+    ConfigError,
+    InvariantViolation,
+    WorkLimitExceeded,
+)
 from .field import BinaryField
 from .rng import XorShift64Star
 from .parallel import run_partitioned
@@ -25,6 +31,7 @@ from .linalg import (
     FqmSubspace,
     MatrixFqm,
     RrefEnumerator,
+    fq_rank,
     fqm_span_dim,
     gaussian_binomial,
     rows_to_text,
@@ -475,7 +482,7 @@ def weight_spectrum(
     """Histogram of weight(U, H) over all codim-codim subspaces H.
 
     Returns a dict weight -> count.  With frobenius_fixed_only, the scan
-    restricts to subspaces with F_{q^2}-rational RREF (scalar path).
+    restricts to subspaces with F_{q^2}-rational RREF (scalar, q = 2 only).
     """
     field = U.field
     d = U.r - codim
@@ -487,6 +494,10 @@ def weight_spectrum(
         total = gaussian_binomial(U.r, d, field.q**2)
         if total > budget:
             raise WorkLimitExceeded(total, budget)
+        if field.q != 2:
+            raise ConfigError(
+                "the Frobenius-fixed scan runs at q = 2 only, got q = %d" % field.q
+            )
         hist = {}
         for H in enumerate_frobenius_fixed(field, U.r, d):
             w = weight(U, H)
@@ -524,27 +535,8 @@ class SemilinearSystem:
     inputs: tuple  # (u, v) basis pairs
     images: tuple  # (F1, F2) per input
 
-    def bit_rows(self):
-        field = self.field
-        e = field.e
-        return [
-            field.elem_bits(f1) | field.elem_bits(f2) << e
-            for f1, f2 in self.images
-        ]
-
     def nullity_q(self):
-        if self.field.h == 1:
-            from . import gf2
-
-            return 8 - gf2.rank_bits(self.bit_rows())
-        from .linalg import left_kernel_fq
-
-        field = self.field
-        coord_rows = [
-            list(field.fq_coords(f1)) + list(field.fq_coords(f2))
-            for f1, f2 in self.images
-        ]
-        return len(left_kernel_fq(field, coord_rows))
+        return len(self.images) - fq_rank(self.field, self.images)
 
     def lambda_of(self, u):
         f, a = self.field, self.a

@@ -187,8 +187,22 @@ def test_sampled_under_optimize_flag(args, code, golden):
     assert json.dumps(result, sort_keys=True, indent=2) + "\n" == expected
 
 
-@pytest.mark.parametrize("flags", [[], ["-O"]])
-def test_exhaustive_q8_exit_2(flags):
+_Q8_VERIFY = ["verify-scattered", "--h", "3", "--mode", "exhaustive",
+              "--oracle", "exhaustive", "--budget", str(10**30)]
+_Q8_SATURATING = ["saturating", "--h", "3"]
+_Q8_FIXED_SPECTRUM = ["spectrum", "--h", "3", "--fixed-only", "--codim", "1"]
+
+
+# the verify-scattered ids keep the names the suite has always printed
+@pytest.mark.parametrize("flags,args", [
+    pytest.param([], _Q8_VERIFY, id="flags0"),
+    pytest.param(["-O"], _Q8_VERIFY, id="flags1"),
+    pytest.param([], _Q8_SATURATING, id="saturating"),
+    pytest.param(["-O"], _Q8_SATURATING, id="saturating-O"),
+    pytest.param([], _Q8_FIXED_SPECTRUM, id="spectrum-fixed"),
+    pytest.param(["-O"], _Q8_FIXED_SPECTRUM, id="spectrum-fixed-O"),
+])
+def test_exhaustive_q8_exit_2(flags, args):
     """An exhaustive q = 8 run whose budget admits it is a config error with
     one error line, not a scalar scan that never ends; also under -O."""
     env = dict(os.environ)
@@ -196,13 +210,12 @@ def test_exhaustive_q8_exit_2(flags):
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
     )
     proc = subprocess.run(
-        [sys.executable, *flags, "-m", "qscat.cli", "verify-scattered", "--h", "3",
-         "--mode", "exhaustive", "--oracle", "exhaustive", "--budget", str(10**30)],
+        [sys.executable, *flags, "-m", "qscat.cli", *args],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 2 and proc.stdout == ""
     err = proc.stderr.splitlines()
-    assert err[0] == "qscat: running verify-scattered"
+    assert err[0] == "qscat: running %s" % args[0]
     assert len(err) == 2 and err[1].startswith("qscat: error: ")
     assert "q = 8" in err[1]
 

@@ -2,6 +2,7 @@ from itertools import combinations
 
 import pytest
 
+from qscat import gf2
 from qscat.errors import AmbientMismatch, SingularMatrix
 from qscat.field import default_field
 from qscat.linalg import (
@@ -13,6 +14,7 @@ from qscat.linalg import (
     det_cofactor,
     enumerate_fq_subspaces,
     enumerate_fqm_subspaces,
+    flatten_vector,
     fqm_span_dim,
     gaussian_binomial,
     intersect_fq,
@@ -22,6 +24,7 @@ from qscat.linalg import (
     row_reduce,
     rows_from_text,
     rows_to_text,
+    unflatten_vector,
     weight,
 )
 from qscat.rng import XorShift64Star
@@ -238,6 +241,23 @@ def test_null_space_and_left_kernel(F):
             for coef, row in zip(c, rows + rows):
                 acc = [a ^ F.mul(coef, b) for a, b in zip(acc, row)]
             assert acc == [0, 0, 0, 0]
+
+
+def test_fq_span_q2_is_the_f2_rref(F):
+    """At q = 2 the F_q-RREF is the GF(2) RREF of the flattened generators,
+    unflattened (the old F_2 form of FqSubspace.span and f2rows)."""
+    rng = XorShift64Star(77)
+    for _ in range(100):
+        gens = [
+            tuple(F.random_element(rng) for _ in range(4))
+            for _ in range(1 + rng.randrange(7))
+        ]
+        gens += [(0, 0, 0, 0), gens[rng.randrange(len(gens))]]  # zero, repeat
+        _, rref, _ = gf2.rref_bits([flatten_vector(F, g) for g in gens], 4 * F.e)
+        U = FqSubspace.span(F, 4, gens)
+        assert U.basis == tuple(unflatten_vector(F, 4, f) for f in rref)
+        flat_basis = [flatten_vector(F, v) for v in U.basis]
+        assert U.f2rows() == tuple(gf2.rref_bits(flat_basis, 4 * F.e)[1])
 
 
 def test_rows_text_roundtrip(F, U1):

@@ -1,6 +1,6 @@
 import pytest
 
-from qscat import rankcode
+from qscat import gf2, rankcode
 from qscat.errors import (
     ClosedFormMismatch,
     DegenerateSystem,
@@ -65,6 +65,26 @@ def test_rank_weight_q8(F8):
         w = rank_weight(F8, v)
         c = F8.random_element(rng) or 1
         assert rank_weight(F8, tuple(F8.mul(c, x) for x in v)) == w
+
+
+def test_rank_weight_q2_is_the_f2_rank(F):
+    """At q = 2 the F_q-span of the coordinates is their F_2-span: the rank
+    weight is the GF(2) rank of the nonzero coordinates (the old F_2 form)."""
+    rng = XorShift64Star(43)
+    seen = set()
+    for _ in range(200):
+        gens = [F.random_element(rng) for _ in range(rng.randrange(7))]
+        v = []
+        for _ in range(8):
+            x = 0
+            for g in gens:
+                if rng.randbits(1):
+                    x ^= g
+            v.append(x)
+        w = rank_weight(F, tuple(v))
+        assert w == gf2.rank_bits([x for x in v if x])
+        seen.add(w)
+    assert seen == set(range(7))
 
 
 def test_encode_matches_rank_weight(F, code):

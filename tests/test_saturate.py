@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qscat import gfbatch
-from qscat.errors import WorkLimitExceeded
+from qscat.errors import ConfigError, WorkLimitExceeded
 from qscat.gfbatch import (
     POINT_COUNT,
     Gf64Tables,
@@ -192,6 +192,8 @@ def test_budget_guard(F, U1):
 
 
 def test_q8_linear_set_guarded(F8):
+    """q = 8 is outside the GF(64) subset-XOR packing: a shape error
+    naming q, not a budget error."""
     U8 = build_Us(F8, 1)
-    with pytest.raises(WorkLimitExceeded):
+    with pytest.raises(ConfigError, match="q = 8"):
         linear_set_points(U8)

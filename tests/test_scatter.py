@@ -1,5 +1,6 @@
 import pytest
 
+from qscat import gf2
 from qscat.errors import ConfigError, WorkLimitExceeded
 from qscat.linalg import (
     FqSubspace,
@@ -8,6 +9,7 @@ from qscat.linalg import (
     apply_gl,
     fqm_span_dim,
     gaussian_binomial,
+    left_kernel_fq,
     vec_scale,
     weight,
 )
@@ -230,6 +232,39 @@ def test_semilinear_zero_coefficients(F, U1):
     for u, v in solutions(sys0):
         assert F.frob(u, 2) ^ F.frob(v, 1) == 0
         assert F.frob(u, 1) ^ F.frob(v, 3) == 0
+
+
+def test_nullity_q2_is_the_f2_nullity(F):
+    """At q = 2 the nullity is 8 minus the GF(2) rank of the images packed
+    as F1 | F2 << e (the old F_2 form)."""
+    rng = XorShift64Star(2025)
+    tuples = [(0, 0, 0, 0)]
+    tuples += [tuple(F.random_element(rng) for _ in range(4)) for _ in range(200)]
+    seen = set()
+    for a, b, c, d in tuples:
+        sysm = semilinear_system(F, a, b, c, d)
+        bit_rows = [
+            F.elem_bits(f1) | F.elem_bits(f2) << F.e for f1, f2 in sysm.images
+        ]
+        assert sysm.nullity_q() == 8 - gf2.rank_bits(bit_rows)
+        seen.add(sysm.nullity_q())
+    assert seen == {0, 1, 2}
+
+
+def test_nullity_q8_matches_the_fq_kernel(F8):
+    """At q = 8 the F_2-rank form of the nullity equals the F_q-kernel of the
+    images' F_q-coordinates, and solutions() finds q^nullity pairs."""
+    rng = XorShift64Star(2026)
+    tuples = [(0, 0, 0, 0)]
+    tuples += [tuple(F8.random_element(rng) for _ in range(4)) for _ in range(5)]
+    for a, b, c, d in tuples:
+        sysm = semilinear_system(F8, a, b, c, d)
+        coord_rows = [
+            list(F8.fq_coords(f1)) + list(F8.fq_coords(f2)) for f1, f2 in sysm.images
+        ]
+        assert sysm.nullity_q() == len(left_kernel_fq(F8, coord_rows))
+        assert len(solutions(sysm)) == count_solutions(sysm)
+    assert semilinear_system(F8, 0, 0, 0, 0).nullity_q() == 2
 
 
 def test_semilinear_random_tuples(F, U1):
