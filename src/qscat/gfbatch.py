@@ -3,7 +3,11 @@
 The exhaustive q = 2 certifications walk 10^7-scale enumerations; the
 GF(64) scan engines here run them in numpy batches.  Enumeration indices
 agree exactly with linalg.RrefEnumerator, so witnesses found here can be
-re-decoded and re-checked by the scalar reference code.  The seeded
+re-decoded and re-checked by the scalar reference code.  The engines
+take the ambient F_64^r from their input; a vector of F_64^r packs into
+one int64 (coordinate k at bits 6k, `coords_to_flats`/`flats_to_coords`),
+so check_scan_shape admits r <= 10.  The point ids, lines and planes
+below are those of PG(3, 64), for the saturation scan.  The seeded
 sampled tests run in batches over any tower field (`FieldArrays`) and
 draw the same xorshift64* stream as a one-sample-at-a-time loop would.
 """
@@ -37,33 +41,34 @@ class Gf64Tables:
                 "GF(64) tables need the q = 2 tower, got e=%d h=%d"
                 % (field.e, field.h)
             )
-        self.field = field
         elems = np.arange(64)
         table = FieldArrays(field).mul(elems[:, None], elems).astype(np.int16)
         self.prod = table.ravel()  # prod[64 * a + b] = a * b
         self.inv = np.array([0] + [field.inv(a) for a in range(1, 64)], dtype=np.int16)
-        self.mulx = table[[1 << j for j in range(6)]]
 
     def mul(self, a, b):
         """Elementwise GF(64) product of two broadcastable integer arrays."""
         return self.prod[(a << 6) | b]
 
 
+MAX_AMBIENT = 10  # r coordinates of 6 bits in an int64
+
+
 def check_scan_shape(scanner, field, r, width):
     """Raise ConfigError unless `scanner` can run this exhaustive scan.
 
     The one place that decides which shapes the GF(64) scan engines pack,
-    and so which exhaustive scans exist: q = 2 (the GF(64) tables), the
-    ambient F_64^r the scanner is written for (scanner.AMBIENT, None for
-    any r) and at most scanner.MAX_WIDTH basis vectors or coordinates.
+    and so which exhaustive scans exist: q = 2 (the GF(64) tables), an
+    ambient F_64^r (or message length k) that packs into an int64, and
+    at most scanner.MAX_WIDTH basis vectors or coordinates.
     """
     if field.e != 6:
         raise ConfigError(
             "exhaustive scans run over GF(64) only (q = 2), got q = %d" % field.q
         )
-    if scanner.AMBIENT is not None and r != scanner.AMBIENT:
+    if r > MAX_AMBIENT:
         raise ConfigError(
-            "%s scans F_64^%d only, got r = %d" % (scanner.__name__, scanner.AMBIENT, r)
+            "GF(64) scans pack at most %d coordinates, got r = %d" % (MAX_AMBIENT, r)
         )
     if width > scanner.MAX_WIDTH:
         raise ConfigError(
@@ -72,7 +77,7 @@ def check_scan_shape(scanner, field, r, width):
         )
 
 
-def rank_batch(rows, ncols=None):
+def rank_batch(rows):
     """Rank over GF(2) of a batch of bit-packed matrices.
 
     rows: [B, R] integer array; bit c of rows[b, i] is entry (i, c).
@@ -95,23 +100,23 @@ def rank_batch(rows, ncols=None):
     return rank
 
 
-def flats_to_coords(flats):
-    """[B] packed 24-bit vectors -> [B, 4] GF(64) coordinate array."""
-    flats = np.asarray(flats, dtype=np.int64)
-    return np.stack([(flats >> (6 * k)) & 63 for k in range(4)], axis=-1)
+def flats_to_coords(flats, n):
+    """[...] packed vectors -> [..., n] GF(64) coordinates (k at bits 6k)."""
+    coords = np.asarray(flats, dtype=np.int64)[..., None] >> (6 * np.arange(n))
+    coords &= 63
+    return coords
 
 
 def coords_to_flats(coords):
+    """[..., n] GF(64) coordinates (n <= 10) -> [...] packed int64 vectors."""
     coords = np.asarray(coords, dtype=np.int64)
-    out = np.zeros(coords.shape[:-1], dtype=np.int64)
-    for k in range(4):
-        out |= coords[..., k] << (6 * k)
-    return out
+    shifts = 6 * np.arange(coords.shape[-1], dtype=np.int64)
+    return np.bitwise_or.reduce(coords << shifts, axis=-1)
 
 
 def subset_xor_table(vectors):
-    """table[mask] = packed sum of the GF(64)^4 vectors selected by mask."""
-    flats = coords_to_flats(np.reshape(vectors, (-1, 4))).tolist()
+    """table[mask] = packed sum of the GF(64)^r vectors selected by mask."""
+    flats = coords_to_flats(vectors).tolist()
     table = np.zeros(1 << len(flats), dtype=np.int64)
     for mask in range(1, len(table)):
         low = mask & -mask
@@ -196,13 +201,13 @@ def _profile_parts(enum, pos):
 
 
 class DualCodimScanner:
-    """Weights of U against every d-dim F_{q^m}-subspace of F_{64}^4.
+    """Weights of U against every d-dim F_{q^m}-subspace of F_{64}^r.
 
     A d-dim subspace H in RREF has one dual vector per non-pivot column
     f, w_f = e_f + sum_i rref[i][f] e_{piv_i}, and weight(U, H) is the
     F_2-dimension of the coefficient vectors a with (sum_j a_j u_j) . w_f
     = 0 for every f.  Enumeration order matches
-    RrefEnumerator(range(64), 4, d).
+    RrefEnumerator(range(64), r, d).
 
     For d <= 2 each w_f depends only on its (profile, f) and on at most
     two RREF digits, so it takes at most 4,096 values, each met thousands
@@ -210,56 +215,52 @@ class DualCodimScanner:
     K[w] = {a in F_2^nb : (sum_j a_j u_j) . w = 0} of each value as a
     2^nb-bit bitmap, and the weight is log2 |AND_f K[w_f]|.  For d >= 3
     each dual is met once, so the weight is nb minus the rank of the
-    (nb x 6(4-d))-bit map u -> (u . w_f)_f.
+    (nb x 6(r-d))-bit map u -> (u . w_f)_f.
     """
 
-    AMBIENT = 4
     MAX_WIDTH = 10  # nb fields of 6 bits in an int64
 
     def __init__(self, tables, u_basis):
-        self.tables = tables
         self.nb = len(u_basis)
+        self.r = len(u_basis[0])
         if self.nb > self.MAX_WIDTH:
             raise InvariantViolation(
                 "%d basis vectors of 6 bits do not pack into an int64" % self.nb
             )
         # packed column tables: TK[k][c] has bit 6j+t set iff bit t of
         # u_j[k] * c is set
-        basis = np.array(u_basis, dtype=np.int16).reshape(self.nb, 4)
+        basis = np.array(u_basis, dtype=np.int16)
         scal = np.arange(64, dtype=np.int16)
-        prods = tables.mul(basis[:, :, None], scal[None, None, :]).astype(np.int64)
-        shifts = 6 * np.arange(self.nb, dtype=np.int64)
-        self.tk = np.bitwise_or.reduce(prods << shifts[:, None, None], axis=0)
+        self.tk = coords_to_flats(tables.mul(basis.T[:, None, :], scal[:, None]))
         self._kernels = {}  # (piv, f) -> (kernel bitmaps by key, key cells)
 
+    def _dots(self, duals):
+        """[..., r] dual vectors w -> [...] packs of the u_j . w, 6 bits each."""
+        return np.bitwise_xor.reduce(self.tk[np.arange(self.r), duals], axis=-1)
+
     def weights_for_duals(self, duals):
-        """duals: [B, nd, 4] dual basis vectors; returns [B] weights."""
+        """duals: [B, nd, r] dual basis vectors; returns [B] weights."""
         B, nd, _ = duals.shape
-        tk = self.tk
-        blocks = np.zeros((B, nd), dtype=np.int64)
-        for k in range(4):
-            blocks ^= tk[k][duals[:, :, k]]
+        blocks = self._dots(duals)
+        # row j packs u_j . w_f over the nd duals f, one [B] array at a
+        # time: a [B, nd, nb] transpose raises the hyperplane scan's peak RSS
         rows = np.zeros((B, self.nb), dtype=np.int64)
         for j in range(self.nb):
             acc = np.zeros(B, dtype=np.int64)
             for i in range(nd):
                 acc |= ((blocks[:, i] >> (6 * j)) & 63) << (6 * i)
             rows[:, j] = acc
-        rank = rank_batch(rows, 6 * nd)
-        return self.nb - rank
+        return self.nb - rank_batch(rows)
 
     def kernel_bitmaps(self, duals):
-        """[B, 4] dual vectors -> [B, words] uint64 bitmaps of K[w].
+        """[B, r] dual vectors -> [B, words] uint64 bitmaps of K[w].
 
         Bit a (a = sum_j a_j 2^j) is set iff (sum_j a_j u_j) . w = 0.
         """
-        dots = np.zeros(len(duals), dtype=np.int64)
-        for k in range(4):
-            dots ^= self.tk[k][duals[:, k]]
+        dots = flats_to_coords(self._dots(duals), self.nb).astype(np.uint8)
         sums = np.zeros((len(duals), 1), dtype=np.uint8)
         for j in range(self.nb):
-            dot_j = ((dots >> (6 * j)) & 63).astype(np.uint8)
-            sums = np.concatenate([sums, sums ^ dot_j[:, None]], axis=1)
+            sums = np.concatenate([sums, sums ^ dots[:, j, None]], axis=1)
         packed = np.packbits(sums == 0, axis=1, bitorder="little")
         pad = -packed.shape[1] % 8
         return np.pad(packed, ((0, 0), (0, pad))).view(np.uint64)
@@ -274,10 +275,9 @@ class DualCodimScanner:
         if entry is None:
             rows = [i for i in range(len(piv)) if piv[i] < f]
             keys = np.arange(64 ** len(rows), dtype=np.int64)
-            duals = np.zeros((len(keys), 4), dtype=np.int16)
+            duals = np.zeros((len(keys), self.r), dtype=np.int16)
             duals[:, f] = 1
-            for t, i in enumerate(reversed(rows)):
-                duals[:, piv[i]] = (keys >> (6 * t)) & 63
+            duals[:, [piv[i] for i in reversed(rows)]] = flats_to_coords(keys, len(rows))
             # d <= 2: at most 64^2 = 4,096 values, built with 2^nb bytes each
             entry = (self.kernel_bitmaps(duals), rows)
             self._kernels[(piv, f)] = entry
@@ -285,7 +285,7 @@ class DualCodimScanner:
 
     def iter_weights(self, d, start=0, stride=1, chunk=1 << 16):
         """Yield (global_position_array, weights_array) over the scan."""
-        enum = RrefEnumerator(range(64), 4, d)
+        enum = RrefEnumerator(range(64), self.r, d)
         for pos, parts in _rref_chunks(enum, start, stride, chunk):
             weights = np.empty(len(pos), dtype=np.int64)
             for lo, hi, piv, digits in parts:
@@ -297,7 +297,7 @@ class DualCodimScanner:
 
     def _bitmap_weights(self, piv, digits, B):
         common = None
-        for f in range(4):
+        for f in range(self.r):
             if f in piv:
                 continue
             bitmaps, rows = self._kernel_table(piv, f)
@@ -319,8 +319,8 @@ class DualCodimScanner:
         return np.bitwise_count(size.sum(axis=1) - np.uint64(1)).astype(np.int64)
 
     def _rank_weights(self, piv, digits, B):
-        free_cols = [c for c in range(4) if c not in piv]
-        duals = np.zeros((B, len(free_cols), 4), dtype=np.int16)
+        free_cols = [c for c in range(self.r) if c not in piv]
+        duals = np.zeros((B, len(free_cols), self.r), dtype=np.int16)
         for fi, f in enumerate(free_cols):
             duals[:, fi, f] = 1
             for i in range(len(piv)):
@@ -338,28 +338,14 @@ class FqSpanScanner:
     multiples, which is 6 times the F_{64} rank).
     """
 
-    AMBIENT = 4
-    MAX_WIDTH = 16  # subset_xor_table holds 2^nb packed sums
+    MAX_WIDTH = 16  # the table holds 6 x 2^nb packed vectors
 
     def __init__(self, tables, u_basis):
-        self.tables = tables
         self.nb = len(u_basis)
-        self.combo = subset_xor_table(u_basis)
-
-    def span_rows(self, masks):
-        """masks: [B, d] coefficient rows -> [B, 6d] span generator rows."""
-        tables = self.tables
-        B, d = masks.shape
-        flats = self.combo[masks]  # [B, d]
-        coords = np.stack([(flats >> (6 * k)) & 63 for k in range(4)], axis=-1)
-        rows = np.zeros((B, 6 * d), dtype=np.int64)
-        for i in range(d):
-            for j in range(6):
-                acc = np.zeros(B, dtype=np.int64)
-                for k in range(4):
-                    acc |= tables.mulx[j][coords[:, i, k]].astype(np.int64) << (6 * k)
-                rows[:, 6 * i + j] = acc
-        return rows
+        sums = flats_to_coords(subset_xor_table(u_basis), len(u_basis[0]))
+        powers = np.array([1 << j for j in range(6)])
+        # xsums[mask, j] = x^j times the sum of the basis vectors in mask
+        self.xsums = coords_to_flats(tables.mul(sums[:, None, :], powers[:, None]))
 
     def iter_span_dims(self, d, start=0, stride=1, chunk=1 << 15):
         """Yield (positions, span_dims) over all d-dim subspaces of U."""
@@ -371,20 +357,8 @@ class FqSpanScanner:
                     masks[lo:hi, i] |= 1 << c
                 for (i, c), bit in digits.items():
                     masks[lo:hi, i] |= bit << c
-            rank = rank_batch(self.span_rows(masks), 24)
+            rank = rank_batch(self.xsums[masks].reshape(len(pos), -1))
             yield pos, rank // 6
-
-
-def codeword_pack(field, gen_rows, message):
-    """Packed codeword (n coords x 6 bits) of one message over GF(64)."""
-    n = len(gen_rows[0])
-    pack = 0
-    for t in range(n):
-        acc = 0
-        for k in range(len(gen_rows)):
-            acc ^= field.mul(message[k], gen_rows[k][t])
-        pack |= acc << (6 * t)
-    return pack
 
 
 class CodewordScanner:
@@ -399,25 +373,19 @@ class CodewordScanner:
     contiguous message-index ranges.
     """
 
-    AMBIENT = None  # any k
     MAX_WIDTH = 10  # n coordinates of 6 bits in an int64
 
     def __init__(self, tables, gen_rows):
-        self.tables = tables
         self.k = len(gen_rows)
         self.n = len(gen_rows[0])
         if self.n > self.MAX_WIDTH:
             raise InvariantViolation(
                 "%d coordinates of 6 bits do not pack into an int64" % self.n
             )
-        field = tables.field
-        coord_packs = np.zeros((self.k, 64), dtype=np.int64)
-        for k in range(self.k):
-            for c in range(64):
-                msg = [0] * self.k
-                msg[k] = c
-                coord_packs[k, c] = codeword_pack(field, gen_rows, msg)
-        self.coord_packs = coord_packs
+        # coord_packs[k, c] = the codeword of the message c e_k
+        scal = np.arange(64)
+        gen = np.array(gen_rows, dtype=np.int64)
+        self.coord_packs = coords_to_flats(tables.mul(scal[:, None], gen[:, None, :]))
 
     def total_messages(self):
         return (64**self.k - 1) // 63
@@ -436,10 +404,7 @@ class CodewordScanner:
             packs = np.zeros(len(idx), dtype=np.int64)
             for k in range(self.k):
                 packs ^= self.coord_packs[k][msgs[:, k]]
-            rows = np.stack(
-                [(packs >> (6 * t)) & 63 for t in range(self.n)], axis=1
-            )
-            w = rank_batch(rows, 6)
+            w = rank_batch(flats_to_coords(packs, self.n))
             counts += np.bincount(w, minlength=7)
             minw = min(minw, int(w.min()))
         return minw, counts
@@ -649,7 +614,7 @@ def _f2_image_rank(img, e):
         rows = np.zeros((B, R), dtype=np.int64)
         for t in range(T):
             rows |= img[:, :, t] << (t * e)
-        return rank_batch(rows, T * e)
+        return rank_batch(rows)
     # too wide for an int64: rank the transpose, one R-bit row per bit
     if R > 63:
         raise InvariantViolation("%d rows do not pack into an int64" % R)
@@ -657,7 +622,7 @@ def _f2_image_rank(img, e):
     cols = np.zeros((B, T, e), dtype=np.int64)
     for i in range(R):
         cols |= ((img[:, i, :, None] >> bits) & 1) << i
-    return rank_batch(cols.reshape(B, T * e), R)
+    return rank_batch(cols.reshape(B, T * e))
 
 
 class SampledFast:

@@ -126,12 +126,12 @@ def _span_table_worker(args, start, stride):
     nb = len(basis)
     minspan = [0] * (nb + 1)
     for d in range(1, nb + 1):
-        best = d  # span never exceeds min(d, ambient)
+        best = d  # the worker at start 0 scans at least one subspace
         for _, spans in scanner.iter_span_dims(d, start=start, stride=stride, chunk=1 << 14):
             m = int(spans.min())
             if m < best:
                 best = m
-        minspan[d] = min(best, 4)
+        minspan[d] = best
     return {"minspan": minspan}
 
 

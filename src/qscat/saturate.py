@@ -1,5 +1,7 @@
 """Linear-set points in PG(3, q^6) and rho-saturation.
 
+The one module that needs r = 4: L(U) is a point set of PG(3, 64), and
+linear_set_points rejects any other ambient F_64^r with a ConfigError.
 Points carry dense ids (pivot-block offset plus base-q^m digits).  The
 saturation scan walks every (rho+1)-subset of S and canonicalizes the
 spanned subspace.  Points and lines are marked during the scan, once
@@ -15,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InvariantViolation, WorkLimitExceeded
+from .errors import ConfigError, InvariantViolation, WorkLimitExceeded
 from .field import BinaryField
 from .parallel import run_partitioned
 from .scatter import DEFAULT_BUDGET, Verdict
@@ -54,9 +56,13 @@ def linear_set_points(U, budget=DEFAULT_BUDGET):
     if total > budget:
         raise WorkLimitExceeded(total, budget)
     gfbatch.check_scan_shape(gfbatch.FqSpanScanner, field, U.r, U.dim_q)
+    if U.r != 4:
+        raise ConfigError(
+            "linear-set points lie in PG(3, 64): need r = 4, got r = %d" % U.r
+        )
     tables = gfbatch.Gf64Tables(field)
     combo = gfbatch.subset_xor_table(U.basis)
-    vecs = gfbatch.flats_to_coords(combo[1:])
+    vecs = gfbatch.flats_to_coords(combo[1:], 4)
     norm, ids = gfbatch.normalize_points(tables, vecs)
     order = np.argsort(ids, kind="stable")
     ids = ids[order]
@@ -126,7 +132,7 @@ def _small_span_keys(rref):
 
 def _saturation_worker(args, start, stride):
     """Discovery pass: classify subset spans, flag planes by dual id."""
-    field, coords_list, rho, early_exit = args
+    field, coords_list, rho = args
     tables = gfbatch.Gf64Tables(field)
     coords = np.array(coords_list, dtype=np.int16)
     n = len(coords)
@@ -162,8 +168,6 @@ def _saturation_worker(args, start, stride):
             if len(lines):
                 ids = gfbatch.line_point_ids(tables, rref[lines, :2])
                 covered[ids.ravel()] = True
-        if early_exit and full_span_seen:
-            break
     return {
         "covered": covered,
         "planes": plane_bitmap,
@@ -173,13 +177,7 @@ def _saturation_worker(args, start, stride):
     }
 
 
-def is_rho_saturating(
-    S,
-    rho,
-    workers=1,
-    budget=DEFAULT_BUDGET,
-    early_exit=False,
-):
+def is_rho_saturating(S, rho, workers=1, budget=DEFAULT_BUDGET):
     """Decide whether every ambient point lies in a span of rho+1 points.
 
     Exhaustive over all (rho+1)-subsets of S (q = 2 scale); the verdict
@@ -194,7 +192,7 @@ def is_rho_saturating(
         raise WorkLimitExceeded(total, budget)
     ambient = gfbatch.POINT_COUNT
     coords_list = [tuple(int(c) for c in v) for v in S.coords]
-    args = (field, coords_list, rho, early_exit)
+    args = (field, coords_list, rho)
     results = run_partitioned(_saturation_worker, args, workers)
     covered = np.zeros(ambient, dtype=bool)
     plane_bitmap = np.zeros(ambient, dtype=bool)

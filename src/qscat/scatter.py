@@ -9,9 +9,11 @@ Two independent algorithms decide h-scatteredness:
 
 Each exhaustive scan has one path, the numpy GF(64) engines of gfbatch,
 and gfbatch.check_scan_shape is the one check of what they pack: q = 2,
-r = 4 and their width limits.  Any other shape is a ConfigError, raised
-after the work budget check, as is the scalar Frobenius-fixed spectrum at
-q != 2.  Larger q produce sampled-evidence verdicts.
+an ambient F_64^r with r <= 10 and their width limits, so an r = 3
+system such as {(x, x^q, x^(q^2))} scans as the r = 4 systems U_s do.
+Any other shape is a ConfigError, raised after the work budget check, as
+is the scalar Frobenius-fixed spectrum at q != 2.  Larger q produce
+sampled-evidence verdicts.
 """
 
 from dataclasses import dataclass, field as dc_field

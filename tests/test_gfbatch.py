@@ -11,10 +11,13 @@ from qscat.gfbatch import (
     CodewordScanner,
     DualCodimScanner,
     FieldArrays,
+    FqSpanScanner,
     Gf64Tables,
     SampledFast,
     SampledOracle,
+    coords_to_flats,
     first_refutation,
+    flats_to_coords,
     fqm_rank_batch,
     ids_to_points,
     point_ids,
@@ -43,8 +46,6 @@ def test_product_table_matches_field(F):
     prod = tables.mul(a[None, :, None], rows[:, None, :])
     assert prod.shape == (5, 64, 4)
     assert (prod == expect[a[None, :, None], rows[:, None, :]]).all()
-    for j in range(6):
-        assert list(tables.mulx[j]) == [F.mul(1 << j, x) for x in range(64)]
     assert tables.inv[0] == 0
     assert all(F.mul(x, int(tables.inv[x])) == 1 for x in range(1, 64))
 
@@ -52,6 +53,38 @@ def test_product_table_matches_field(F):
 def test_tables_reject_other_towers(F8):
     with pytest.raises(InvariantViolation):
         Gf64Tables(F8)
+
+
+@pytest.mark.parametrize("n", [1, 3, 4, 10])
+def test_codec_round_trips(n):
+    """Coordinate k of a packed vector sits at bits 6k, for every width
+    that fits in an int64; leading batch axes pass through."""
+    coords = np.random.default_rng(n).integers(0, 64, size=(7, 5, n))
+    flats = coords_to_flats(coords)
+    assert flats.shape == (7, 5) and flats.dtype == np.int64
+    assert (flats_to_coords(flats, n) == coords).all()
+    assert int(flats[0, 0]) == sum(int(c) << (6 * k) for k, c in enumerate(coords[0, 0]))
+    assert (coords_to_flats(flats_to_coords(flats, n)) == flats).all()
+
+
+@pytest.mark.parametrize("which", ["U1", "U_planted", "U_G"])
+def test_span_dims_match_fqm_span_dim(F, which, request):
+    """F_64-span dimensions of d-dim F_2-subspaces of U, d = 1..4, equal
+    fqm_span_dim of the decoded vectors at seeded positions (the planted
+    system has spans below d; U_G has r = 3)."""
+    U = request.getfixturevalue(which)
+    scanner = FqSpanScanner(Gf64Tables(F), U.basis)
+    rng = np.random.default_rng(23)
+    for d in range(1, 5):
+        enum = RrefEnumerator((0, 1), U.dim_q, d)
+        picks = {0, enum.total - 1}
+        picks.update(int(x) for x in rng.integers(0, enum.total, 40))
+        for pos in sorted(picks):
+            ((got_pos, span),) = scanner.iter_span_dims(d, start=pos, stride=enum.total)
+            assert got_pos.tolist() == [pos]
+            rows, _ = enum.decode(pos)
+            vecs = [U.combine(row) for row in rows]
+            assert int(span[0]) == fqm_span_dim(F, vecs), (d, pos)
 
 
 def _weight_at(scanner, d, pos):

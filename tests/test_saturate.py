@@ -1,5 +1,6 @@
 import json
 from itertools import combinations
+from math import comb
 from pathlib import Path
 
 import numpy as np
@@ -179,10 +180,17 @@ def test_worker_count_independence(F, U1):
 
 
 def test_rho3_with_full_span_shortcut(F, U1):
-    S = linear_set_points(U1)
-    inst = is_rho_saturating(S, 3, budget=10**9, early_exit=True)
-    assert inst.verdict.ok
-    assert inst.verdict.details["full_span_seen"]
+    """Some 4-subset of a 30-point S spans F_64^4, so every point is
+    covered without marking; every 4-subset is still scanned, and the
+    verdict does not depend on the worker count."""
+    S = _subset(F, U1, 54, 33)
+    assert len(S) == 30
+    one = is_rho_saturating(S, 3, workers=1)
+    two = is_rho_saturating(S, 3, workers=2)
+    assert one.verdict.to_json() == two.verdict.to_json()
+    assert one.verdict.ok
+    assert one.verdict.details["full_span_seen"]
+    assert one.verdict.checked_count == comb(30, 4)
 
 
 def test_budget_guard(F, U1):

@@ -374,17 +374,27 @@ def test_corrupted_histogram_raises(F, U1, monkeypatch):
         weight_spectrum(U1, 3)
 
 
-def test_r3_shape_is_config_error(U_G):
-    """The GF(64) scan engines pack F_64^4 only: the r = 3 system U_G is a
-    ConfigError naming r, after the budget check, for both tests and the
-    spectrum."""
+def test_r3_u_g_is_2_scattered(U_G):
+    """The r = 3 system U_G is certified 2-scattered by both exhaustive
+    tests, its line histogram counts every incidence, and only the PG(3, 64)
+    linear set and an ambient past the int64 packing are config errors."""
+    from qscat.gfbatch import FqSpanScanner, check_scan_shape
+    from qscat.saturate import linear_set_points
+
     assert (U_G.r, U_G.dim_q) == (3, 6)
+    fast = is_h_scattered_fast(U_G, 2)
+    assert fast.ok and fast.checked_count == 1_395 == gaussian_binomial(6, 3, 2)
+    oracle = is_h_scattered_oracle(U_G, 2)
+    assert oracle.ok and oracle.checked_count == 4_161
+    hist = {0: 1368, 1: 2142, 2: 651}
+    assert oracle.details["weight_hist"] == {str(w): c for w, c in hist.items()}
+    # each nonzero u of U_G lies on the 65 lines of F_64^3 through it
+    assert 2142 + 3 * 651 == 63 * 65
+    assert weight_spectrum(U_G, 1) == hist
     with pytest.raises(ConfigError, match="r = 3"):
-        is_h_scattered_fast(U_G, 2)
-    with pytest.raises(ConfigError, match="r = 3"):
-        is_h_scattered_oracle(U_G, 2)
-    with pytest.raises(ConfigError, match="r = 3"):
-        weight_spectrum(U_G, 1)
+        linear_set_points(U_G)
+    with pytest.raises(ConfigError, match="r = 11"):
+        check_scan_shape(FqSpanScanner, U_G.field, 11, U_G.dim_q)
 
 
 def test_q8_exhaustive_is_config_error(F8):
