@@ -151,6 +151,8 @@ def resolve_config(ns):
         raise ConfigError("samples must be >= 1")
     if cfg["count"] < 1:
         raise ConfigError("count must be >= 1")
+    if not 0 <= cfg["seed"] < 1 << 64:
+        raise ConfigError("seed must be in 0..2^64 - 1")
     return cfg
 
 

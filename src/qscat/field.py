@@ -5,6 +5,11 @@ polynomial representative (constant term first).  A `BinaryField` keeps
 exp/log tables (degree <= 20) and the Frobenius column images at every q;
 scalar callers call its methods on raw ints, and numpy batches multiply
 through gfbatch.FieldArrays, which views the same exp/log tables.
+
+`poly_mulmod_array` is the one vectorized product: it builds the
+GF(2^18) exp table by doubling (exp[n:2n] = g^n * exp[0:n]) and is
+FieldArrays' product where there are no tables (GF(2^30)).  numpy loads
+on first use, so the q = 2 set-up (GF(64), U_s) never imports it.
 """
 
 from array import array
@@ -25,6 +30,7 @@ from . import gf2
 DEFAULT_MODULI = {6: 0x5B, 18: 0x40027, 30: 0x40000053}
 
 _TABLE_LIMIT = 20  # build exp/log tables up to this degree
+_WALK = 64  # exp entries taken one poly_mulmod at a time: all 63 of GF(64)
 
 
 def poly_degree(p):
@@ -43,6 +49,58 @@ def poly_mulmod(a, b, mod):
         if b & top:
             b ^= mod
     return r
+
+
+def poly_mulmod_array(a, b, mod):
+    """Elementwise poly_mulmod of two broadcastable int64 arrays.
+
+    A carryless shift-xor product whose bits above e = deg(mod) are
+    folded back with x^e = mod - x^e; the 2e - 1 product bits must fit
+    in an int64.
+    """
+    import numpy as np
+
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    e = poly_degree(mod)
+    prod = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.int64)
+    for i in range(e):
+        prod ^= (a << i) & -((b >> i) & 1)
+    fold = [j for j in range(e) if mod >> j & 1]
+    high = prod >> e
+    while high.any():
+        prod &= (1 << e) - 1
+        for j in fold:
+            prod ^= high << j
+        high = prod >> e
+    return prod
+
+
+def _doubled_tables(walk, g, mod):
+    """(exp, log) C-int arrays of GF(2^e)^* from its first powers of g.
+
+    exp[k] = g^k for k < 2^e - 1 grows from `walk` by doubling,
+    exp[m:2m] = g^m * exp[0:m]; log is one scatter, log[exp[k]] = k.
+    """
+    import numpy as np
+
+    order = 1 << poly_degree(mod)
+    n = order - 1
+    exp = np.empty(n, dtype=np.int64)
+    m = len(walk)
+    exp[:m] = walk
+    while m < n:
+        gm = poly_mulmod(g, int(exp[m - 1]), mod)  # g^m
+        take = min(m, n - m)
+        exp[m : m + take] = poly_mulmod_array(exp[:take], gm, mod)
+        m += take
+    exp = exp.astype(np.intc)
+    log = np.zeros(order, dtype=np.intc)
+    log[exp] = np.arange(n, dtype=np.intc)
+    tables = array("i"), array("i")
+    for table, values in zip(tables, (exp, log)):
+        table.frombytes(memoryview(values).cast("B"))
+    return tables
 
 
 def poly_gcd(a, b):
@@ -153,15 +211,17 @@ class BinaryField:
         # numpy views them without a copy (gfbatch.FieldArrays)
         n = self.mult_order
         g = self._find_generator()
-        mod = self.modulus
-        exp = array("i", [0]) * (2 * n)
-        log = array("i", [0]) * self.order
-        v = 1
-        for k in range(n):
-            exp[k] = exp[k + n] = v
-            log[v] = k
+        walk = array("i", [1])
+        for _ in range(min(n, _WALK) - 1):
             # the small generator first: poly_mulmod loops over its bits
-            v = poly_mulmod(g, v, mod)
+            walk.append(poly_mulmod(g, walk[-1], self.modulus))
+        if n > _WALK:
+            exp, log = _doubled_tables(walk, g, self.modulus)
+        else:
+            exp, log = walk, array("i", [0]) * self.order
+            for k, v in enumerate(exp):
+                log[v] = k
+        exp.extend(exp)  # exp[k + n] = exp[k]
         self._exp = exp
         self._log = log
 

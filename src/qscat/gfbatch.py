@@ -9,7 +9,8 @@ one int64 (coordinate k at bits 6k, `coords_to_flats`/`flats_to_coords`),
 so check_scan_shape admits r <= 10.  The point ids, lines and planes
 below are those of PG(3, 64), for the saturation scan.  The seeded
 sampled tests run in batches over any tower field (`FieldArrays`) and
-draw the same xorshift64* stream as a one-sample-at-a-time loop would.
+take the same xorshift64* stream as a one-sample-at-a-time loop would,
+one block of draws per batch (`XorShift64Star.draws`).
 """
 
 from itertools import combinations
@@ -17,6 +18,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import ConfigError, InvariantViolation
+from .field import poly_mulmod_array
 from .linalg import RrefEnumerator
 
 
@@ -522,8 +524,8 @@ class FieldArrays:
 
     With exp/log tables (e <= 20) a product is a gather on numpy views
     of the field's C-int tables (no copy).  Without them (GF(2^30)) it is
-    a carryless shift-xor product whose bits above e are folded back with
-    x^e = modulus - x^e; the 2e - 1 product bits must fit in an int64.
+    field.poly_mulmod_array, whose 2e - 1 product bits must fit in an
+    int64.
     """
 
     def __init__(self, field):
@@ -536,8 +538,7 @@ class FieldArrays:
         if field._exp is not None:
             self.exp = np.frombuffer(field._exp, dtype=np.intc)
             self.log = np.frombuffer(field._log, dtype=np.intc)
-        low = field.modulus ^ (1 << field.e)
-        self.fold = [j for j in range(field.e) if low >> j & 1]
+        self.modulus = field.modulus
 
     def mul(self, a, b):
         """Elementwise product of two broadcastable integer arrays."""
@@ -546,16 +547,7 @@ class FieldArrays:
         if self.exp is not None:
             prod = self.exp[self.log[a] + self.log[b]]
             return np.where((a != 0) & (b != 0), prod, np.int64(0))
-        prod = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.int64)
-        for i in range(self.e):
-            prod ^= (a << i) & -((b >> i) & 1)
-        high = prod >> self.e
-        while high.any():
-            prod &= (1 << self.e) - 1
-            for j in self.fold:
-                prod ^= high << j
-            high = prod >> self.e
-        return prod
+        return poly_mulmod_array(a, b, self.modulus)
 
 
 def fqm_rank_batch(fa, mats):
@@ -731,18 +723,15 @@ def first_refutation(sampler, rng, samples):
     """The first of `samples` accepted samples that refutes, or None.
 
     Returns (k, group, value): its 0-based sample index, its draws as a
-    list and its measured value.  Each round draws exactly as many
-    groups as samples are still due, so a run without refutation takes
-    the same draws from rng as a one-sample-at-a-time loop.
+    list and its measured value.  Each round takes one block of masked
+    draws (rng.draws) for exactly as many groups as samples are still
+    due, so a run without refutation leaves rng where a one-sample-at-a-
+    time loop of next_u64() & mask draws leaves it.
     """
-    nxt = rng.next_u64
-    mask = sampler.mask
     done = 0
     while done < samples:
         n = min(SAMPLE_BATCH, samples - done)
-        count = n * sampler.width
-        draws = np.fromiter((nxt() & mask for _ in range(count)), np.int64, count)
-        groups = draws.reshape(n, sampler.width)
+        groups = rng.draws(n * sampler.width, sampler.mask).reshape(n, sampler.width)
         kept, values = sampler.measure(groups)
         bad = sampler.refutes(values)
         if bad.any():

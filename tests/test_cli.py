@@ -139,6 +139,27 @@ def test_bad_config_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "O"])
+@pytest.mark.parametrize("seed", [-1, 1 << 64], ids=["minus1", "2^64"])
+def test_out_of_range_seed_exit_2(tmp_path, flags, seed):
+    """A seed outside [0, 2^64) is a config error, from the flag and from
+    --config, not a replay of the seed mod 2^64; also under -O."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text("seed=%d\n" % seed)
+    for args in (["--seed", str(seed)], ["--config", str(cfg)]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "qscat.cli",
+             "system-count", "--count", "5", *args],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.splitlines() == ["qscat: error: seed must be in 0..2^64 - 1"]
+
+
 def test_negative_rho_exit_2(capsys):
     code, cert = run_cli(capsys, "saturating", "--rho", "-1")
     assert code == 2 and cert is None

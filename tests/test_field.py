@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from array import array
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +22,7 @@ from qscat.field import (
 )
 from qscat.rng import XorShift64Star
 
+ROOT = Path(__file__).resolve().parents[1]
 MOD6 = 0x5B  # x^6 + x^4 + x^3 + x + 1
 
 
@@ -125,6 +130,55 @@ def test_gf2_18_tables(F8):
         assert exp[k + n] == exp[k]
     assert exp[0] == 1 and exp[n] == 1
     assert all(log[exp[k]] == k for k in range(n))
+
+
+def scalar_tables(F):
+    """exp/log lists from a one-step-at-a-time poly_mulmod walk."""
+    n, g = F.mult_order, F._find_generator()
+    exp, log = [0] * (2 * n), [0] * F.order
+    v = 1
+    for k in range(n):
+        exp[k] = exp[k + n] = v
+        log[v] = k
+        v = poly_mulmod(g, v, F.modulus)
+    return exp, log
+
+
+@pytest.mark.parametrize("degree,h,modulus", [
+    pytest.param(6, 1, None, id="gf64-default"),
+    pytest.param(6, 1, 0b1000011, id="gf64-x6+x+1"),
+    pytest.param(18, 3, None, id="gf2_18-default"),
+    pytest.param(18, 3, 0x40081, id="gf2_18-x18+x7+1"),
+])
+def test_tables_equal_the_scalar_walk(degree, h, modulus):
+    """The exp/log tables (walked for GF(64), doubled for GF(2^18)) equal
+    the scalar walk entry for entry, for two moduli of each degree."""
+    F = BinaryField(degree, modulus, h)
+    exp, log = scalar_tables(F)
+    assert F._exp.typecode == F._log.typecode == "i"
+    assert F._exp.tolist() == exp
+    assert F._log.tolist() == log
+
+
+def test_q2_setup_does_not_load_numpy():
+    """GF(64), U_s and scalar draws stay pure Python: numpy (~0.15 s to
+    import) loads only with the first batch, block draw or big table."""
+    code = (
+        "import sys; from qscat.field import default_field; "
+        "from qscat.rng import XorShift64Star; from qscat.scatter import build_Us; "
+        "build_Us(default_field(1), 1); XorShift64Star(1).randrange(64); "
+        "print('numpy' in sys.modules)"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_inverse(F):
@@ -248,6 +302,7 @@ def test_degree30_tower_table_free_path():
         if a:
             assert f.mul(a, f.inv(a)) == 1
     assert len(f.trace_kernel_basis()) == 4
+    assert f._exp is None and f._log is None
 
 
 def test_user_supplied_irreducible_accepted():

@@ -331,6 +331,30 @@ def test_batched_groups_equal_scalar_draws(F, U1, monkeypatch):
     assert rng.state == ref_rng.state
 
 
+@pytest.mark.parametrize("oracle", [False, True])
+def test_clean_q8_run_takes_the_scalar_draws(F8, monkeypatch, oracle):
+    """A clean h = 3 run leaves the generator exactly where a one-sample-
+    at-a-time loop of masked next_u64() draws, redrawing rejected samples,
+    leaves it: the contract that keeps the sampled goldens valid."""
+    monkeypatch.setattr(gfbatch, "SAMPLE_BATCH", 64)
+    U8, order, samples, seed = build_Us(F8, 1), 2, 150, 8
+    sampler = (SampledOracle if oracle else SampledFast)(U8, order)
+    rng = XorShift64Star(seed)
+    assert first_refutation(sampler, rng, samples) is None
+    ref, elems = XorShift64Star(seed), F8.fq_elements
+    for _ in range(samples):
+        while True:
+            g = [ref.next_u64() & sampler.mask for _ in range(sampler.width)]
+            if oracle:
+                rows, need = [g[i * U8.r : (i + 1) * U8.r] for i in range(order)], order
+            else:
+                nb, need = U8.dim_q, order + 1
+                rows = [[elems[x] for x in g[i * nb : (i + 1) * nb]] for i in range(need)]
+            if fqm_span_dim(F8, rows) == need:
+                break
+    assert rng.state == ref.state
+
+
 @pytest.mark.parametrize("test", [is_h_scattered_fast, is_h_scattered_oracle])
 def test_batch_disagreement_raises(F, U1, monkeypatch, test):
     """A refutation the scalar re-check does not reproduce is an internal
