@@ -7,10 +7,13 @@ re-decoded and re-checked by the scalar reference code.  The engines
 take the ambient F_64^r from their input; a vector of F_64^r packs into
 one int64 (coordinate k at bits 6k, `coords_to_flats`/`flats_to_coords`),
 so check_scan_shape admits r <= 10.  The point ids, lines and planes
-below are those of PG(3, 64), for the saturation scan.  The seeded
-sampled tests run in batches over any tower field (`FieldArrays`) and
-take the same xorshift64* stream as a one-sample-at-a-time loop would,
-one block of draws per batch (`XorShift64Star.draws`).
+below are those of PG(3, 64), for the saturation scan: a plane is named
+by its dual point, which the 3x3 minors of any three of its spanning
+points give (laplace_minors, plane_normal), and its points are listed
+from its RREF (plane_point_ids).  The seeded sampled tests run in
+batches over any tower field (`FieldArrays`) and take the same
+xorshift64* stream as a one-sample-at-a-time loop would, one block of
+draws per batch (`XorShift64Star.draws`).
 """
 
 from itertools import combinations
@@ -451,16 +454,41 @@ def rref_small_batch(tables, mats):
     return rank, work, pivcols
 
 
-def plane_duals_from_triples(tables, rref, pivcols):
-    """Dual (normal) vectors for rank-3 RREF matrices [B, 3, 4]."""
-    B = len(rref)
-    bidx = np.arange(B)
-    f = 6 - pivcols[:, :3].sum(axis=1)  # the one non-pivot column
-    w = np.zeros((B, 4), dtype=np.int16)
-    w[bidx, f] = 1
-    for i in range(3):
-        w[bidx, pivcols[:, i]] = rref[bidx, i, f]
-    return normalize_points(tables, w)
+def laplace_minors(mul, rows, below=None):
+    """{T: minor on the columns T} of `rows` stacked over `below`.
+
+    rows: top first, each [..., r]; below: the minors of the rows under
+    them, keyed by the column subsets of one size ({(): 1} for none).
+    Each row, bottom up, adds one to the size by Laplace expansion along
+    it: M_T = sum over c in T of row_c M_{T - c} (no signs in
+    characteristic 2).  mul is an elementwise field product
+    (Gf64Tables.mul or FieldArrays.mul).  Two rows of F_64^4 give their
+    Plücker coordinates, three the minors that plane_normal reads.
+    """
+    minors = {(): 1} if below is None else below
+    for row in reversed(rows):
+        size = len(next(iter(minors))) + 1
+        nxt = {}
+        for T in combinations(range(row.shape[-1]), size):
+            acc = 0
+            for c in T:
+                acc = acc ^ mul(row[..., c], minors[tuple(x for x in T if x != c)])
+            nxt[T] = acc
+        minors = nxt
+    return minors
+
+
+def plane_normal(minors):
+    """[..., 4] w, w_c the 3x3 minor on the columns other than c.
+
+    From laplace_minors of three rows of F_64^4: w is zero iff the rows
+    are dependent; otherwise w . v = 0 is the plane they span (v = a row
+    gives a determinant with a repeated row), so normalize_points(w) is
+    the plane's dual point.
+    """
+    return np.stack(
+        [minors[tuple(k for k in range(4) if k != c)] for c in range(4)], axis=-1
+    )
 
 
 def _family_ids(pts, pivots):
@@ -579,26 +607,6 @@ def fqm_rank_batch(fa, mats):
     return rank
 
 
-def _maximal_minors(fa, gens):
-    """{S: minor of gens on the columns S} over the d-subsets S.
-
-    gens: [B, d, r].  Laplace expansion along the top row, built up from
-    the bottom row (signs vanish in characteristic 2).
-    """
-    B, d, r = gens.shape
-    minors = {(): np.ones(B, dtype=np.int64)}
-    for k in range(1, d + 1):
-        row = gens[:, d - k]
-        nxt = {}
-        for S in combinations(range(r), k):
-            acc = np.zeros(B, dtype=np.int64)
-            for c in S:
-                acc ^= fa.mul(row[:, c], minors[tuple(x for x in S if x != c)])
-            nxt[S] = acc
-        minors = nxt
-    return minors
-
-
 def _f2_image_rank(img, e):
     """GF(2) rank of [B, R, T] blocks read as R x (T e)-bit matrices."""
     B, R, T = img.shape
@@ -694,7 +702,9 @@ class SampledOracle:
     def measure(self, groups):
         """(kept, weights): the accepted groups and their weights."""
         n, r = len(groups), self.r
-        minors = _maximal_minors(self.fa, groups.reshape(n, self.order, r))
+        gens = groups.reshape(n, self.order, r).transpose(1, 0, 2)
+        ones = np.ones(n, dtype=np.int64)  # every minor is [n], order 0 too
+        minors = laplace_minors(self.fa.mul, list(gens), {(): ones})
         stack = np.stack(
             [minors[S] for S in self.subsets] + [np.zeros(n, dtype=np.int64)], axis=1
         )

@@ -3,16 +3,19 @@
 The one module that needs r = 4: L(U) is a point set of PG(3, 64), and
 linear_set_points rejects any other ambient F_64^r with a ConfigError.
 Points carry dense ids (pivot-block offset plus base-q^m digits).  The
-saturation scan walks every (rho+1)-subset of S and canonicalizes the
-spanned subspace.  Points and lines are marked during the scan, once
-per distinct RREF in each batch; planes are deduplicated by their dual
-point id and marked afterwards in dual-id order, a chunk at a time,
-stopping as soon as every point is covered.  A failing instance marks
-every plane, and the first unmarked id is the witness.
+saturation scan walks every (rho+1)-subset of S, enumerated in numpy
+blocks by first index.  For rho = 2 a triple's four 3x3 minors decide
+it: they vanish iff the triple is collinear, and otherwise they are the
+dual point of the plane it spans.  Only the subsets the minors leave
+undecided (collinear triples, and every subset when rho != 2) are
+canonicalized by RREF; their points and lines are marked during the
+scan, once per distinct RREF in each batch.  Planes are deduplicated by
+their dual point id and marked afterwards in dual-id order, a chunk at a
+time, stopping as soon as every point is covered.  A failing instance
+marks every plane, and the first unmarked id is the witness.
 """
 
 from dataclasses import dataclass
-from itertools import combinations, islice
 from typing import Optional
 
 import numpy as np
@@ -72,20 +75,38 @@ def linear_set_points(U, budget=DEFAULT_BUDGET):
     return LinearSet(field, ids[keep].copy(), norm[keep].copy())
 
 
-def _subset_batches(n, rho_plus_1, start, stride, chunk=32768):
-    """Index subsets partitioned by first index; yields [B, rho+1] arrays."""
-    for i in range(start, n - rho_plus_1 + 1, stride):
-        if rho_plus_1 == 1:
-            yield np.array([[i]], dtype=np.int32)
-            continue
-        it = combinations(range(i + 1, n), rho_plus_1 - 1)
-        while True:
-            block = list(islice(it, chunk))
-            if not block:
-                break
-            rest = np.array(block, dtype=np.int32)
-            first = np.full((len(rest), 1), i, dtype=np.int32)
-            yield np.concatenate([first, rest], axis=1)
+def _lex_subsets(n, k):
+    """Every k-subset of range(n) as a [C(n, k), k] int32 array, rows in
+    lexicographic order.
+
+    Built one column at a time; a prefix is kept only if it extends to a
+    k-subset, so no intermediate array outgrows the result.
+    """
+    subs = np.zeros((1, 0), dtype=np.int32)
+    for j in range(k):
+        last = subs[:, -1] if j else np.full(1, -1, dtype=np.int32)
+        # column j takes last + 1 .. n - k + j, leaving room for the rest
+        counts = np.maximum(n - k + j - last, 0)
+        offsets = np.cumsum(counts) - counts
+        col = np.arange(counts.sum(), dtype=np.int32)
+        col += np.repeat(last + 1 - offsets, counts).astype(np.int32)
+        subs = np.concatenate([np.repeat(subs, counts, axis=0), col[:, None]], axis=1)
+    return subs
+
+
+def _subset_blocks(tails, n, start, stride, chunk=32768):
+    """One worker's slice of the s-subsets of range(n), by first index.
+
+    tails holds every (s-1)-subset of range(n) in lexicographic order.
+    The s-subsets with first index i are i followed by each tail whose
+    first entry exceeds i, a suffix of tails.  Yields (i, lo, hi) for
+    i = start, start + stride, ..., with hi - lo <= chunk.
+    """
+    firsts = tails[:, 0] if tails.shape[1] else np.full(len(tails), n)
+    for i in range(start, n, stride):
+        lo = int(np.searchsorted(firsts, i, side="right"))
+        for c in range(lo, len(tails), chunk):
+            yield i, c, min(c + chunk, len(tails))
 
 
 def _mark_planes(tables, covered, plane_bitmap, chunk=256):
@@ -131,28 +152,52 @@ def _small_span_keys(rref):
 
 
 def _saturation_worker(args, start, stride):
-    """Discovery pass: classify subset spans, flag planes by dual id."""
+    """Discovery pass: classify subset spans, flag planes by dual id.
+
+    For rho = 2 the Plücker coordinates of every pair (y, z) are built
+    once, and each block of triples (x, y, z) with first point x takes
+    them by slice; only triples whose minors vanish reach the RREF.
+    """
     field, coords_list, rho = args
     tables = gfbatch.Gf64Tables(field)
-    coords = np.array(coords_list, dtype=np.int16)
+    coords = np.array(coords_list, dtype=np.int16).reshape(-1, 4)
     n = len(coords)
+    s = rho + 1
+    tails = _lex_subsets(n, s - 1)
+    if s == 3:
+        pairs = [coords[tails[:, 0]], coords[tails[:, 1]]]
+        pluck = gfbatch.laplace_minors(tables.mul, pairs)
     covered = np.zeros(gfbatch.POINT_COUNT, dtype=bool)
     plane_bitmap = np.zeros(gfbatch.POINT_COUNT, dtype=bool)
     small_keys = [np.empty(0, dtype=np.int64)]
     full_span_seen = False
     checked = 0
-    for subs in _subset_batches(n, rho + 1, start, stride):
-        checked += len(subs)
-        mats = coords[subs]  # [B, rho+1, 4]
-        rank, rref, pivcols = gfbatch.rref_small_batch(tables, mats)
+    for i, lo, hi in _subset_blocks(tails, n, start, stride):
+        checked += hi - lo
+        rows = np.arange(lo, hi)
+        if s == 3:
+            below = {pair: p[lo:hi] for pair, p in pluck.items()}
+            minors = gfbatch.laplace_minors(tables.mul, [coords[i]], below)
+            w = gfbatch.plane_normal(minors)
+            spans_plane = w.any(axis=1)
+            _, dual_ids = gfbatch.normalize_points(tables, w[spans_plane])
+            plane_bitmap[dual_ids] = True
+            rows = rows[~spans_plane]
+            if not len(rows):
+                continue
+        mats = np.empty((len(rows), s, 4), dtype=np.int16)
+        mats[:, 0] = coords[i]
+        mats[:, 1:] = coords[tails[rows]]
+        rank, rref, _ = gfbatch.rref_small_batch(tables, mats)
+        if s == 3 and (rank == 3).any():
+            raise InvariantViolation("a triple of rank 3 has vanishing 3x3 minors")
         if not full_span_seen and (rank == 4).any():
             full_span_seen = True
-        r3 = np.flatnonzero(rank == 3)
+        r3 = rref[rank == 3]
         if len(r3):
-            _, dual_ids = gfbatch.plane_duals_from_triples(
-                tables, rref[r3][:, :3, :], pivcols[r3]
-            )
-            plane_bitmap[dual_ids] = True
+            rows3 = list(r3[:, :3].transpose(1, 0, 2))
+            w = gfbatch.plane_normal(gfbatch.laplace_minors(tables.mul, rows3))
+            plane_bitmap[gfbatch.normalize_points(tables, w)[1]] = True
         small = np.flatnonzero(rank <= 2)
         if len(small):
             # one representative per distinct span in this chunk; spans
@@ -183,6 +228,8 @@ def is_rho_saturating(S, rho, workers=1, budget=DEFAULT_BUDGET):
     Exhaustive over all (rho+1)-subsets of S (q = 2 scale); the verdict
     carries the first uncovered point as witness when saturation fails.
     """
+    if rho < 0:
+        raise ConfigError("rho must be >= 0, got %d" % rho)
     field = S.field
     n = len(S)
     from math import comb

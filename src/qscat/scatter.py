@@ -336,6 +336,9 @@ def _sampled(U, order, samples, seed, oracle):
     """
     if samples is None or seed is None:
         raise ValueError("sampled mode requires samples and seed")
+    if not 0 <= seed < 1 << 64:
+        # XorShift64Star keeps seed mod 2^64, which details would misreport
+        raise ConfigError("seed must be in 0..2^64 - 1, got %d" % seed)
     from . import gfbatch
 
     sampler = (gfbatch.SampledOracle if oracle else gfbatch.SampledFast)(U, order)
@@ -675,9 +678,15 @@ def fast_oracle_agreement(field, count, seed, orders=(1, 2), workers=1):
     """Run both scatteredness tests on random 8-dim subspaces.
 
     Deterministic per index (each sample has its own seeded stream), so
-    the outcome does not depend on the worker count.  Returns
+    the outcome does not depend on the worker count.  Sample i draws
+    from the stream of (seed << 20) ^ i, which is distinct for every
+    (seed, i) only while seed < 2^44 and count <= 2^20.  Returns
     (mismatches, rows).
     """
+    if not 0 <= seed < 1 << 44:
+        raise ConfigError("agreement seed must be in 0..2^44 - 1, got %d" % seed)
+    if count > 1 << 20:
+        raise ConfigError("agreement count must be at most 2^20, got %d" % count)
     args = (field, count, seed, tuple(orders))
     results = run_partitioned(_agreement_worker, args, workers)
     rows = sorted(

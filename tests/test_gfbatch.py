@@ -20,7 +20,11 @@ from qscat.gfbatch import (
     flats_to_coords,
     fqm_rank_batch,
     ids_to_points,
+    laplace_minors,
+    normalize_points,
+    plane_normal,
     point_ids,
+    rref_small_batch,
 )
 from qscat.linalg import FqmSubspace, RrefEnumerator, fqm_span_dim, weight
 from qscat.rankcode import rank_weight
@@ -48,6 +52,50 @@ def test_product_table_matches_field(F):
     assert (prod == expect[a[None, :, None], rows[:, None, :]]).all()
     assert tables.inv[0] == 0
     assert all(F.mul(x, int(tables.inv[x])) == 1 for x in range(1, 64))
+
+
+def _rref_dual(rref, pivcols):
+    """Reference plane normal of a rank-3 RREF [3, 4]: 1 at the one
+    non-pivot column f and rref[i, f] at pivot column i."""
+    f = 6 - int(pivcols[:3].sum())
+    w = np.zeros(4, dtype=np.int16)
+    w[f] = 1
+    for i in range(3):
+        w[pivcols[i]] = rref[i, f]
+    return w
+
+
+def test_plane_normal_matches_rref(F):
+    tables = Gf64Tables(F)
+    rng = np.random.default_rng(10)
+    B = 3000
+    mats = rng.integers(0, 64, size=(B, 3, 4)).astype(np.int16)
+    # sparse rows meet every pivot profile
+    mats[: B // 3] *= (rng.random((B // 3, 3, 4)) < 0.4).astype(np.int16)
+    kind = np.arange(B) % 6
+    a, b = (rng.integers(0, 64, size=B).astype(np.int16) for _ in range(2))
+    lin = tables.mul(a[:, None], mats[:, 0]) ^ tables.mul(b[:, None], mats[:, 1])
+    mats[kind == 1, 2] = mats[kind == 1, 0]  # repeated row
+    mats[kind == 2, 2] = lin[kind == 2]  # third row on the first two's line
+    mats[kind == 3, 1] = 0  # zero row
+    mats[kind == 4, 1] = tables.mul(a[:, None], mats[:, 0])[kind == 4]
+    w = plane_normal(laplace_minors(tables.mul, list(mats.transpose(1, 0, 2))))
+    rank, rref, pivcols = rref_small_batch(tables, mats)
+    assert set(rank.tolist()) == {0, 1, 2, 3}
+    assert ((w != 0).any(axis=1) == (rank == 3)).all()
+    full = np.flatnonzero(rank == 3)
+    expect = np.array([_rref_dual(rref[k], pivcols[k]) for k in full])
+    _, ids = normalize_points(tables, w[full])
+    _, expect_ids = normalize_points(tables, expect)
+    assert (ids == expect_ids).all()
+    # one x over the Plücker coordinates of a batch of pairs, as the
+    # saturation scan calls it
+    pluck = laplace_minors(tables.mul, [mats[:, 1], mats[:, 2]])
+    one = plane_normal(laplace_minors(tables.mul, [mats[0, 0]], pluck))
+    again = plane_normal(
+        laplace_minors(tables.mul, [np.broadcast_to(mats[0, 0], (B, 4)), mats[:, 1], mats[:, 2]])
+    )
+    assert (one == again).all()
 
 
 def test_tables_reject_other_towers(F8):

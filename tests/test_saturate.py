@@ -51,17 +51,21 @@ def _subset(F, U1, seed, draws):
 
 
 def _mark_every_span(F, S, rho, chunk=256):
-    """Reference bitmap: the points of every subset span, no deduplication
-    and no early stop (spans of rank <= 1 do not occur: S has no repeats)."""
+    """Reference bitmap: the points of every subset span, from its RREF,
+    with no minors, no deduplication and no early stop (S has no
+    repeats, so a span has rank min(rho + 1, 2) at least)."""
     tables = Gf64Tables(F)
     subs = np.array(list(combinations(range(len(S)), rho + 1)))
     covered = np.zeros(POINT_COUNT, dtype=bool)
     for lo in range(0, len(subs), chunk):
         rank, rref, _ = rref_small_batch(tables, S.coords[subs[lo : lo + chunk]])
-        assert rank.min() >= 2
+        assert rank.min() >= min(rho + 1, 2)
+        covered[point_ids(rref[rank == 1, 0])] = True
         for r, ids_of in ((2, line_point_ids), (3, plane_point_ids)):
             if (rank == r).any():
                 covered[ids_of(tables, rref[rank == r, :r]).ravel()] = True
+        if (rank == 4).any():
+            covered[:] = True
     return covered
 
 
@@ -156,6 +160,45 @@ def test_early_stop_matches_marking_every_span(
     else:
         assert v.witness["point_id"] == int(np.argmin(reference))
         assert sum(stamped) == 2 * n_planes  # a failing run marks every plane
+
+
+@pytest.mark.parametrize("rho", [0, 1, 2, 3])
+def test_every_rho_matches_marking_every_span(F, U1, rho):
+    S = _subset(F, U1, 53, 16)
+    reference = _mark_every_span(F, S, rho)
+    for workers in (1, 2):
+        inst = is_rho_saturating(S, rho, workers=workers)
+        v = inst.verdict
+        assert (inst.covered == reference).all()
+        assert v.ok is bool(reference.all())
+        assert v.checked_count == comb(len(S), rho + 1)
+        assert v.details["covered_points"] == int(reference.sum())
+        if not v.ok:
+            assert v.witness["point_id"] == int(np.argmin(reference))
+
+
+@pytest.mark.parametrize("rho", [2, 3])
+def test_plane_section_spans_one_plane(F, U1, rho):
+    """The 15 points of L(U) on the plane x_3 = 0: every triple and every
+    4-subset of them spans that plane or a line in it."""
+    full = linear_set_points(U1)
+    on = full.coords[:, 3] == 0
+    S = LinearSet(F, full.ids[on], full.coords[on])
+    assert len(S) == 15
+    plane = ids_to_points(np.arange(POINT_COUNT))[:, 3] == 0
+    assert (_mark_every_span(F, S, rho) == plane).all()
+    for workers in (1, 2):
+        inst = is_rho_saturating(S, rho, workers=workers)
+        assert inst.verdict.details["distinct_planes"] == 1
+        assert not inst.verdict.details["full_span_seen"]
+        assert (inst.covered == plane).all()
+        assert not inst.verdict.ok
+
+
+def test_negative_rho_is_config_error(F, U1):
+    S = linear_set_points(U1)
+    with pytest.raises(ConfigError, match="rho"):
+        is_rho_saturating(S, -1)
 
 
 def test_marking_monotone_in_rho(F, U1):

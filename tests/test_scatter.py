@@ -1,6 +1,6 @@
 import pytest
 
-from qscat import gf2
+from qscat import gf2, scatter
 from qscat.errors import ConfigError, WorkLimitExceeded
 from qscat.linalg import (
     FqSubspace,
@@ -20,6 +20,7 @@ from qscat.scatter import (
     build_Us,
     count_solutions,
     enumerate_frobenius_fixed,
+    fast_oracle_agreement,
     frobenius_fixed,
     is_h_scattered_fast,
     is_h_scattered_oracle,
@@ -153,6 +154,12 @@ def test_oracle_degenerate_order(F, U1):
     assert v.ok and v.details.get("degenerate")
 
 
+def test_sampled_oracle_order_zero(U1):
+    """Order 0 has one (empty) minor per sample; every sample is kept."""
+    v = is_h_scattered_oracle(U1, 0, mode="sampled", samples=10, seed=1)
+    assert v.ok and v.checked_count == 10
+
+
 def test_oracle_exhaustive_small_orders(F, U1):
     v1 = is_h_scattered_oracle(U1, 1, workers=1)
     assert v1.ok and v1.checked_count == 266_305
@@ -180,6 +187,37 @@ def test_sampled_modes_q8(F8):
         is_h_scattered_oracle(U8, 2)
     with pytest.raises(ValueError):
         is_h_scattered_fast(U8, 2, mode="sampled")
+
+
+@pytest.mark.parametrize("test", [is_h_scattered_fast, is_h_scattered_oracle])
+def test_sampled_seed_out_of_range(U1, test):
+    """The generator keeps a seed mod 2^64; the library rejects a seed it
+    would replay under another name instead of certifying it."""
+    for seed in (-7, 1 << 64):
+        with pytest.raises(ConfigError, match="seed"):
+            test(U1, 2, mode="sampled", samples=10, seed=seed)
+    for seed in (0, (1 << 64) - 1):
+        v = test(U1, 2, mode="sampled", samples=10, seed=seed)
+        assert v.details["seed"] == seed
+
+
+def test_agreement_seed_and_count_ranges(F, monkeypatch):
+    """Sample i of seed s draws from the stream of (s << 20) ^ i, so seeds
+    past 2^44 or counts past 2^20 would reuse streams."""
+    run = scatter.run_partitioned
+
+    def no_scan(*args):
+        raise AssertionError("an out-of-range call started its scan")
+
+    monkeypatch.setattr(scatter, "run_partitioned", no_scan)
+    for seed in (-1, 1 << 44):
+        with pytest.raises(ConfigError, match="seed"):
+            fast_oracle_agreement(F, 1, seed)
+    with pytest.raises(ConfigError, match="count"):
+        fast_oracle_agreement(F, (1 << 20) + 1, 0)
+    monkeypatch.setattr(scatter, "run_partitioned", run)
+    mismatches, rows = fast_oracle_agreement(F, 1, (1 << 44) - 1, orders=(1,))
+    assert mismatches == [] and [r["index"] for r in rows] == [0]
 
 
 def test_gl_invariance_of_verdict(F, U1):
