@@ -38,6 +38,12 @@ COMMANDS = (
     "equivalence",
 )
 
+# the values of the choice keys, for flags and config files alike
+_CHOICES = {
+    "mode": scatter.MODES,
+    "oracle": ("off",) + scatter.MODES,
+}
+
 _CONFIG_KEYS = {
     "h": int,
     "s": int,
@@ -107,10 +113,10 @@ def build_parser():
     p.add_argument("--order", type=int, help="scattering order to certify")
     p.add_argument("--rho", type=int, help="saturation parameter")
     p.add_argument("--codim", type=int, help="spectrum codimension")
-    p.add_argument("--mode", choices=("exhaustive", "sampled"))
+    p.add_argument("--mode", choices=_CHOICES["mode"])
     p.add_argument(
         "--oracle",
-        choices=("off", "sampled", "exhaustive"),
+        choices=_CHOICES["oracle"],
         help="oracle cross-check flavor for verify-scattered",
     )
     p.add_argument("--samples", type=int)
@@ -135,6 +141,11 @@ def resolve_config(ns):
     cfg["fixed_only"] = bool(getattr(ns, "fixed_only", False))
     if cfg.get("degree") is None:
         cfg["degree"] = 6 * cfg["h"]
+    for key, choices in _CHOICES.items():
+        if cfg[key] not in choices:
+            raise ConfigError(
+                "%s must be one of %s, got %r" % (key, ", ".join(choices), cfg[key])
+            )
     if cfg["mode"] == "sampled" and cfg.get("seed") is None:
         raise ConfigError("sampled mode requires a seed")
     if not 1 <= cfg["workers"] <= MAX_WORKERS:

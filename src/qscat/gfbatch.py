@@ -34,7 +34,6 @@ def _radix_offsets(k):
 _RADIX, _OFFSET = _radix_offsets(4)
 
 POINT_COUNT = 64**3 + 64**2 + 64 + 1  # points of PG(3, 64)
-PLANE_POINTS = 64**2 + 64 + 1  # points of PG(2, 64)
 
 
 class Gf64Tables:

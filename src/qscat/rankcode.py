@@ -12,6 +12,10 @@ weights d_rho are each computed by two independent algorithms:
   F_{q^m}^*-orbit, whose weight distribution must equal (q^m - 1) times
   the hyperplane weight histogram, and Delsarte's closed form when the
   code is MRD.
+
+Both subspace scans run through scatter.exhaustive_scan, the driver of
+the scatteredness tests; the codeword scan splits its messages into
+contiguous ranges instead.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -26,7 +30,7 @@ from .errors import (
 from .field import BinaryField
 from .parallel import run_partitioned
 from .linalg import fq_rank, fqm_span_dim, gaussian_binomial
-from .scatter import DEFAULT_BUDGET, weight_spectrum
+from .scatter import DEFAULT_BUDGET, exhaustive_scan, weight_spectrum
 
 
 @dataclass
@@ -118,42 +122,22 @@ def codeword_scan(C, workers=1, budget=DEFAULT_BUDGET):
 # -- span table (F_q side) ----------------------------------------------------
 
 
-def _span_table_worker(args, start, stride):
-    from .gfbatch import Gf64Tables, FqSpanScanner
-
-    field, basis = args
-    scanner = FqSpanScanner(Gf64Tables(field), basis)
-    nb = len(basis)
-    minspan = [0] * (nb + 1)
-    for d in range(1, nb + 1):
-        best = d  # the worker at start 0 scans at least one subspace
-        for _, spans in scanner.iter_span_dims(d, start=start, stride=stride, chunk=1 << 14):
-            m = int(spans.min())
-            if m < best:
-                best = m
-        minspan[d] = best
-    return {"minspan": minspan}
-
-
 def span_table(C, workers=1, budget=DEFAULT_BUDGET):
     """best[j] = max dim_q of S <= U with dim <S>_{F_{q^m}} <= j.
 
-    Derived from minspan[d] = min span over d-dim subspaces of U, which
-    is non-decreasing in d; cached on the code object.
+    Derived from minspan[d], the least span of a d-dim subspace of U
+    (the first nonzero entry of its span histogram), which is
+    non-decreasing in d; cached on the code object.
     """
-    from .gfbatch import FqSpanScanner, check_scan_shape
-
     if C._span_table is not None:
         return C._span_table
     field = C.field
     total = sum(gaussian_binomial(C.n, d, field.q) for d in range(C.n + 1))
     if total > budget:
         raise WorkLimitExceeded(total, budget)
-    check_scan_shape(FqSpanScanner, field, C.k, C.n)
-    results = run_partitioned(_span_table_worker, (field, C.system.basis), workers)
-    minspan = [0] * (C.n + 1)
-    for d in range(1, C.n + 1):
-        minspan[d] = min(res["minspan"][d] for res in results)
+    ds = range(1, C.n + 1)
+    scans = exhaustive_scan(C.system, ds, False, workers, chunk=1 << 14)
+    minspan = [0] + [next(v for v, c in enumerate(hist) if c) for _, hist in scans]
     best = []
     for j in range(C.k + 1):
         best.append(max(d for d in range(C.n + 1) if minspan[d] <= j))
@@ -278,14 +262,18 @@ class WeightProfile:
         }
 
 
-def classify(C, workers=1, budget=DEFAULT_BUDGET, oracle_rhos=(1, 3, 4)):
+# the d_rho cross-checked by subspace scans in classify: rho = 1 reads
+# the hyperplane scan behind d, and rho = 2 (the 17M-line scan) is left out
+ORACLE_RHOS = (1, 3, 4)
+
+
+def classify(C, workers=1, budget=DEFAULT_BUDGET):
     """Full profile: d, all d_rho, Singleton equality and MRD flags.
 
     d comes from the codeword scan and the hyperplane scan (must agree);
     d_rho from the F_q-side table, cross-checked by subspace scans for
-    every rho in oracle_rhos (rho = 1 reads the hyperplane scan behind d;
-    rho = 2 re-runs the full line scan, so it is opt-in).  An MRD code's
-    codeword distribution must equal Delsarte's closed form.
+    every rho in ORACLE_RHOS.  An MRD code's codeword distribution must
+    equal Delsarte's closed form.
     """
     n, k, m = C.n, C.k, C.m
     d, dist, spec1 = _checked_distance(C, workers, budget)
@@ -296,7 +284,7 @@ def classify(C, workers=1, budget=DEFAULT_BUDGET, oracle_rhos=(1, 3, 4)):
         "d_hyperplane_scan": d,
         "hyperplane_weight_hist": {str(w): c for w, c in sorted(spec1.items())},
     }
-    for rho in oracle_rhos:
+    for rho in ORACLE_RHOS:
         if rho == 1:
             got = n - max(spec1)
         else:

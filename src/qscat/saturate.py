@@ -109,6 +109,18 @@ def _subset_blocks(tails, n, start, stride, chunk=32768):
             yield i, c, min(c + chunk, len(tails))
 
 
+def _plane_rref(tables, duals):
+    """RREF rows [P, 3, 4] of the planes w . x = 0, for duals w [P, 4]: with
+    p the last nonzero coordinate of w, e_k + (w_k / w_p) e_p for k != p."""
+    bidx = np.arange(len(duals))[:, None]
+    p = 3 - np.argmax(duals[:, ::-1] != 0, axis=1)[:, None]
+    ratio = tables.mul(duals, tables.inv[duals[bidx, p]])
+    ks = np.nonzero(np.arange(4) != p)[1].reshape(-1, 3)
+    rows = (ks[:, :, None] == np.arange(4)).astype(np.int16)
+    rows[bidx, np.arange(3), p] = np.take_along_axis(ratio, ks, axis=1)
+    return rows
+
+
 def _mark_planes(tables, covered, plane_bitmap, chunk=256):
     """Mark the points of the flagged planes, in dual-id order.
 
@@ -119,21 +131,8 @@ def _mark_planes(tables, covered, plane_bitmap, chunk=256):
     """
     dual_ids = np.flatnonzero(plane_bitmap)
     for lo in range(0, len(dual_ids), chunk):
-        piece = gfbatch.ids_to_points(dual_ids[lo : lo + chunk])
-        piv = np.argmax(piece != 0, axis=1)
-        rows = np.zeros((len(piece), 3, 4), dtype=np.int16)
-        bidx = np.arange(len(piece))
-        slot = np.zeros(len(piece), dtype=np.int64)
-        for k in range(4):
-            is_free = k != piv
-            r = np.minimum(slot, 2)
-            rows[bidx, r, k] = np.where(is_free, 1, rows[bidx, r, k])
-            rows[bidx, r, piv] ^= np.where(is_free, piece[bidx, k], 0).astype(
-                np.int16
-            )
-            slot += is_free
-        _, rref, _ = gfbatch.rref_small_batch(tables, rows)
-        ids = gfbatch.plane_point_ids(tables, rref)
+        duals = gfbatch.ids_to_points(dual_ids[lo : lo + chunk])
+        ids = gfbatch.plane_point_ids(tables, _plane_rref(tables, duals))
         covered[ids.ravel()] = True
         if covered.all():
             return

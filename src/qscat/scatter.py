@@ -7,13 +7,17 @@ Two independent algorithms decide h-scatteredness:
 * the oracle enumerates order-dimensional F_{q^6}-subspaces H and
   requires dim_q(U ∩ H) <= order.
 
-Each exhaustive scan has one path, the numpy GF(64) engines of gfbatch,
-and gfbatch.check_scan_shape is the one check of what they pack: q = 2,
-an ambient F_64^r with r <= 10 and their width limits, so an r = 3
-system such as {(x, x^q, x^(q^2))} scans as the r = 4 systems U_s do.
-Any other shape is a ConfigError, raised after the work budget check, as
-is the scalar Frobenius-fixed spectrum at q != 2.  Larger q produce
-sampled-evidence verdicts.
+Every exhaustive scan, both tests, weight_spectrum and the rank-metric
+span table alike, runs through one driver, exhaustive_scan, on the
+numpy GF(64) engines of gfbatch; gfbatch.check_scan_shape is the one
+check of what they pack: q = 2, an ambient F_64^r with r <= 10 and their
+width limits, so an r = 3 system such as {(x, x^q, x^(q^2))} scans as
+the r = 4 systems U_s do.  Any other shape is a ConfigError, raised
+after the work budget check, as is the scalar Frobenius-fixed spectrum
+at q != 2.  Larger q produce sampled-evidence verdicts.  Each test has
+one scalar re-check of its witness (_fq_witness, _oracle_witness), which
+the exhaustive mode feeds the decoded first refuting position and the
+sampled mode the first refuting draw.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -41,6 +45,7 @@ from .linalg import (
 )
 
 DEFAULT_BUDGET = 10**8  # enumerated subspace evaluations per exhaustive call
+MODES = ("exhaustive", "sampled")
 
 # GL(4, q^6) matrix carrying U'_5 onto U_1 (column action)
 SEC2_EQUIV_MATRIX = ((1, 0, 1, 1), (0, 0, 1, 0), (1, 1, 0, 1), (1, 0, 0, 0))
@@ -146,14 +151,31 @@ def sec2_equivalence_matrix(field):
 # -- witnesses -------------------------------------------------------------
 
 
-def _fq_witness(U, position, S, span_dim):
+def _fq_witness(U, order, rows, span, position=-1):
+    """Re-check a refuting F_q-subspace, given by coefficient rows over
+    U's basis (decoded or drawn), and return its witness."""
+    field = U.field
+    vecs = [U.combine(row) for row in rows]
+    s = fqm_span_dim(field, vecs)
+    if fqm_span_dim(field, rows) != order + 1 or s != span or s > order:
+        raise InvariantViolation("fast-test witness at %d does not re-check" % position)
+    basis = FqSubspace.span(field, U.r, vecs).basis
     return {
         "kind": "fq_subspace_of_U",
         "position": position,
-        "basis": [[U.field.to_hex(x) for x in v] for v in S.basis],
-        "fqm_span_dim": span_dim,
-        "text": rows_to_text(U.field, U.r, S.basis),
+        "basis": [[field.to_hex(x) for x in v] for v in basis],
+        "fqm_span_dim": s,
+        "text": rows_to_text(field, U.r, basis),
     }
+
+
+def _oracle_witness(U, order, gens, w, position=-1):
+    """Re-check a refuting F_{q^6}-subspace, given by generators (decoded
+    RREF rows or drawn), and return its witness."""
+    H = FqmSubspace.span(U.field, U.r, gens)
+    if H.dim != order or weight(U, H) != w or w <= order:
+        raise InvariantViolation("oracle witness at %d does not re-check" % position)
+    return _fqm_witness(U, position, H, w)
 
 
 def _fqm_witness(U, position, H, w):
@@ -166,98 +188,76 @@ def _fqm_witness(U, position, H, w):
     }
 
 
-def _decode_fq_subspace(U, position, d):
-    enum = RrefEnumerator(U.field.fq_elements, U.dim_q, d)
-    rows, _ = enum.decode(position)
-    return FqSubspace.span(U.field, U.r, [U.combine(row) for row in rows])
+# -- the exhaustive scan ----------------------------------------------------
 
 
-def _decode_fqm_subspace(field, r, position, d):
-    enum = RrefEnumerator(range(field.order), r, d)
-    rows, piv = enum.decode(position)
-    return FqmSubspace(field, r, rows, piv)
-
-
-# -- scan workers (top level for pickling) ---------------------------------
-
-
-def _fast_scan_worker(args, start, stride):
+def _scan_worker(args, start, stride):
+    """One worker's (start, stride) slice of each scan; see exhaustive_scan."""
     import numpy as np
 
-    from .gfbatch import Gf64Tables, FqSpanScanner
+    from .gfbatch import Gf64Tables, DualCodimScanner, FqSpanScanner
 
-    field, basis, d = args
-    scanner = FqSpanScanner(Gf64Tables(field), basis)
-    for pos, spans in scanner.iter_span_dims(d, start=start, stride=stride):
-        bad = spans < d
-        if bad.any():
-            i = int(np.argmax(bad))
-            return {"first": (int(pos[i]), int(spans[i]))}
-    return {"first": None}
-
-
-def _oracle_scan_worker(args, start, stride):
-    import numpy as np
-
-    from .gfbatch import Gf64Tables, DualCodimScanner
-
-    field, basis, d, order_limit = args
-    scanner = DualCodimScanner(Gf64Tables(field), basis)
-    hist = np.zeros(len(basis) + 1, dtype=np.int64)
-    first = None
-    for pos, w in scanner.iter_weights(d, start=start, stride=stride):
-        hist += np.bincount(w, minlength=len(basis) + 1)
-        if order_limit is not None:
-            bad = w > order_limit
+    field, basis, ds, oracle, lo, hi, chunk = args
+    scanner = (DualCodimScanner if oracle else FqSpanScanner)(Gf64Tables(field), basis)
+    values = scanner.iter_weights if oracle else scanner.iter_span_dims
+    out = []
+    for d in ds:
+        hist = np.zeros(len(basis) + 1, dtype=np.int64)  # values are <= nb
+        first = None
+        for pos, v in values(d, start=start, stride=stride, chunk=chunk):
+            hist += np.bincount(v, minlength=len(hist))
+            bad = (v < lo) | (v > hi)
             if bad.any():
                 i = int(np.argmax(bad))
-                first = (int(pos[i]), int(w[i]))
+                first = (int(pos[i]), int(v[i]))
                 break
-    return {"first": first, "hist": [int(c) for c in hist]}
+        out.append((first, [int(c) for c in hist]))
+    return out
 
 
-def _merge_first(results):
-    firsts = [r["first"] for r in results if r["first"] is not None]
-    return min(firsts) if firsts else None
+def exhaustive_scan(U, ds, oracle, workers, lo=0, hi=None, chunk=1 << 16):
+    """Scan the d-dim subspaces for each d in ds: weight(U, H) over the
+    F_{q^m}-subspaces H if `oracle`, else dim <S>_{F_{q^m}} over the
+    F_q-subspaces S of U.
 
-
-def _oracle_scan(U, d, order_limit, workers):
-    """Weights of U against the d-dim F_{q^m}-subspaces, in enumeration order.
-
-    Returns (first, hist): first is (position, weight) of the first
-    subspace heavier than order_limit (None if there is none, or if
-    order_limit is None), and hist[w] counts the scanned subspaces of
-    weight w.  The scan stops at first, so hist covers the whole
-    enumeration only when first is None; it is then checked against
-    _incidences.
+    Returns (first, hist) per d, merged over the workers: first is the
+    (position, value) of the first value outside [lo, hi] in enumeration
+    order, where that d's scan stops (None if there is none), and hist[v]
+    counts the values scanned.  A complete oracle hist (first is None) is
+    checked against _check_incidences.
     """
-    from .gfbatch import DualCodimScanner, check_scan_shape
+    from .gfbatch import DualCodimScanner, FqSpanScanner, check_scan_shape
 
     field = U.field
-    check_scan_shape(DualCodimScanner, field, U.r, U.dim_q)
-    args = (field, U.basis, d, order_limit)
-    results = run_partitioned(_oracle_scan_worker, args, workers)
-    hist = [sum(col) for col in zip(*(r["hist"] for r in results))]
-    first = _merge_first(results)
-    if first is None:
-        got = sum((field.q**w - 1) * c for w, c in enumerate(hist))
-        expected = _incidences(U, d)
-        if got != expected:
-            raise ClosedFormMismatch(
-                "weight histogram %r of the %d-dim subspaces counts %d "
-                "incidences, expected %d" % (hist, d, got, expected)
-            )
-    return first, hist
+    check_scan_shape(DualCodimScanner if oracle else FqSpanScanner, field, U.r, U.dim_q)
+    hi = U.dim_q if hi is None else hi
+    args = (field, U.basis, tuple(ds), oracle, lo, hi, chunk)
+    results = run_partitioned(_scan_worker, args, workers)
+    out = []
+    for k, d in enumerate(ds):
+        firsts = [res[k][0] for res in results if res[k][0] is not None]
+        first = min(firsts) if firsts else None
+        hist = [sum(col) for col in zip(*(res[k][1] for res in results))]
+        if oracle and first is None:
+            _check_incidences(U, d, hist)
+        out.append((first, hist))
+    return out
 
 
-def _incidences(U, d):
-    """sum over d-dim H of (q^w(H) - 1): the pairs (u in U - 0, H ∋ u).
+def _check_incidences(U, d, hist):
+    """sum over d-dim H of (q^w(H) - 1) counts the pairs (u in U - 0, H ∋ u).
 
     Each nonzero u lies in [r-1, d-1]_{q^m} of the d-dim subspaces, so
     the sum is the same for every U of the same F_q-dimension.
     """
     field = U.field
-    return (field.q**U.dim_q - 1) * gaussian_binomial(U.r - 1, d - 1, field.order)
+    got = sum((field.q**w - 1) * c for w, c in enumerate(hist))
+    expected = (field.q**U.dim_q - 1) * gaussian_binomial(U.r - 1, d - 1, field.order)
+    if got != expected:
+        raise ClosedFormMismatch(
+            "weight histogram %r of the %d-dim subspaces counts %d "
+            "incidences, expected %d" % (hist, d, got, expected)
+        )
 
 
 # -- scatteredness tests ----------------------------------------------------
@@ -268,22 +268,17 @@ def _not_spanning(U, order, mode):
     span_full = fqm_span_dim(U.field, U.basis)
     if span_full == U.r:
         return None
-    return Verdict(
-        ok=False,
-        witness={"kind": "not_spanning", "fqm_span_dim": span_full},
-        checked_count=0,
-        mode=mode,
-        details={"order": order},
-    )
+    witness = {"kind": "not_spanning", "fqm_span_dim": span_full}
+    return Verdict(False, witness, 0, mode, {"order": order})
+
+
+def _check_mode(mode):
+    if mode not in MODES:
+        raise ConfigError("mode must be one of %s, got %r" % (", ".join(MODES), mode))
 
 
 def is_h_scattered_fast(
-    U,
-    order,
-    mode="exhaustive",
-    samples=None,
-    seed=None,
-    workers=1,
+    U, order, mode="exhaustive", samples=None, seed=None, workers=1,
     budget=DEFAULT_BUDGET,
 ):
     """Fast test: every (order+1)-dim F_q-subspace of U spans >= order+1.
@@ -291,6 +286,7 @@ def is_h_scattered_fast(
     Requires that U spans the ambient over F_{q^6}; exhaustive mode is
     guarded by the work budget, then by gfbatch.check_scan_shape.
     """
+    _check_mode(mode)
     field = U.field
     d = order + 1
     not_spanning = _not_spanning(U, order, "fast")
@@ -301,38 +297,22 @@ def is_h_scattered_fast(
     total = gaussian_binomial(U.dim_q, d, field.q)
     if total > budget:
         raise WorkLimitExceeded(total, budget)
-    from .gfbatch import FqSpanScanner, check_scan_shape
-
-    check_scan_shape(FqSpanScanner, field, U.r, U.dim_q)
-    results = run_partitioned(_fast_scan_worker, (field, U.basis, d), workers)
-    first = _merge_first(results)
+    [(first, _)] = exhaustive_scan(U, (d,), False, workers, lo=d, chunk=1 << 15)
+    details = {"order": order, "subspace_dim": d}
     if first is None:
-        return Verdict(
-            ok=True,
-            witness=None,
-            checked_count=total,
-            mode="fast",
-            details={"order": order, "subspace_dim": d},
-        )
+        return Verdict(True, None, total, "fast", details)
     pos, span = first
-    S = _decode_fq_subspace(U, pos, d)
-    if fqm_span_dim(field, S.basis) != span:
-        raise InvariantViolation("fast-test witness at %d does not re-check" % pos)
-    return Verdict(
-        ok=False,
-        witness=_fq_witness(U, pos, S, span),
-        checked_count=pos + 1,
-        mode="fast",
-        details={"order": order, "subspace_dim": d},
-    )
+    rows, _ = RrefEnumerator(field.fq_elements, U.dim_q, d).decode(pos)
+    witness = _fq_witness(U, order, rows, span, pos)
+    return Verdict(False, witness, pos + 1, "fast", details)
 
 
 def _sampled(U, order, samples, seed, oracle):
     """Sampled verdict of the fast test, or of the oracle if `oracle`.
 
     The samples run in numpy batches (gfbatch.SampledFast/SampledOracle)
-    on the seeded xorshift64* stream; the first refuting sample is decoded
-    again and re-checked by the scalar code before it becomes the witness.
+    on the seeded xorshift64* stream; the first refuting sample goes
+    through the same scalar re-check as an exhaustive scan's witness.
     """
     if samples is None or seed is None:
         raise ValueError("sampled mode requires samples and seed")
@@ -347,79 +327,45 @@ def _sampled(U, order, samples, seed, oracle):
     if found is None:
         return Verdict(True, None, samples, "sampled", details)
     k, group, value = found
-    recheck = _oracle_sample_witness if oracle else _fast_sample_witness
-    return Verdict(False, recheck(U, order, group, value), k + 1, "sampled", details)
-
-
-def _fast_sample_witness(U, order, group, span):
-    field, d, nb = U.field, order + 1, U.dim_q
-    elems = field.fq_elements
-    rows = [[elems[x] for x in group[i * nb : (i + 1) * nb]] for i in range(d)]
-    vecs = [U.combine(row) for row in rows]
-    s = fqm_span_dim(field, vecs)
-    if fqm_span_dim(field, rows) != d or s != span or s >= d:
-        raise InvariantViolation("sampled fast-test witness does not re-check")
-    return _fq_witness(U, -1, FqSubspace.span(field, U.r, vecs), s)
+    if oracle:
+        gens = [group[i : i + U.r] for i in range(0, len(group), U.r)]
+        witness = _oracle_witness(U, order, gens, value)
+    else:
+        nb, elems = U.dim_q, U.field.fq_elements
+        rows = [[elems[x] for x in group[i : i + nb]] for i in range(0, len(group), nb)]
+        witness = _fq_witness(U, order, rows, value)
+    return Verdict(False, witness, k + 1, "sampled", details)
 
 
 def is_h_scattered_oracle(
-    U,
-    order,
-    mode="exhaustive",
-    samples=None,
-    seed=None,
-    workers=1,
+    U, order, mode="exhaustive", samples=None, seed=None, workers=1,
     budget=DEFAULT_BUDGET,
 ):
     """Literal test: every order-dim F_{q^6}-subspace meets U in <= order."""
+    _check_mode(mode)
     field = U.field
     not_spanning = _not_spanning(U, order, mode)
     if not_spanning:
         return not_spanning
     if order >= U.r:
-        return Verdict(
-            ok=True,
-            witness=None,
-            checked_count=0,
-            mode=mode,
-            details={"order": order, "degenerate": True},
-        )
+        return Verdict(True, None, 0, mode, {"order": order, "degenerate": True})
     if mode == "sampled":
         return _sampled(U, order, samples, seed, oracle=True)
     total = gaussian_binomial(U.r, order, field.order)
     if total > budget:
         raise WorkLimitExceeded(total, budget)
-    first, hist = _oracle_scan(U, order, order, workers)
+    [(first, hist)] = exhaustive_scan(U, (order,), True, workers, hi=order)
     if first is None:
         details = {
             "order": order,
             "max_weight": max(i for i, c in enumerate(hist) if c),
             "weight_hist": {str(i): c for i, c in enumerate(hist) if c},
         }
-        return Verdict(
-            ok=True, witness=None, checked_count=total, mode="exhaustive",
-            details=details,
-        )
+        return Verdict(True, None, total, "exhaustive", details)
     pos, w = first
-    H = _decode_fqm_subspace(field, U.r, pos, order)
-    if weight(U, H) != w:
-        raise InvariantViolation("oracle witness at %d does not re-check" % pos)
-    return Verdict(
-        ok=False,
-        witness=_fqm_witness(U, pos, H, w),
-        checked_count=pos + 1,
-        mode="exhaustive",
-        details={"order": order},
-    )
-
-
-def _oracle_sample_witness(U, order, group, w):
-    r = U.r
-    gens = [tuple(group[i * r : (i + 1) * r]) for i in range(order)]
-    H = FqmSubspace.span(U.field, r, gens)
-    if H.dim != order or weight(U, H) != w or w <= order:
-        raise InvariantViolation("sampled oracle witness does not re-check")
-    return _fqm_witness(U, -1, H, w)
+    rows, _ = RrefEnumerator(range(field.order), U.r, order).decode(pos)
+    witness = _oracle_witness(U, order, rows, w, pos)
+    return Verdict(False, witness, pos + 1, "exhaustive", {"order": order})
 
 
 # -- Frobenius-fixed subspaces and parity -----------------------------------
@@ -511,7 +457,7 @@ def weight_spectrum(
     total = gaussian_binomial(U.r, d, field.order)
     if total > budget:
         raise WorkLimitExceeded(total, budget)
-    _, hist = _oracle_scan(U, d, None, workers)
+    [(_, hist)] = exhaustive_scan(U, (d,), True, workers)
     return {i: c for i, c in enumerate(hist) if c}
 
 

@@ -64,7 +64,7 @@ def hyper_spec(U1):
 
 @pytest.fixture(scope="module")
 def profile(code):
-    return classify(code, workers=WORKERS, oracle_rhos=(1, 3, 4))
+    return classify(code, workers=WORKERS)
 
 
 def test_criterion_01_fast_certification(F, U1, capsys):

@@ -160,6 +160,27 @@ def test_out_of_range_seed_exit_2(tmp_path, flags, seed):
         assert proc.stderr.splitlines() == ["qscat: error: seed must be in 0..2^64 - 1"]
 
 
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "O"])
+@pytest.mark.parametrize("key,value", [("mode", "bogus"), ("oracle", "nope")])
+def test_unknown_choice_exit_2(tmp_path, flags, key, value):
+    """An unknown mode or oracle is a config error from the flag and from
+    --config alike, not a certificate labelled with it; also under -O."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    cfg = tmp_path / "choice.cfg"
+    cfg.write_text("%s=%s\n" % (key, value))
+    for args in (["--" + key, value], ["--config", str(cfg)]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "qscat.cli",
+             "verify-scattered", "--order", "1", *args],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert value in proc.stderr
+
+
 def test_negative_rho_exit_2(capsys):
     code, cert = run_cli(capsys, "saturating", "--rho", "-1")
     assert code == 2 and cert is None

@@ -248,3 +248,25 @@ def test_q8_linear_set_guarded(F8):
     U8 = build_Us(F8, 1)
     with pytest.raises(ConfigError, match="q = 8"):
         linear_set_points(U8)
+
+
+def test_plane_rref_matches_rref_small_batch(F):
+    """The closed-form RREF of every plane of PG(3, 64) equals the row
+    reduction of the basis e_k + w_k e_piv (k != piv) of w . x = 0."""
+    from qscat.saturate import _plane_rref
+
+    tables = Gf64Tables(F)
+    duals = ids_to_points(np.arange(POINT_COUNT))
+    piv = np.argmax(duals != 0, axis=1)  # the first nonzero w_piv is 1
+    bidx = np.arange(len(duals))
+    basis = np.zeros((len(duals), 3, 4), dtype=np.int16)
+    slot = np.zeros(len(duals), dtype=np.int64)
+    for k in range(4):
+        is_free = k != piv
+        r = np.minimum(slot, 2)
+        basis[bidx, r, k] = np.where(is_free, 1, basis[bidx, r, k])
+        basis[bidx, r, piv] ^= np.where(is_free, duals[:, k], 0).astype(np.int16)
+        slot += is_free
+    rank, reference, _ = rref_small_batch(tables, basis)
+    assert (rank == 3).all()
+    assert np.array_equal(_plane_rref(tables, duals), reference)

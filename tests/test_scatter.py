@@ -201,6 +201,15 @@ def test_sampled_seed_out_of_range(U1, test):
         assert v.details["seed"] == seed
 
 
+@pytest.mark.parametrize("test", [is_h_scattered_fast, is_h_scattered_oracle])
+def test_unknown_mode_is_config_error(U1, test):
+    """An unknown mode names no scan: neither a degenerate ok verdict
+    labelled with it nor a silent exhaustive run."""
+    for order in (1, 4):
+        with pytest.raises(ConfigError, match="bogus"):
+            test(U1, order, mode="bogus")
+
+
 def test_agreement_seed_and_count_ranges(F, monkeypatch):
     """Sample i of seed s draws from the stream of (s << 20) ^ i, so seeds
     past 2^44 or counts past 2^20 would reuse streams."""
@@ -445,3 +454,62 @@ def test_q8_exhaustive_is_config_error(F8):
         is_h_scattered_oracle(U8, 2, budget=10**30)
     with pytest.raises(ConfigError, match="q = 8"):
         weight_spectrum(U8, 1, budget=10**30)
+
+
+# the exhaustive witnesses of two seeded random subspaces, refuted at
+# orders 1 and 2: (position, basis or RREF, fqm_span_dim or weight)
+_PINNED_WITNESSES = {
+    (7, "fast", 1): (9_063, [["a3", "40", "51", "40"], ["42", "f3", "73", "f3"]], 1),
+    (7, "fast", 2): (
+        436,
+        [["10", "93", "c1", "22"], ["23", "c0", "02", "f2"], ["c2", "91", "12", "23"]],
+        2,
+    ),
+    (7, "oracle", 1): (94_423, [["10", "71", "30", "71"]], 2),
+    (16, "fast", 1): (4_326, [["12", "f3", "11", "a2"], ["42", "71", "70", "a1"]], 1),
+    (16, "fast", 2): (
+        2_887,
+        [["10", "31", "e0", "e0"], ["a1", "31", "f0", "e2"], ["42", "73", "93", "d0"]],
+        2,
+    ),
+    (16, "oracle", 1): (34_873, [["10", "80", "02", "93"]], 2),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("key", sorted(_PINNED_WITNESSES), ids=str)
+def test_exhaustive_witnesses_are_pinned(F, key, workers):
+    """The first refuting subspace of each exhaustive scan, decoded and
+    re-checked, is a fixed object at every worker count."""
+    seed, side, order = key
+    position, rows, value = _PINNED_WITNESSES[key]
+    U = random_fq_subspace(F, 4, 8, XorShift64Star(seed))
+    test = is_h_scattered_fast if side == "fast" else is_h_scattered_oracle
+    v = test(U, order, workers=workers)
+    assert not v.ok and v.checked_count == position + 1
+    assert v.witness["position"] == position
+    if side == "fast":
+        assert v.witness["basis"] == rows and v.witness["fqm_span_dim"] == value
+    else:
+        assert v.witness["rref"] == rows and v.witness["weight"] == value
+
+
+def test_false_low_span_is_an_invariant_violation(U1, monkeypatch, capsys):
+    """A scanner that reports a span below the true one is caught by the
+    scalar re-check of the witness: an internal error, never a refutation."""
+    from qscat import cli, gfbatch
+    from qscat.errors import InvariantViolation
+
+    real = gfbatch.FqSpanScanner.iter_span_dims
+
+    def lying(self, d, *args, **kwargs):
+        for pos, spans in real(self, d, *args, **kwargs):
+            spans = spans.copy()
+            spans[pos == 5] = d - 1
+            yield pos, spans
+
+    monkeypatch.setattr(gfbatch.FqSpanScanner, "iter_span_dims", lying)
+    with pytest.raises(InvariantViolation):
+        is_h_scattered_fast(U1, 2)
+    assert cli.main(["verify-scattered", "--order", "2", "--oracle", "off"]) == 3
+    assert capsys.readouterr().out == ""
