@@ -3,7 +3,11 @@
 The exhaustive q = 2 certifications walk 10^7-scale enumerations; the
 GF(64) scan engines here run them in numpy batches.  Enumeration indices
 agree exactly with linalg.RrefEnumerator, so witnesses found here can be
-re-decoded and re-checked by the scalar reference code.  The engines
+re-decoded and re-checked by the scalar reference code.  A scan is cut
+into contiguous chunks that are dealt round-robin to the workers
+(_rref_chunks); the oracle's point and line weights are read off cached
+kernel bitmaps as broadcast tiles of 4,096 positions (DualCodimScanner),
+which stay in cache and leave no multi-MB temporaries.  The engines
 take the ambient F_64^r from their input; a vector of F_64^r packs into
 one int64 (coordinate k at bits 6k, `coords_to_flats`/`flats_to_coords`),
 so check_scan_shape admits r <= 10.  The point ids, lines and planes
@@ -16,6 +20,7 @@ xorshift64* stream as a one-sample-at-a-time loop would, one block of
 draws per batch (`XorShift64Star.draws`).
 """
 
+from bisect import bisect_right
 from itertools import combinations
 
 import numpy as np
@@ -170,38 +175,63 @@ def id_to_point(pid):
     return tuple(int(c) for c in ids_to_points([pid])[0])
 
 
+FIRST_CHUNK = 1 << 12  # scan chunks start here and double up to their cap
+# the cap: 2^14 positions keep the per-chunk position and weight arrays at
+# or below 128 KB, glibc's default mmap threshold, so chunks reuse heap
+# pages instead of mapping and faulting in fresh ones
+SCAN_CHUNK = 1 << 14
+
+
 def _rref_chunks(enum, start, stride, chunk):
-    """Decode one worker's (start, stride) slice of an RrefEnumerator.
+    """Deal an RrefEnumerator's positions to worker `start` of `stride`.
 
-    Yields (pos, parts) per chunk of at most `chunk` positions: pos holds
-    the global enumeration positions, and parts yields (lo, hi, piv,
-    digits) for each pivot profile piv met in pos[lo:hi], where digits
-    maps each free RREF cell (i, c) to the array of its entries (the
-    base-Q digits of the position within the profile; scalars are
-    range(Q), Q a power of two).  Consume parts before taking the next
-    chunk.
+    The positions are cut into contiguous chunks: the first holds
+    min(chunk, FIRST_CHUNK) positions, each next one twice as many up to
+    `chunk`, so a scan that stops at an early witness does little extra
+    work.  Chunk k goes to worker k mod stride, and each worker walks its
+    chunks in ascending order.  Yields (lo, hi, parts) per chunk of
+    positions [lo, hi), where parts lists (s, p, a, b): the local
+    positions [a, b) of pivot profile p, which sit at [s, s + b - a) of
+    the chunk.
     """
-    npos = len(range(start, enum.total, stride))
-    for c0 in range(0, npos, chunk):
-        pos = start + stride * np.arange(c0, min(c0 + chunk, npos), dtype=np.int64)
-        yield pos, _profile_parts(enum, pos)
+    total = enum.total
+    edges = [0]
+    size = min(chunk, FIRST_CHUNK)
+    while size < chunk and edges[-1] < total:
+        edges.append(edges[-1] + size)
+        size *= 2
+    head = len(edges) - 1
+    count = head + -(-max(total - edges[-1], 0) // chunk)
+    for k in range(start, count, stride):
+        if k < head:
+            lo, hi = edges[k], edges[k + 1]
+        else:
+            lo = edges[-1] + (k - head) * chunk
+            hi = lo + chunk
+        hi = min(hi, total)
+        parts = []
+        p = bisect_right(enum.offsets, lo) - 1
+        at = lo
+        while at < hi:
+            base = enum.offsets[p]
+            end = min(hi, base + enum.counts[p])
+            parts.append((at - lo, p, at - base, end - base))
+            at = end
+            p += 1
+        yield lo, hi, parts
 
 
-def _profile_parts(enum, pos):
+def _cell_digits(enum, p, a, b):
+    """{cell (i, c): entries} of the RREFs at local positions [a, b) of
+    profile p: the base-Q digits of the position, Q = len(enum.scalars)
+    a power of two, the last cell least significant."""
     bits = len(enum.scalars).bit_length() - 1
+    rem = np.arange(a, b, dtype=np.int64)
     mask = (1 << bits) - 1
-    lo = 0
-    for p, piv in enumerate(enum.profiles):
-        hi = lo + int(np.searchsorted(pos[lo:], enum.offsets[p] + enum.counts[p]))
-        if hi == lo:
-            continue
-        cells = enum.cells[p]
-        digits = {}
-        rem = pos[lo:hi] - enum.offsets[p]
-        for t, cell in enumerate(reversed(cells)):
-            digits[cell] = (rem >> (bits * t)) & mask
-        yield lo, hi, piv, digits
-        lo = hi
+    return {
+        cell: (rem >> (bits * t)) & mask
+        for t, cell in enumerate(reversed(enum.cells[p]))
+    }
 
 
 class DualCodimScanner:
@@ -213,13 +243,17 @@ class DualCodimScanner:
     = 0 for every f.  Enumeration order matches
     RrefEnumerator(range(64), r, d).
 
-    For d <= 2 each w_f depends only on its (profile, f) and on at most
-    two RREF digits, so it takes at most 4,096 values, each met thousands
-    of times.  The scanner builds, once per (profile, f) met, the kernel
-    K[w] = {a in F_2^nb : (sum_j a_j u_j) . w = 0} of each value as a
-    2^nb-bit bitmap, and the weight is log2 |AND_f K[w_f]|.  For d >= 3
-    each dual is met once, so the weight is nb minus the rank of the
-    (nb x 6(r-d))-bit map u -> (u . w_f)_f.
+    For d <= 2 each w_f depends only on its (profile, f) and on the
+    digits of at most two RREF cells (i, f), so it takes at most 4,096
+    values.  The scanner builds, once per (profile, f) met, a kernel
+    table: the kernel K[w] = {a in F_2^nb : (sum_j a_j u_j) . w = 0} of
+    each value as a 2^nb-bit bitmap, with one 64-wide axis per cell that
+    w_f reads.  The weight is log2 |AND_f K[w_f]|.  Positions are walked
+    in tiles: within a profile, every digit but the last two is fixed,
+    each table is sliced at the fixed digits and broadcast over the free
+    ones, and the AND of the slices is one [words, 4096] tile that stays
+    in cache.  For d >= 3 each dual is met once, so the weight is nb
+    minus the rank of the (nb x 6(r-d))-bit map u -> (u . w_f)_f.
     """
 
     MAX_WIDTH = 10  # nb fields of 6 bits in an int64
@@ -236,7 +270,8 @@ class DualCodimScanner:
         basis = np.array(u_basis, dtype=np.int16)
         scal = np.arange(64, dtype=np.int16)
         self.tk = coords_to_flats(tables.mul(basis.T[:, None, :], scal[:, None]))
-        self._kernels = {}  # (piv, f) -> (kernel bitmaps by key, key cells)
+        self._plans = {}  # piv -> tile plan
+        self._tiles = {}  # tile digit count -> (tile, popcounts, sizes) buffers
 
     def _dots(self, duals):
         """[..., r] dual vectors w -> [...] packs of the u_j . w, 6 bits each."""
@@ -266,61 +301,100 @@ class DualCodimScanner:
         for j in range(self.nb):
             sums = np.concatenate([sums, sums ^ dots[:, j, None]], axis=1)
         packed = np.packbits(sums == 0, axis=1, bitorder="little")
-        pad = -packed.shape[1] % 8
-        return np.pad(packed, ((0, 0), (0, pad))).view(np.uint64)
+        if packed.shape[1] % 8:  # nb < 6: fewer than 8 bytes
+            packed = np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8)))
+        return packed.view(np.uint64)
 
-    def _kernel_table(self, piv, f):
+    def _kernel_table(self, piv, f, rows):
         """Bitmaps of K[w_f] for every value of the digits w_f depends on.
 
-        Returns (bitmaps, rows): w_f reads the digits of the cells (i, f)
-        for i in rows, and its key is their base-64 number in row order.
+        w_f reads the cells (i, f) for i in rows; the table has the bitmap
+        words as its first axis, then one 64-wide axis per such cell, in
+        row order.
         """
-        entry = self._kernels.get((piv, f))
-        if entry is None:
-            rows = [i for i in range(len(piv)) if piv[i] < f]
-            keys = np.arange(64 ** len(rows), dtype=np.int64)
-            duals = np.zeros((len(keys), self.r), dtype=np.int16)
-            duals[:, f] = 1
-            duals[:, [piv[i] for i in reversed(rows)]] = flats_to_coords(keys, len(rows))
-            # d <= 2: at most 64^2 = 4,096 values, built with 2^nb bytes each
-            entry = (self.kernel_bitmaps(duals), rows)
-            self._kernels[(piv, f)] = entry
-        return entry
+        keys = np.arange(64 ** len(rows), dtype=np.int64)
+        duals = np.zeros((len(keys), self.r), dtype=np.int16)
+        duals[:, f] = 1
+        duals[:, [piv[i] for i in reversed(rows)]] = flats_to_coords(keys, len(rows))
+        # d <= 2: at most 64^2 = 4,096 values, built with 2^nb bytes each
+        bitmaps = np.ascontiguousarray(self.kernel_bitmaps(duals).T)
+        return bitmaps.reshape(bitmaps.shape[:1] + (64,) * len(rows))
 
-    def iter_weights(self, d, start=0, stride=1, chunk=1 << 16):
-        """Yield (global_position_array, weights_array) over the scan."""
+    def _tile_plan(self, piv, cells):
+        """How each kernel table of profile piv is sliced for a tile.
+
+        The last t = min(2, len(cells)) cells vary inside a tile, the
+        others are fixed digits of the tile number g.  Returns (t, views):
+        per free column, its kernel table, the shift of g that gives each
+        fixed axis (None for a tile axis), and the shape that broadcasts
+        the slice over the tile.  Built once per profile and scanner.
+        """
+        plan = self._plans.get(piv)
+        if plan is None:
+            fixed = len(cells) - min(2, len(cells))
+            views = []
+            for f in range(self.r):
+                if f in piv:
+                    continue
+                rows = [i for i in range(len(piv)) if piv[i] < f]
+                table = self._kernel_table(piv, f, rows)
+                axes = [cells.index((i, f)) for i in rows]
+                shifts = [6 * (fixed - 1 - k) if k < fixed else None for k in axes]
+                shape = [64 if k in axes else 1 for k in range(fixed, len(cells))]
+                views.append((table, shifts, table.shape[:1] + tuple(shape)))
+            plan = (len(cells) - fixed, views)
+            self._plans[piv] = plan
+        return plan
+
+    def _tile_buffers(self, t, words):
+        """The tile, its popcounts and its kernel sizes, reused by every
+        tile of t digits."""
+        bufs = self._tiles.get(t)
+        if bufs is None:
+            tile = np.empty((words,) + (64,) * t, dtype=np.uint64)
+            bufs = (tile, np.empty(tile.shape, dtype=np.uint8),
+                    np.empty(64**t, dtype=np.uint16))
+            self._tiles[t] = bufs
+        return bufs
+
+    def iter_weights(self, d, start=0, stride=1, chunk=SCAN_CHUNK):
+        """Yield (global_position_array, weights_array) per chunk of worker
+        `start` of `stride` (see _rref_chunks)."""
         enum = RrefEnumerator(range(64), self.r, d)
-        for pos, parts in _rref_chunks(enum, start, stride, chunk):
-            weights = np.empty(len(pos), dtype=np.int64)
-            for lo, hi, piv, digits in parts:
+        for lo, hi, parts in _rref_chunks(enum, start, stride, chunk):
+            weights = np.empty(hi - lo, dtype=np.int64)
+            for s, p, a, b in parts:
+                piv = enum.profiles[p]
                 if d <= 2:
-                    weights[lo:hi] = self._bitmap_weights(piv, digits, hi - lo)
+                    self._tile_weights(piv, enum.cells[p], a, b, weights[s : s + b - a])
                 else:
-                    weights[lo:hi] = self._rank_weights(piv, digits, hi - lo)
-            yield pos, weights
+                    digits = _cell_digits(enum, p, a, b)
+                    weights[s : s + b - a] = self._rank_weights(piv, digits, b - a)
+            yield np.arange(lo, hi, dtype=np.int64), weights
 
-    def _bitmap_weights(self, piv, digits, B):
-        common = None
-        for f in range(self.r):
-            if f in piv:
-                continue
-            bitmaps, rows = self._kernel_table(piv, f)
-            key = np.zeros(B, dtype=np.int64)
-            for i in rows:
-                key = (key << 6) | digits[(i, f)]
-            kernel = np.take(bitmaps, key, axis=0)
-            if common is None:
-                common = kernel
-            else:
-                np.bitwise_and(common, kernel, out=common)
-        # |AND_f K[w_f]| = 2^weight.  Sum the word popcounts: four uint16
-        # counts share a uint64, and one multiply adds them into its top
-        # 16 bits (the sum is at most 256, so nothing carries out)
-        counts = np.bitwise_count(common).astype(np.uint16)
-        pad = -counts.shape[1] % 4
-        counts = np.pad(counts, ((0, 0), (0, pad))).view(np.uint64)
-        size = counts * np.uint64(0x0001000100010001) >> np.uint64(48)
-        return np.bitwise_count(size.sum(axis=1) - np.uint64(1)).astype(np.int64)
+    def _tile_weights(self, piv, cells, a, b, out):
+        """Weights of the local positions [a, b) of profile piv into out."""
+        t, views = self._tile_plan(piv, cells)
+        tile, pops, sizes = self._tile_buffers(t, views[0][0].shape[0])
+        T = len(sizes)
+        flat_pops = pops.reshape(-1, T)
+        every = slice(None)
+        for g in range(a // T, (b - 1) // T + 1):
+            slices = [
+                table[(every,) + tuple(every if s is None else (g >> s) & 63 for s in shifts)]
+                .reshape(shape)
+                for table, shifts, shape in views
+            ]
+            # x & x = x, so one free column ANDs its slice with itself
+            np.bitwise_and(slices[0], slices[-1], out=tile)
+            for kernel in slices[1:-1]:
+                np.bitwise_and(tile, kernel, out=tile)
+            # |AND_f K[w_f]| = 2^weight, and 2^weight - 1 has weight bits set
+            np.bitwise_count(tile, out=pops)
+            np.add.reduce(flat_pops, axis=0, dtype=np.uint16, out=sizes)
+            sizes -= 1
+            lo, hi = max(a, g * T), min(b, (g + 1) * T)
+            out[lo - a : hi - a] = np.bitwise_count(sizes[lo - g * T : hi - g * T])
 
     def _rank_weights(self, piv, digits, B):
         free_cols = [c for c in range(self.r) if c not in piv]
@@ -351,18 +425,20 @@ class FqSpanScanner:
         # xsums[mask, j] = x^j times the sum of the basis vectors in mask
         self.xsums = coords_to_flats(tables.mul(sums[:, None, :], powers[:, None]))
 
-    def iter_span_dims(self, d, start=0, stride=1, chunk=1 << 15):
-        """Yield (positions, span_dims) over all d-dim subspaces of U."""
+    def iter_span_dims(self, d, start=0, stride=1, chunk=SCAN_CHUNK):
+        """Yield (positions, span_dims) over the d-dim subspaces of U, per
+        chunk of worker `start` of `stride` (see _rref_chunks)."""
         enum = RrefEnumerator((0, 1), self.nb, d)
-        for pos, parts in _rref_chunks(enum, start, stride, chunk):
-            masks = np.zeros((len(pos), d), dtype=np.int64)
-            for lo, hi, piv, digits in parts:
-                for i, c in enumerate(piv):
-                    masks[lo:hi, i] |= 1 << c
-                for (i, c), bit in digits.items():
-                    masks[lo:hi, i] |= bit << c
-            rank = rank_batch(self.xsums[masks].reshape(len(pos), -1))
-            yield pos, rank // 6
+        for lo, hi, parts in _rref_chunks(enum, start, stride, chunk):
+            masks = np.zeros((hi - lo, d), dtype=np.int64)
+            for s, p, a, b in parts:
+                seg = masks[s : s + b - a]
+                for i, c in enumerate(enum.profiles[p]):
+                    seg[:, i] |= 1 << c
+                for (i, c), bit in _cell_digits(enum, p, a, b).items():
+                    seg[:, i] |= bit << c
+            rank = rank_batch(self.xsums[masks].reshape(hi - lo, -1))
+            yield np.arange(lo, hi, dtype=np.int64), rank // 6
 
 
 class CodewordScanner:

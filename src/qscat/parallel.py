@@ -1,8 +1,13 @@
-"""Deterministic (start, stride) work partitioning.
+"""Deterministic work partitioning: worker `start` of `stride`.
 
-Workers receive their arguments, built field objects included, as they
-are (one worker) or pickled into a fork pool; results merge in
-worker-index order so certificates do not depend on the worker count.
+Each fn decides what worker start of stride takes: the exhaustive
+subspace scans deal contiguous chunks round-robin (chunk k to worker
+k mod stride, gfbatch._rref_chunks), the agreement suite and saturation
+deal items start, start + stride, ..., and the codeword scan takes one
+contiguous range per worker.  Workers receive their arguments, built
+field objects included, as they are (one worker) or pickled into a fork
+pool; results merge in worker-index order so certificates do not depend
+on the worker count.
 """
 
 import multiprocessing
@@ -14,7 +19,7 @@ def _invoke(payload):
 
 
 def run_partitioned(fn, args, workers):
-    """Run fn(args, start, stride) for start in range(workers)."""
+    """Run fn(args, start, workers) for start in range(workers)."""
     if workers <= 1:
         return [fn(args, 0, 1)]
     ctx = multiprocessing.get_context("fork")

@@ -136,7 +136,7 @@ def span_table(C, workers=1, budget=DEFAULT_BUDGET):
     if total > budget:
         raise WorkLimitExceeded(total, budget)
     ds = range(1, C.n + 1)
-    scans = exhaustive_scan(C.system, ds, False, workers, chunk=1 << 14)
+    scans = exhaustive_scan(C.system, ds, False, workers)
     minspan = [0] + [next(v for v, c in enumerate(hist) if c) for _, hist in scans]
     best = []
     for j in range(C.k + 1):

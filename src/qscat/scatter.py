@@ -192,19 +192,19 @@ def _fqm_witness(U, position, H, w):
 
 
 def _scan_worker(args, start, stride):
-    """One worker's (start, stride) slice of each scan; see exhaustive_scan."""
+    """Worker `start` of `stride`: its chunks of each scan; see exhaustive_scan."""
     import numpy as np
 
     from .gfbatch import Gf64Tables, DualCodimScanner, FqSpanScanner
 
-    field, basis, ds, oracle, lo, hi, chunk = args
+    field, basis, ds, oracle, lo, hi = args
     scanner = (DualCodimScanner if oracle else FqSpanScanner)(Gf64Tables(field), basis)
     values = scanner.iter_weights if oracle else scanner.iter_span_dims
     out = []
     for d in ds:
         hist = np.zeros(len(basis) + 1, dtype=np.int64)  # values are <= nb
         first = None
-        for pos, v in values(d, start=start, stride=stride, chunk=chunk):
+        for pos, v in values(d, start=start, stride=stride):
             hist += np.bincount(v, minlength=len(hist))
             bad = (v < lo) | (v > hi)
             if bad.any():
@@ -215,15 +215,20 @@ def _scan_worker(args, start, stride):
     return out
 
 
-def exhaustive_scan(U, ds, oracle, workers, lo=0, hi=None, chunk=1 << 16):
+def exhaustive_scan(U, ds, oracle, workers, lo=0, hi=None):
     """Scan the d-dim subspaces for each d in ds: weight(U, H) over the
     F_{q^m}-subspaces H if `oracle`, else dim <S>_{F_{q^m}} over the
     F_q-subspaces S of U.
 
-    Returns (first, hist) per d, merged over the workers: first is the
-    (position, value) of the first value outside [lo, hi] in enumeration
-    order, where that d's scan stops (None if there is none), and hist[v]
-    counts the values scanned.  A complete oracle hist (first is None) is
+    Each scan is cut into contiguous chunks of at most gfbatch.SCAN_CHUNK
+    positions (gfbatch._rref_chunks: the first ones smaller), and chunk k
+    goes to worker k mod workers, which scans its chunks in ascending
+    order and stops at its first value outside [lo, hi].  Returns
+    (first, hist) per d, merged over the workers: first is the (position,
+    value) of the first value outside [lo, hi] in enumeration order (the
+    least of the workers' firsts; None if there is none), and hist[v]
+    counts the values scanned.  So first, and every complete hist, is the
+    same for any worker count.  A complete oracle hist (first is None) is
     checked against _check_incidences.
     """
     from .gfbatch import DualCodimScanner, FqSpanScanner, check_scan_shape
@@ -231,7 +236,7 @@ def exhaustive_scan(U, ds, oracle, workers, lo=0, hi=None, chunk=1 << 16):
     field = U.field
     check_scan_shape(DualCodimScanner if oracle else FqSpanScanner, field, U.r, U.dim_q)
     hi = U.dim_q if hi is None else hi
-    args = (field, U.basis, tuple(ds), oracle, lo, hi, chunk)
+    args = (field, U.basis, tuple(ds), oracle, lo, hi)
     results = run_partitioned(_scan_worker, args, workers)
     out = []
     for k, d in enumerate(ds):
@@ -297,7 +302,7 @@ def is_h_scattered_fast(
     total = gaussian_binomial(U.dim_q, d, field.q)
     if total > budget:
         raise WorkLimitExceeded(total, budget)
-    [(first, _)] = exhaustive_scan(U, (d,), False, workers, lo=d, chunk=1 << 15)
+    [(first, _)] = exhaustive_scan(U, (d,), False, workers, lo=d)
     details = {"order": order, "subspace_dim": d}
     if first is None:
         return Verdict(True, None, total, "fast", details)

@@ -128,7 +128,9 @@ def test_span_dims_match_fqm_span_dim(F, which, request):
         picks = {0, enum.total - 1}
         picks.update(int(x) for x in rng.integers(0, enum.total, 40))
         for pos in sorted(picks):
-            ((got_pos, span),) = scanner.iter_span_dims(d, start=pos, stride=enum.total)
+            ((got_pos, span),) = scanner.iter_span_dims(
+                d, start=pos, stride=enum.total, chunk=1
+            )
             assert got_pos.tolist() == [pos]
             rows, _ = enum.decode(pos)
             vecs = [U.combine(row) for row in rows]
@@ -138,7 +140,7 @@ def test_span_dims_match_fqm_span_dim(F, which, request):
 def _weight_at(scanner, d, pos):
     """The scanner's weight of the subspace at one enumeration position."""
     enum = RrefEnumerator(range(64), 4, d)
-    ((got_pos, w),) = scanner.iter_weights(d, start=pos, stride=enum.total)
+    ((got_pos, w),) = scanner.iter_weights(d, start=pos, stride=enum.total, chunk=1)
     assert got_pos.tolist() == [pos]
     return int(w[0])
 
@@ -163,6 +165,48 @@ def test_bitmap_weights_match_scalar_weight(F, U1, which):
                 rows, piv = enum.decode(pos)
                 H = FqmSubspace(F, 4, rows, piv)
                 assert _weight_at(scanner, d, pos) == weight(U, H), (d, pos)
+
+
+def _dealt(values, d, total, workers, chunk):
+    """Each position's value, merged over the shares of W = `workers`;
+    the shares must cover range(total) exactly once."""
+    seen = np.zeros(total, dtype=np.int8)
+    got = np.zeros(total, dtype=np.int8)
+    for w in range(workers):
+        for pos, v in values(d, start=w, stride=workers, chunk=chunk):
+            seen[pos] += 1
+            got[pos] = v
+    assert (seen == 1).all()
+    return got
+
+
+@pytest.mark.parametrize("which, d, chunk", [
+    ("U_G", 1, gfbatch.SCAN_CHUNK), ("U_G", 2, gfbatch.SCAN_CHUNK), ("U_G", 2, 1000),
+    ("U1", 1, gfbatch.SCAN_CHUNK), ("U1", 1, 5000), ("U1", 2, gfbatch.SCAN_CHUNK),
+])
+def test_chunks_deal_every_position_once(F, which, d, chunk, request):
+    """Workers w of W = 1, 2, 3 take contiguous chunks round-robin: their
+    positions cover the enumeration exactly once, and their weights equal
+    the one-worker weights, also where a chunk (1,000 or 5,000 positions)
+    cuts a 4,096-position tile."""
+    U = request.getfixturevalue(which)
+    scanner = DualCodimScanner(Gf64Tables(F), U.basis)
+    total = RrefEnumerator(range(64), U.r, d).total
+    whole = _dealt(scanner.iter_weights, d, total, 1, chunk)
+    for workers in (2, 3):
+        assert np.array_equal(_dealt(scanner.iter_weights, d, total, workers, chunk), whole)
+    # each worker walks its chunks in ascending order
+    lo = [int(p[0]) for p, _ in scanner.iter_weights(d, start=1, stride=2, chunk=chunk)]
+    assert lo == sorted(lo)
+
+
+def test_span_chunks_deal_every_position_once(F, U1):
+    """The fast scan deals its chunks the same way (d = 3 on U_1)."""
+    scanner = FqSpanScanner(Gf64Tables(F), U1.basis)
+    one, two, three = (
+        _dealt(scanner.iter_span_dims, 3, 97_155, w, gfbatch.SCAN_CHUNK) for w in (1, 2, 3)
+    )
+    assert np.array_equal(one, two) and np.array_equal(one, three)
 
 
 def test_kernel_bitmaps_are_subspaces(F, U1):
