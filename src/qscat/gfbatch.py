@@ -10,12 +10,15 @@ kernel bitmaps as broadcast tiles of 4,096 positions (DualCodimScanner),
 which stay in cache and leave no multi-MB temporaries.  The engines
 take the ambient F_64^r from their input; a vector of F_64^r packs into
 one int64 (coordinate k at bits 6k, `coords_to_flats`/`flats_to_coords`),
-so check_scan_shape admits r <= 10.  The point ids, lines and planes
-below are those of PG(3, 64), for the saturation scan: a plane is named
-by its dual point, which the 3x3 minors of any three of its spanning
-points give (laplace_minors, plane_normal), and its points are listed
-from its RREF (plane_point_ids).  The seeded sampled tests run in
-batches over any tower field (`FieldArrays`) and take the same
+so check_scan_shape admits r <= 10.  The span scan (FqSpanScanner)
+row-reduces such packed vectors over GF(64) itself, one coordinate at a
+time in [B] arrays that every chunk reuses; rank_batch ranks the GF(2)
+bit matrices of the codeword and d >= 3 dual scans.  The point ids,
+lines and planes below are those of PG(3, 64), for the saturation scan:
+a plane is named by its dual point, which the 3x3 minors of any three of
+its spanning points give (laplace_minors, plane_normal), and its points
+are listed from its RREF (plane_point_ids).  The seeded sampled tests
+run in batches over any tower field (`FieldArrays`) and take the same
 xorshift64* stream as a one-sample-at-a-time loop would, one block of
 draws per batch (`XorShift64Star.draws`).
 """
@@ -412,33 +415,93 @@ class FqSpanScanner:
 
     Enumerates coefficient RREF matrices over F_2 relative to U's basis
     in RrefEnumerator((0, 1), nb, d) order and reports the rank over
-    F_{64} of the spanned vectors (via the GF(2) rank of the x^j
-    multiples, which is 6 times the F_{64} rank).
+    F_{64} of the spanned vectors.  Each vector is one packed subset sum
+    of U's basis (an int64, coordinate k at bits 6k), and the d vectors
+    of a chunk are row-reduced over GF(64) as d [B] arrays (_packed_rank).
     """
 
-    MAX_WIDTH = 16  # the table holds 6 x 2^nb packed vectors
+    MAX_WIDTH = 16  # the subset-sum table holds 2^nb packed vectors
 
     def __init__(self, tables, u_basis):
         self.nb = len(u_basis)
-        sums = flats_to_coords(subset_xor_table(u_basis), len(u_basis[0]))
-        powers = np.array([1 << j for j in range(6)])
-        # xsums[mask, j] = x^j times the sum of the basis vectors in mask
-        self.xsums = coords_to_flats(tables.mul(sums[:, None, :], powers[:, None]))
+        self.r = len(u_basis[0])
+        self.sums = subset_xor_table(u_basis)
+        prod = tables.prod.astype(np.int64)
+        # shifted[k][64 a + b] = (a * b) << 6k, coordinate k of a product
+        self.shifted = [prod << 6 * k for k in range(self.r)]
+        # quot[64 c + a] = (c / a) << 6, the elimination factor that
+        # clears an entry c against a pivot entry a (0 when a = 0)
+        inv = tables.inv.astype(np.int64)
+        self.quot = prod.reshape(64, 64)[:, inv].ravel() << 6
 
     def iter_span_dims(self, d, start=0, stride=1, chunk=SCAN_CHUNK):
         """Yield (positions, span_dims) over the d-dim subspaces of U, per
         chunk of worker `start` of `stride` (see _rref_chunks)."""
         enum = RrefEnumerator((0, 1), self.nb, d)
+        # [B] arrays that every chunk reuses: fresh ones would be mapped and
+        # faulted in anew each chunk (see SCAN_CHUNK)
+        work = np.empty((2 * d + self.r + 4, min(chunk, enum.total)), dtype=np.int64)
         for lo, hi, parts in _rref_chunks(enum, start, stride, chunk):
-            masks = np.zeros((hi - lo, d), dtype=np.int64)
+            w = work[:, : hi - lo]
+            masks, rows, temps = w[:d], w[d : 2 * d], w[2 * d :]
+            bit = temps[0]
             for s, p, a, b in parts:
-                seg = masks[s : s + b - a]
+                n = b - a
                 for i, c in enumerate(enum.profiles[p]):
-                    seg[:, i] |= 1 << c
-                for (i, c), bit in _cell_digits(enum, p, a, b).items():
-                    seg[:, i] |= bit << c
-            rank = rank_batch(self.xsums[masks].reshape(hi - lo, -1))
-            yield np.arange(lo, hi, dtype=np.int64), rank // 6
+                    masks[i, s : s + n] = 1 << c
+                rem = np.arange(a, b, dtype=np.int64)
+                # the last cell is the least significant bit of the position
+                for t, (i, c) in enumerate(reversed(enum.cells[p])):
+                    np.right_shift(rem, t, out=bit[:n])
+                    bit[:n] &= 1
+                    bit[:n] <<= c
+                    masks[i, s : s + n] |= bit[:n]
+            # every index is in range; mode "clip" writes straight into
+            # out, where the default "raise" goes through a copy of it
+            for mask, row in zip(masks, rows):
+                np.take(self.sums, mask, out=row, mode="clip")
+            yield np.arange(lo, hi, dtype=np.int64), self._packed_rank(rows, temps)
+
+    def _packed_rank(self, rows, temps):
+        """GF(64) rank of d packed vectors per item, rows[i] for i < d.
+
+        Row by row: row i's pivot is its lowest nonzero coordinate p, with
+        entry a; each later row j, with entry c in column p, loses
+        (c / a) row_i, and so vanishes in column p.  The nonzero rows
+        left are independent, so they count the rank.  The rows are
+        reduced in place, and every temporary is one of the r + 4 [B]
+        int64 arrays of temps.
+        """
+        tmp, lead, idx, factor, *coords = temps
+        rank = np.zeros(rows.shape[1], dtype=np.int64)
+        for i, row in enumerate(rows):
+            rank += row != 0
+            if i + 1 == len(rows):
+                break
+            # the lowest set bit 2^t has t = popcount(2^t - 1); a zero row
+            # has lead 0, so it clears nothing
+            np.negative(row, out=tmp)
+            tmp &= row
+            tmp -= 1
+            shift = np.bitwise_count(tmp)
+            shift //= 6
+            shift *= 6
+            np.right_shift(row, shift, out=lead)
+            lead &= 63
+            for k, coord in enumerate(coords):
+                np.right_shift(row, 6 * k, out=coord)
+                coord &= 63
+            for later in rows[i + 1 :]:
+                np.right_shift(later, shift, out=idx)
+                idx &= 63
+                idx <<= 6
+                idx |= lead
+                np.take(self.quot, idx, out=factor, mode="clip")
+                for k, coord in enumerate(coords):
+                    np.bitwise_or(factor, coord, out=idx)
+                    np.take(self.shifted[k], idx, out=tmp, mode="clip")
+                    later ^= tmp
+        return rank
 
 
 class CodewordScanner:

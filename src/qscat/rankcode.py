@@ -29,7 +29,7 @@ from .errors import (
 )
 from .field import BinaryField
 from .parallel import run_partitioned
-from .linalg import fq_rank, fqm_span_dim, gaussian_binomial
+from .linalg import RrefEnumerator, fq_rank, fqm_span_dim, gaussian_binomial
 from .scatter import DEFAULT_BUDGET, exhaustive_scan, weight_spectrum
 
 
@@ -125,9 +125,14 @@ def codeword_scan(C, workers=1, budget=DEFAULT_BUDGET):
 def span_table(C, workers=1, budget=DEFAULT_BUDGET):
     """best[j] = max dim_q of S <= U with dim <S>_{F_{q^m}} <= j.
 
-    Derived from minspan[d], the least span of a d-dim subspace of U
-    (the first nonzero entry of its span histogram), which is
-    non-decreasing in d; cached on the code object.
+    Derived from minspan[d], the least span of a d-dim subspace of U.
+    minspan[d] >= minspan[d-1]: every d-dim S contains a (d-1)-dim
+    subspace, whose span lies in <S>.  So the d-scan only looks for a
+    span of at most minspan[d-1] (exhaustive_scan with lo = minspan[d-1]
+    + 1): the first one found is minspan[d] = minspan[d-1], re-checked by
+    scalar linalg at its decoded position, and a scan that finds none is
+    complete, so minspan[d] is the first nonzero entry of its histogram.
+    Cached on the code object.
     """
     if C._span_table is not None:
         return C._span_table
@@ -135,15 +140,36 @@ def span_table(C, workers=1, budget=DEFAULT_BUDGET):
     total = sum(gaussian_binomial(C.n, d, field.q) for d in range(C.n + 1))
     if total > budget:
         raise WorkLimitExceeded(total, budget)
-    ds = range(1, C.n + 1)
-    scans = exhaustive_scan(C.system, ds, False, workers)
-    minspan = [0] + [next(v for v, c in enumerate(hist) if c) for _, hist in scans]
+    minspan = [0]
+    for d in range(1, C.n + 1):
+        bound = minspan[-1]
+        [(first, hist)] = exhaustive_scan(C.system, (d,), False, workers, lo=bound + 1)
+        if first is None:
+            minspan.append(next(v for v, c in enumerate(hist) if c))
+        else:
+            _check_least_span(C.system, d, first, bound)
+            minspan.append(bound)
     best = []
     for j in range(C.k + 1):
         best.append(max(d for d in range(C.n + 1) if minspan[d] <= j))
     table = tuple(best)
     C._span_table = table
     return table
+
+
+def _check_least_span(U, d, first, bound):
+    """Re-check the (position, span) where a d-scan stopped below its
+    lower bound: the span must be `bound` = minspan[d-1], also when
+    fqm_span_dim recomputes it from the decoded subspace."""
+    pos, span = first
+    rows, _ = RrefEnumerator((0, 1), U.dim_q, d).decode(pos)
+    scalar = fqm_span_dim(U.field, [U.combine(row) for row in rows])
+    if span != bound or scalar != bound:
+        raise InvariantViolation(
+            "span scan of the %d-dim subspaces stops at %d with span %d "
+            "(scalar %d), but the least span of the %d-dim ones is %d"
+            % (d, pos, span, scalar, d - 1, bound)
+        )
 
 
 # -- distances ----------------------------------------------------------------

@@ -115,26 +115,69 @@ def test_codec_round_trips(n):
     assert (coords_to_flats(flats_to_coords(flats, n)) == flats).all()
 
 
-@pytest.mark.parametrize("which", ["U1", "U_planted", "U_G"])
+def _awkward_basis(F, r, seed):
+    """Vectors of F_64^r that drive the packed GF(64) elimination through
+    every pivot column and through zero rows: a repeated vector first (so
+    position 0 of every d >= 2 holds it twice), an x-multiple (F_2-
+    independent, F_64-dependent), an F_2-sum of two others, and one
+    vector whose first nonzero coordinate is k for each k < r."""
+    rng = XorShift64Star(seed)
+    vecs = []
+    for k in range(r):
+        tail = [F.random_element(rng) for _ in range(r - k - 1)]
+        vecs.append(tuple([0] * k + [F.random_element(rng) or 1] + tail))
+    twice = vecs[1]
+    return [twice, twice, tuple(F.mul(2, a) for a in vecs[3]),
+            tuple(a ^ b for a, b in zip(vecs[0], vecs[2]))] + vecs
+
+
+def _f2_combine(basis, row):
+    """The sum of the basis vectors that the 0/1 coefficient row selects."""
+    out = [0] * len(basis[0])
+    for coeff, vec in zip(row, basis):
+        if coeff:
+            out = [a ^ b for a, b in zip(out, vec)]
+    return tuple(out)
+
+
+@pytest.mark.parametrize("which", ["U1", "U_planted", "U_G", "awkward-5", "awkward-10"])
 def test_span_dims_match_fqm_span_dim(F, which, request):
-    """F_64-span dimensions of d-dim F_2-subspaces of U, d = 1..4, equal
-    fqm_span_dim of the decoded vectors at seeded positions (the planted
-    system has spans below d; U_G has r = 3)."""
-    U = request.getfixturevalue(which)
-    scanner = FqSpanScanner(Gf64Tables(F), U.basis)
-    rng = np.random.default_rng(23)
-    for d in range(1, 5):
-        enum = RrefEnumerator((0, 1), U.dim_q, d)
-        picks = {0, enum.total - 1}
-        picks.update(int(x) for x in rng.integers(0, enum.total, 40))
-        for pos in sorted(picks):
-            ((got_pos, span),) = scanner.iter_span_dims(
-                d, start=pos, stride=enum.total, chunk=1
-            )
-            assert got_pos.tolist() == [pos]
-            rows, _ = enum.decode(pos)
-            vecs = [U.combine(row) for row in rows]
-            assert int(span[0]) == fqm_span_dim(F, vecs), (d, pos)
+    """F_64-span dimensions of d-dim F_2-subspaces, d = 1..nb, equal
+    fqm_span_dim of the decoded vectors: at every position for d = 1
+    (every first pivot column) and at ~40 spread positions, position 0
+    among them, for d >= 2.  The planted system has spans below d; U_G
+    has r = 3; the awkward systems (r = 5 and r = MAX_AMBIENT = 10) have
+    repeated and dependent basis vectors."""
+    if which.startswith("awkward"):
+        r = int(which.split("-")[1])
+        basis = _awkward_basis(F, r, 29 + r)
+    else:
+        basis = request.getfixturevalue(which).basis
+    nb = len(basis)
+    scanner = FqSpanScanner(Gf64Tables(F), basis)
+    low = set()
+    for d in range(1, nb + 1):
+        enum = RrefEnumerator((0, 1), nb, d)
+        if d == 1:
+            got = list(scanner.iter_span_dims(1))
+        else:
+            # one-position chunks, every stride-th dealt to worker 0
+            stride = max(1, enum.total // 40)
+            got = list(scanner.iter_span_dims(d, stride=stride, chunk=1))
+            last = enum.total - 1
+            got += list(scanner.iter_span_dims(d, start=last, stride=enum.total, chunk=1))
+        pos, spans = map(np.concatenate, zip(*got))
+        if d == 1:
+            assert pos.tolist() == list(range(enum.total))
+        for p, span in zip(pos.tolist(), spans.tolist()):
+            rows, _ = enum.decode(p)
+            vecs = [_f2_combine(basis, row) for row in rows]
+            assert span == fqm_span_dim(F, vecs), (d, p)
+            if span < d:  # some row reduced to zero
+                low.add(d)
+    if which.startswith("awkward"):
+        # zero subset sums (d = 1) and the repeat at position 0 (d >= 2)
+        assert low == set(range(1, nb + 1))
 
 
 def _weight_at(scanner, d, pos):

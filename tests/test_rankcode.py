@@ -20,6 +20,7 @@ from qscat.rankcode import (
 from qscat.rng import XorShift64Star
 from qscat.scatter import (
     build_Us,
+    exhaustive_scan,
     random_fq_subspace,
     random_invertible,
     weight_spectrum,
@@ -130,6 +131,76 @@ def test_gl_equivalent_systems_share_profile(F, U1, code):
     s1 = weight_spectrum(U1, codim=1, workers=2)
     s2 = weight_spectrum(U2, codim=1, workers=2)
     assert s1 == s2
+
+
+def _table_from_histograms(C, workers):
+    """span_table's definition read off complete span histograms:
+    minspan[d] is the first nonzero entry of the d-scan's histogram."""
+    scans = exhaustive_scan(C.system, range(1, C.n + 1), False, workers)
+    assert all(first is None for first, _ in scans)
+    minspan = [0] + [next(v for v, c in enumerate(hist) if c) for _, hist in scans]
+    return tuple(
+        max(d for d in range(C.n + 1) if minspan[d] <= j) for j in range(C.k + 1)
+    )
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("which", ["U1", "GL image of U1", "U_planted", "U_G"])
+def test_lower_bound_stop_gives_the_complete_table(F, which, workers, request):
+    """The d-scans that stop at minspan[d-1] give the table read off the
+    complete histograms, at any worker count."""
+    if which == "GL image of U1":
+        A = random_invertible(F, 4, XorShift64Star(44))
+        U = apply_gl(A, request.getfixturevalue("U1"))
+    else:
+        U = request.getfixturevalue(which)
+    C = code_from_system(U)
+    assert span_table(C, workers=workers) == _table_from_histograms(C, workers)
+
+
+def test_span_table_stops_each_scan_at_its_bound(code, monkeypatch):
+    """span_table on U_1's code walks at most 213,808 of the 417,199
+    F_2-subspaces: d = 4, 6, 7, 8 stop in their first chunk."""
+    from qscat import gfbatch
+
+    real = gfbatch.FqSpanScanner.iter_span_dims
+    seen = []
+
+    def counting(self, d, *args, **kwargs):
+        for pos, spans in real(self, d, *args, **kwargs):
+            seen.append(len(pos))
+            yield pos, spans
+
+    monkeypatch.setattr(gfbatch.FqSpanScanner, "iter_span_dims", counting)
+    C = code_from_system(code.system)
+    assert span_table(C, workers=1) == (0, 1, 2, 4, 8)
+    assert 0 < sum(seen) <= 213_808
+
+
+@pytest.mark.parametrize("d, pos, span", [(3, 5, 2), (4, 0, 1)])
+def test_false_least_span_is_an_invariant_violation(
+    U1, monkeypatch, capsys, d, pos, span
+):
+    """A scanner that reports a span of minspan[d-1] where the true one
+    is larger (d = 3), or a span below minspan[d-1] (d = 4), is caught by
+    the re-check of the stop position: an internal error (exit 3), and
+    no certificate."""
+    from qscat import cli, gfbatch
+
+    real = gfbatch.FqSpanScanner.iter_span_dims
+
+    def lying(self, dim, *args, **kwargs):
+        for got_pos, spans in real(self, dim, *args, **kwargs):
+            if dim == d:
+                spans = spans.copy()
+                spans[got_pos == pos] = span
+            yield got_pos, spans
+
+    monkeypatch.setattr(gfbatch.FqSpanScanner, "iter_span_dims", lying)
+    with pytest.raises(InvariantViolation):
+        span_table(code_from_system(U1))
+    assert cli.main(["code-profile"]) == 3
+    assert capsys.readouterr().out == ""
 
 
 def test_trivial_k1_system(F):
