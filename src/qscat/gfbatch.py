@@ -14,10 +14,14 @@ so check_scan_shape admits r <= 10.  The span scan (FqSpanScanner)
 row-reduces such packed vectors over GF(64) itself, one coordinate at a
 time in [B] arrays that every chunk reuses; rank_batch ranks the GF(2)
 bit matrices of the codeword and d >= 3 dual scans.  The point ids,
-lines and planes below are those of PG(3, 64), for the saturation scan:
-a plane is named by its dual point, which the 3x3 minors of any three of
-its spanning points give (laplace_minors, plane_normal), and its points
-are listed from its RREF (plane_point_ids).  The seeded sampled tests
+lines and planes below are those of PG(3, 64), for the saturation scan.
+A point id is a pivot shift plus the codec word of the reversed
+normalized coordinates (coordinate 0 the top digit), and that word is
+XOR-linear, so the ids of a line's or a plane's points are XORs of the
+words of 64 scalar multiples of each RREF row (line_point_ids,
+plane_point_ids).  A plane is named by its dual point, which the 3x3
+minors of any three of its spanning points give (laplace_minors,
+plane_normal).  The seeded sampled tests
 run in batches over any tower field (`FieldArrays`) and take the same
 xorshift64* stream as a one-sample-at-a-time loop would, one block of
 draws per batch (`XorShift64Star.draws`).
@@ -120,10 +124,17 @@ def flats_to_coords(flats, n):
 
 
 def coords_to_flats(coords):
-    """[..., n] GF(64) coordinates (n <= 10) -> [...] packed int64 vectors."""
-    coords = np.asarray(coords, dtype=np.int64)
-    shifts = 6 * np.arange(coords.shape[-1], dtype=np.int64)
-    return np.bitwise_or.reduce(coords << shifts, axis=-1)
+    """[..., n] GF(64) coordinates (n <= 10) -> [...] packed int64 vectors.
+
+    One shift-or pass per coordinate into the [...] result, with no
+    [..., n] int64 temporary.  Each coordinate has its own 6-bit field,
+    so the packing is XOR-linear: pack(a ^ b) == pack(a) ^ pack(b).
+    """
+    coords = np.asarray(coords)
+    flats = np.zeros(coords.shape[:-1], dtype=np.int64)
+    for k in range(coords.shape[-1]):
+        flats |= coords[..., k].astype(np.int64) << (6 * k)
+    return flats
 
 
 def subset_xor_table(vectors):
@@ -137,10 +148,16 @@ def subset_xor_table(vectors):
 
 
 def point_ids(vecs):
-    """Dense PG(3, 64) ids of normalized coordinate rows [B, 4]."""
-    vecs = np.asarray(vecs, dtype=np.int64)
+    """Dense PG(3, 64) ids of normalized coordinate rows [..., 4].
+
+    The id of a row v with pivot p is (_OFFSET - _RADIX)[p] plus the
+    base-64 word of v, coordinate 0 the top digit: the codec word of the
+    reversed coordinates, coords_to_flats(v[..., ::-1]), which is
+    XOR-linear in v.
+    """
+    vecs = np.asarray(vecs)
     piv = np.argmax(vecs != 0, axis=-1)
-    return _OFFSET[piv] + (vecs * _RADIX).sum(axis=-1) - _RADIX[piv]
+    return (_OFFSET - _RADIX)[piv] + coords_to_flats(vecs[..., ::-1])
 
 
 def normalize_points(tables, vecs):
@@ -629,55 +646,47 @@ def plane_normal(minors):
     )
 
 
-def _family_ids(pts, pivots):
-    """ids of normalized points whose leading position is per-item fixed.
-
-    pts: [..., 4] int32 with first nonzero coordinate 1 at the per-item
-    pivot; pivots broadcastable to the leading shape.
-    """
-    dot = (pts.astype(np.int64) * _RADIX).sum(axis=-1)
-    shift = (_OFFSET - _RADIX)[pivots]
-    return dot + np.expand_dims(shift, tuple(range(pivots.ndim, dot.ndim)))
+def _multiple_words(tables, rows):
+    """[P, s, 64] int64 id words of c * v, for each row v of rows
+    [P, s, 4] and every scalar c: codec words of the reversed rows."""
+    scal = np.arange(64, dtype=np.int16)
+    return coords_to_flats(tables.mul(scal[:, None], rows[:, :, None, ::-1]))
 
 
 def plane_point_ids(tables, plane_rref):
-    """Point ids of the planes given by RREF rows [P, 3, 4].
+    """Point ids of the planes given by RREF rows [P, 3, 4], [P, 4161] int64.
 
-    Combos split into the families r1 + a r2 + b r3, r2 + a r3, r3,
-    which are already normalized; only 2 x 64 scalar multiples of each
-    basis row are ever multiplied.
+    A plane's points are r1 + a r2 + b r3 (entry 64 a + b of its row),
+    then r2 + a r3, then r3, each already normalized with the pivot of
+    its first row.  Id words are XOR-linear, and a vector that is zero
+    at and before a point's pivot leaves that point's id shift alone, so
+    id(r1 + a r2 + b r3) = id(r1) ^ word(a r2) ^ word(b r3): one
+    [P, 64, 64] broadcast XOR written in place into the output.
     """
     rref = np.asarray(plane_rref, dtype=np.int16)
     P = len(rref)
-    scal = np.arange(64, dtype=np.int16)
-    piv = np.argmax(rref != 0, axis=2)  # [P, 3]
-    m2 = tables.mul(scal[None, :, None], rref[:, None, 1, :]).astype(np.int32)
-    m3 = tables.mul(scal[None, :, None], rref[:, None, 2, :]).astype(np.int32)
-    fam1 = (
-        rref[:, None, None, 0, :].astype(np.int32)
-        ^ m2[:, :, None, :]
-        ^ m3[:, None, :, :]
-    )  # [P, 64, 64, 4]
-    ids1 = _family_ids(fam1, piv[:, 0])
-    fam2 = rref[:, None, 1, :].astype(np.int32) ^ m3  # [P, 64, 4]
-    ids2 = _family_ids(fam2, piv[:, 1])
-    ids3 = _family_ids(rref[:, 2, :].astype(np.int32), piv[:, 2])
-    return np.concatenate(
-        [ids1.reshape(P, -1), ids2.reshape(P, -1), ids3.reshape(P, 1)], axis=1
-    )
+    ids = point_ids(rref)  # [P, 3]
+    words = _multiple_words(tables, rref[:, 1:])
+    out = np.empty((P, 64 * 64 + 64 + 1), dtype=np.int64)
+    fam1 = out[:, : 64 * 64].reshape(P, 64, 64)
+    line = ids[:, 0, None] ^ words[:, 0]  # id(r1 + a r2), [P, 64]
+    np.bitwise_xor(line[:, :, None], words[:, None, 1], out=fam1)
+    np.bitwise_xor(ids[:, 1, None], words[:, 1], out=out[:, 64 * 64 : -1])
+    out[:, -1] = ids[:, 2]
+    return out
 
 
 def line_point_ids(tables, line_rref):
-    """Point ids of the lines given by RREF rows [P, 2, 4]."""
+    """Point ids of the lines given by RREF rows [P, 2, 4], [P, 65] int64:
+    id(r1 + a r2) = id(r1) ^ word(a r2) at entry a, then id(r2), as in
+    plane_point_ids."""
     rref = np.asarray(line_rref, dtype=np.int16)
-    P = len(rref)
-    scal = np.arange(64, dtype=np.int16)
-    piv = np.argmax(rref != 0, axis=2)
-    m2 = tables.mul(scal[None, :, None], rref[:, None, 1, :]).astype(np.int32)
-    fam1 = rref[:, None, 0, :].astype(np.int32) ^ m2
-    ids1 = _family_ids(fam1, piv[:, 0])
-    ids2 = _family_ids(rref[:, 1, :].astype(np.int32), piv[:, 1])
-    return np.concatenate([ids1.reshape(P, -1), ids2.reshape(P, 1)], axis=1)
+    ids = point_ids(rref)  # [P, 2]
+    words = _multiple_words(tables, rref[:, 1:])
+    out = np.empty((len(rref), 64 + 1), dtype=np.int64)
+    np.bitwise_xor(ids[:, 0, None], words[:, 0], out=out[:, :-1])
+    out[:, -1] = ids[:, 1]
+    return out
 
 
 # -- seeded sampled tests, any tower field ------------------------------------

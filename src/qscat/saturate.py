@@ -226,11 +226,15 @@ def is_rho_saturating(S, rho, workers=1, budget=DEFAULT_BUDGET):
 
     Exhaustive over all (rho+1)-subsets of S (q = 2 scale); the verdict
     carries the first uncovered point as witness when saturation fails.
+    A rho outside 0..|S| - 1 is a ConfigError: rho + 1 > |S| leaves no
+    subset to scan, and so no refutation to certify.
     """
-    if rho < 0:
-        raise ConfigError("rho must be >= 0, got %d" % rho)
     field = S.field
     n = len(S)
+    if not 0 <= rho < n:
+        raise ConfigError(
+            "rho must be in 0..%d for a linear set of %d points, got %d" % (n - 1, n, rho)
+        )
     from math import comb
 
     total = comb(n, rho + 1)

@@ -186,6 +186,15 @@ def test_negative_rho_exit_2(capsys):
     assert code == 2 and cert is None
 
 
+def test_vacuous_rho_exit_2(capsys):
+    """rho + 1 = 256 exceeds the 255 points of L(U): there is no subset to
+    scan, so no certificate, not a refutation with checked_count 0."""
+    code = cli.main(["saturating", "--rho", "255"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert "rho" in err
+
+
 def test_saturating_under_optimize_flag():
     """2-saturation certifies with asserts stripped (python -O)."""
     env = dict(os.environ)

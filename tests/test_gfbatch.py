@@ -1,3 +1,4 @@
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -21,8 +22,10 @@ from qscat.gfbatch import (
     fqm_rank_batch,
     ids_to_points,
     laplace_minors,
+    line_point_ids,
     normalize_points,
     plane_normal,
+    plane_point_ids,
     point_ids,
     rref_small_batch,
 )
@@ -44,12 +47,13 @@ def test_product_table_matches_field(F):
     # all 4,096 pairs, zero operands included
     assert (tables.mul(a[:, None], a[None, :]) == expect).all()
     assert tables.mul(a[:, None], a[None, :]).dtype == np.int16
-    # the [64 scalars] x [P planes, 4 coords] broadcast of plane_point_ids
+    # the [64 scalars] x [P planes, s rows, 4 coords] broadcast of the
+    # line and plane id kernels
     rng = np.random.default_rng(7)
-    rows = rng.integers(0, 64, size=(5, 4)).astype(np.int16)
-    prod = tables.mul(a[None, :, None], rows[:, None, :])
-    assert prod.shape == (5, 64, 4)
-    assert (prod == expect[a[None, :, None], rows[:, None, :]]).all()
+    rows = rng.integers(0, 64, size=(5, 2, 4)).astype(np.int16)
+    prod = tables.mul(a[:, None], rows[:, :, None, :])
+    assert prod.shape == (5, 2, 64, 4)
+    assert (prod == expect[a[:, None], rows[:, :, None, :]]).all()
     assert tables.inv[0] == 0
     assert all(F.mul(x, int(tables.inv[x])) == 1 for x in range(1, 64))
 
@@ -113,6 +117,91 @@ def test_codec_round_trips(n):
     assert (flats_to_coords(flats, n) == coords).all()
     assert int(flats[0, 0]) == sum(int(c) << (6 * k) for k, c in enumerate(coords[0, 0]))
     assert (coords_to_flats(flats_to_coords(flats, n)) == flats).all()
+
+
+def _dots(tables, w, points):
+    """[N] products w . x over the rows x of points [N, 4]."""
+    dot = np.zeros(len(points), dtype=np.int16)
+    for k in range(4):
+        dot ^= tables.mul(w[k], points[:, k])
+    return dot
+
+
+def _kernel_rref(tables, duals):
+    """RREF rows of the subspace {x : w . x = 0 for every w in duals}, from
+    the RREF of the duals: e_f + sum_i rref[i, f] e_(pivot i) per free
+    column f."""
+    rank, rref, piv = rref_small_batch(tables, np.array([duals], dtype=np.int16))
+    piv = piv[0, : rank[0]]
+    basis = []
+    for f in (c for c in range(4) if c not in piv):
+        v = np.zeros(4, dtype=np.int16)
+        v[f] = 1
+        v[piv] = rref[0, : rank[0], f]
+        basis.append(v)
+    rank, rref, _ = rref_small_batch(tables, np.array([basis]))
+    assert rank[0] == len(basis) == 4 - len(duals)
+    return rref[0, : rank[0]]
+
+
+def _some_duals(count, last, rng):
+    """count duals w whose last nonzero coordinate is `last`, the entries
+    before it zero about half the time."""
+    w = rng.integers(1, 64, size=(count, 4)).astype(np.int16)
+    w *= rng.random((count, 4)) < 0.5
+    w[0, :last] = 0
+    w[:, last] = rng.integers(1, 64, size=count)
+    w[:, last + 1 :] = 0
+    return w
+
+
+def test_line_and_plane_ids_match_dual_equations(F):
+    """The id kernels against a reference that packs nothing: the points
+    x of PG(3, 64), in id order, with w . x = 0 for the plane's dual w
+    (both duals of a line), by GF(64) products."""
+    tables = Gf64Tables(F)
+    points = ids_to_points(np.arange(POINT_COUNT))
+    scal = np.arange(64, dtype=np.int16)[:, None]
+    rng = np.random.default_rng(14)
+    for last in range(4):
+        duals = _some_duals(6, last, rng)
+        rrefs = [_kernel_rref(tables, [w]) for w in duals]
+        planes = plane_point_ids(tables, rrefs)
+        assert planes.shape == (6, 4161) and planes.dtype == np.int64
+        for w, (r1, r2, r3), ids in zip(duals, rrefs, planes):
+            assert len(np.unique(ids)) == 4161
+            assert sorted(ids.tolist()) == np.flatnonzero(_dots(tables, w, points) == 0).tolist()
+            # entry 64 a + b is r1 + a r2 + b r3, then r2 + a r3, then r3
+            m2, m3 = tables.mul(scal, r2), tables.mul(scal, r3)
+            order = np.concatenate([(r1 ^ m2[:, None] ^ m3).reshape(-1, 4), r2 ^ m3, [r3]])
+            assert (ids_to_points(ids) == order).all()
+        # different last nonzero coordinates: independent duals
+        pairs = list(zip(duals, _some_duals(6, 3 - last, rng)))
+        rrefs = [_kernel_rref(tables, pair) for pair in pairs]
+        lines = line_point_ids(tables, rrefs)
+        assert lines.shape == (6, 65) and lines.dtype == np.int64
+        for (w, v), (r1, r2), ids in zip(pairs, rrefs, lines):
+            on = (_dots(tables, w, points) == 0) & (_dots(tables, v, points) == 0)
+            assert len(np.unique(ids)) == 65
+            assert sorted(ids.tolist()) == np.flatnonzero(on).tolist()
+            order = np.concatenate([r1 ^ tables.mul(scal, r2), [r2]])
+            assert (ids_to_points(ids) == order).all()
+
+
+def test_plane_ids_peak_memory(F):
+    """plane_point_ids writes its [P, 4161] ids in place: its traced peak
+    on 256 planes stays within 2.5x the output, where [P, 64, 64, 4]
+    coordinate temporaries would take ~10x."""
+    tables = Gf64Tables(F)
+    duals = _some_duals(256, 3, np.random.default_rng(15))
+    planes = np.array([_kernel_rref(tables, [w]) for w in duals])
+    tracemalloc.start()
+    try:
+        ids = plane_point_ids(tables, planes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * ids.nbytes
 
 
 def _awkward_basis(F, r, seed):

@@ -5,7 +5,9 @@ command below, so any change to what a certificate says shows up here.
 Commands whose scans take a worker count run at 1 and 2 workers.  The
 sampled goldens (h = 1, 3, 5 at orders 1-3, and the order-4 refutation)
 and the planted q = 2 verdicts were written by the one-sample-at-a-time
-sampled loops that the batched ones replaced.
+sampled loops that the batched ones replaced; `saturating --rho 1` by
+the point-id kernels that built [P, 64, 4] coordinate arrays before the
+XOR-packed ones.
 """
 
 import json
@@ -26,6 +28,8 @@ CASES = {
     "system_count": (["system-count", "--count", "500", "--seed", "7"], False, 0),
     "spectrum_codim3": (["spectrum", "--codim", "3"], True, 0),
     "spectrum_codim1_fixed": (["spectrum", "--codim", "1", "--fixed-only"], True, 0),
+    # refuted: the witness is the first point off the marked lines
+    "saturating_rho1": (["saturating", "--rho", "1"], True, 1),
     "verify_scattered_q8_sampled": (
         ["verify-scattered", "--h", "3", "--mode", "sampled", "--oracle",
          "sampled", "--samples", "300", "--seed", "42"],

@@ -201,6 +201,25 @@ def test_negative_rho_is_config_error(F, U1):
         is_rho_saturating(S, -1)
 
 
+def test_vacuous_rho_is_config_error(F, U1):
+    """rho + 1 > |S| leaves no (rho+1)-subset: a ConfigError, not a
+    refutation with checked_count 0; rho + 1 = |S| is one subset."""
+    full = linear_set_points(U1)
+    on = full.coords[:, 3] == 0
+    section = LinearSet(F, full.ids[on], full.coords[on])
+    assert len(section) == 15
+    with pytest.raises(ConfigError, match="rho"):
+        is_rho_saturating(section, 15)
+    one = is_rho_saturating(section, 14).verdict
+    assert not one.ok and one.checked_count == 1
+    assert one.details["distinct_planes"] == 1
+    with pytest.raises(ConfigError, match="rho"):
+        is_rho_saturating(full, 255)
+    every = is_rho_saturating(full, 254).verdict
+    assert every.ok and every.checked_count == 1
+    assert every.details["full_span_seen"]
+
+
 def test_marking_monotone_in_rho(F, U1):
     S = _subset(F, U1, 51, 25)
     prev = None
