@@ -4,9 +4,10 @@ Standard output carries exactly one JSON certificate; progress notes go
 to standard error.  `run` builds the field once from the configuration
 and hands it to the command's handler.  Exit codes: 0 = all checked
 properties hold, 1 = a property was refuted (the certificate carries a
-witness), 2 = configuration or work-limit error (nothing is printed on
-stdout), 3 = internal error, such as a failed cross-check between two
-algorithms (a one-line message on stderr, no certificate).
+witness), 2 = configuration or work-limit error, an unreadable --config
+or an unwritable --out included (nothing is printed on stdout), 3 =
+internal error, such as a failed cross-check between two algorithms (a
+one-line message on stderr, no certificate).
 """
 
 import argparse
@@ -79,24 +80,36 @@ _DEFAULTS = {
 
 
 def load_config_file(path):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError("cannot read config %s: %s" % (path, exc))
     out = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError("%s:%d: expected key=value" % (path, lineno))
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in _CONFIG_KEYS:
-                raise ConfigError("%s:%d: unknown key %r" % (path, lineno, key))
-            try:
-                out[key] = _CONFIG_KEYS[key](value)
-            except ValueError:
-                raise ConfigError(
-                    "%s:%d: bad value for %s: %r" % (path, lineno, key, value)
-                )
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError("%s:%d: expected key=value" % (path, lineno))
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in _CONFIG_KEYS:
+            raise ConfigError("%s:%d: unknown key %r" % (path, lineno, key))
+        try:
+            out[key] = _CONFIG_KEYS[key](value)
+        except ValueError:
+            raise ConfigError(
+                "%s:%d: bad value for %s: %r" % (path, lineno, key, value)
+            )
     return out
+
+
+def write_certificate(path, text):
+    try:
+        with open(path, "w") as fh:
+            fh.write(text + "\n")
+    except OSError as exc:
+        raise ConfigError("cannot write the certificate: %s" % exc)
 
 
 def build_parser():
@@ -400,6 +413,10 @@ def main(argv=None):
         cfg = resolve_config(ns)
         print("qscat: running %s" % ns.command, file=sys.stderr)
         cert, ok = run(ns.command, cfg)
+        text = json.dumps(cert, sort_keys=True, indent=2)
+        if cfg.get("out"):
+            # before stdout, so an unwritable path prints no certificate
+            write_certificate(cfg["out"], text)
     except (ConfigError, WorkLimitExceeded) as exc:
         print("qscat: error: %s" % exc, file=sys.stderr)
         return 2
@@ -408,11 +425,7 @@ def main(argv=None):
         name = type(exc).__name__
         print("qscat: internal error: %s: %s" % (name, exc), file=sys.stderr)
         return 3
-    text = json.dumps(cert, sort_keys=True, indent=2)
     print(text)
-    if cfg.get("out"):
-        with open(cfg["out"], "w") as fh:
-            fh.write(text + "\n")
     return 0 if ok else 1
 
 

@@ -13,7 +13,10 @@ one int64 (coordinate k at bits 6k, `coords_to_flats`/`flats_to_coords`),
 so check_scan_shape admits r <= 10.  The span scan (FqSpanScanner)
 row-reduces such packed vectors over GF(64) itself, one coordinate at a
 time in [B] arrays that every chunk reuses; rank_batch ranks the GF(2)
-bit matrices of the codeword and d >= 3 dual scans.  The point ids,
+bit matrices of the d >= 3 dual scans and of the codeword scan, which
+reads a codeword's rank weight off the weight of the hyperplane its
+message is normal to (CodewordScanner walks one normal per hyperplane
+instead of the hyperplanes' RREFs).  The point ids,
 lines and planes below are those of PG(3, 64), for the saturation scan.
 A point id is a pivot shift plus the codec word of the reversed
 normalized coordinates (coordinate 0 the top digit), and that word is
@@ -75,8 +78,8 @@ def check_scan_shape(scanner, field, r, width):
 
     The one place that decides which shapes the GF(64) scan engines pack,
     and so which exhaustive scans exist: q = 2 (the GF(64) tables), an
-    ambient F_64^r (or message length k) that packs into an int64, and
-    at most scanner.MAX_WIDTH basis vectors or coordinates.
+    ambient F_64^r that packs into an int64, and at most
+    scanner.MAX_WIDTH basis vectors.
     """
     if field.e != 6:
         raise ConfigError(
@@ -521,53 +524,31 @@ class FqSpanScanner:
         return rank
 
 
-class CodewordScanner:
-    """Rank weights of the codewords of the normalized messages.
+class CodewordScanner(DualCodimScanner):
+    """Rank weights of the codewords of U's code, read as hyperplane weights.
 
-    Scaling a message by F_64^* scales its codeword and keeps its rank
-    weight, so only messages whose first nonzero coordinate is 1 are
-    scanned, one per point of PG(k-1, 64); callers multiply the counts
-    by 63.  Message number i is ids_to_points([i], k) (for k = 4 the
-    point_ids numbering).  A codeword pack (n coordinates x 6 bits) is
-    the XOR of one 64-entry table per message coordinate.  Partition by
-    contiguous message-index ranges.
+    The code's generator columns are U's basis u_j, so message m has
+    codeword (m . u_j)_j, of rank weight nb - weight(U, m^⊥): the
+    hyperplane weight that weights_for_duals gives for the dual m.
+    Scaling m by F_64^* keeps m^⊥, so one normal per hyperplane is
+    walked, its first nonzero coordinate 1: normal number i is
+    ids_to_points([i], r) (for r = 4 the point_ids numbering), the order
+    of RrefEnumerator(range(64), r, 1), whose positions _rref_chunks
+    deals as in the other scans.  Callers read the codeword weights as
+    nb - w and multiply the counts by 63.
     """
 
-    MAX_WIDTH = 10  # n coordinates of 6 bits in an int64
+    def iter_weights(self, d, start=0, stride=1, chunk=SCAN_CHUNK):
+        """Yield (normal numbers, weights of their hyperplanes) per chunk
+        of worker `start` of `stride`; d is r - 1, the hyperplanes'."""
+        enum = RrefEnumerator(range(64), self.r, 1)
+        for lo, hi, _ in _rref_chunks(enum, start, stride, chunk):
+            yield np.arange(lo, hi, dtype=np.int64), self.scan_range(lo, hi)
 
-    def __init__(self, tables, gen_rows):
-        self.k = len(gen_rows)
-        self.n = len(gen_rows[0])
-        if self.n > self.MAX_WIDTH:
-            raise InvariantViolation(
-                "%d coordinates of 6 bits do not pack into an int64" % self.n
-            )
-        # coord_packs[k, c] = the codeword of the message c e_k
-        scal = np.arange(64)
-        gen = np.array(gen_rows, dtype=np.int64)
-        self.coord_packs = coords_to_flats(tables.mul(scal[:, None], gen[:, None, :]))
-
-    def total_messages(self):
-        return (64**self.k - 1) // 63
-
-    def scan_range(self, lo, hi, chunk=1 << 16):
-        """Weights of codewords for message numbers in [lo, hi).
-
-        Returns (min_weight, bincount over weights 0..6), each message
-        counted once (not 63 times).
-        """
-        counts = np.zeros(7, dtype=np.int64)
-        minw = 7
-        for c0 in range(lo, hi, chunk):
-            idx = np.arange(c0, min(c0 + chunk, hi), dtype=np.int64)
-            msgs = ids_to_points(idx, self.k)
-            packs = np.zeros(len(idx), dtype=np.int64)
-            for k in range(self.k):
-                packs ^= self.coord_packs[k][msgs[:, k]]
-            w = rank_batch(flats_to_coords(packs, self.n))
-            counts += np.bincount(w, minlength=7)
-            minw = min(minw, int(w.min()))
-        return minw, counts
+    def scan_range(self, lo, hi):
+        """[hi - lo] weights of the hyperplanes m^⊥, m the normals [lo, hi)."""
+        normals = ids_to_points(np.arange(lo, hi), self.r)
+        return self.weights_for_duals(normals[:, None, :])
 
 
 def rref_small_batch(tables, mats):

@@ -1,13 +1,12 @@
 """Deterministic work partitioning: worker `start` of `stride`.
 
 Each fn decides what worker start of stride takes: the exhaustive
-subspace scans deal contiguous chunks round-robin (chunk k to worker
-k mod stride, gfbatch._rref_chunks), the agreement suite and saturation
-deal items start, start + stride, ..., and the codeword scan takes one
-contiguous range per worker.  Workers receive their arguments, built
-field objects included, as they are (one worker) or pickled into a fork
-pool; results merge in worker-index order so certificates do not depend
-on the worker count.
+scans deal contiguous chunks round-robin (chunk k to worker k mod
+stride, gfbatch._rref_chunks), and the agreement suite and saturation
+deal items start, start + stride, ....  Workers receive their
+arguments, built field objects included, as they are (one worker) or
+pickled into a fork pool; results merge in worker-index order so
+certificates do not depend on the worker count.
 """
 
 import multiprocessing

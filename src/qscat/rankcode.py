@@ -13,9 +13,8 @@ weights d_rho are each computed by two independent algorithms:
   the hyperplane weight histogram, and Delsarte's closed form when the
   code is MRD.
 
-Both subspace scans run through scatter.exhaustive_scan, the driver of
-the scatteredness tests; the codeword scan splits its messages into
-contiguous ranges instead.
+The subspace scans and the codeword scan all run through
+scatter.exhaustive_scan, the scan dispatcher of the scatteredness tests.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -28,7 +27,6 @@ from .errors import (
     WorkLimitExceeded,
 )
 from .field import BinaryField
-from .parallel import run_partitioned
 from .linalg import RrefEnumerator, fq_rank, fqm_span_dim, gaussian_binomial
 from .scatter import DEFAULT_BUDGET, exhaustive_scan, weight_spectrum
 
@@ -77,46 +75,26 @@ def rank_weight(field, v):
 # -- codeword scan -----------------------------------------------------------
 
 
-def _codeword_scan_worker(args, widx, nworkers):
-    from .gfbatch import Gf64Tables, CodewordScanner
-
-    field, gen_rows = args
-    scanner = CodewordScanner(Gf64Tables(field), gen_rows)
-    total = scanner.total_messages()
-    per, rem = divmod(total, nworkers)
-    lo = widx * per + min(widx, rem)
-    hi = lo + per + (1 if widx < rem else 0)
-    if hi <= lo:
-        return {"min": None, "counts": [0] * 7}
-    minw, counts = scanner.scan_range(lo, hi)
-    return {"min": minw, "counts": [int(c) for c in counts]}
-
-
 def codeword_scan(C, workers=1, budget=DEFAULT_BUDGET):
     """Minimum rank weight and weight distribution over all codewords.
 
-    Scaling a message by F_{q^m}^* keeps the rank weight of its codeword,
-    so one message per orbit is scanned (first nonzero coordinate 1, in
-    gfbatch.ids_to_points order) and each count is multiplied by the
-    orbit size q^m - 1.  Exhaustive (q = 2 only); returns (d,
-    distribution dict w -> count).
+    Message m's codeword (m . u_j)_j has rank weight n - weight(U, m^⊥),
+    and scaling m by F_{q^m}^* keeps m^⊥, so the scan walks one normal
+    per hyperplane (gfbatch.CodewordScanner, through exhaustive_scan,
+    which checks the complete hyperplane histogram against
+    scatter._check_incidences) and multiplies each count by the orbit
+    size q^m - 1.  Exhaustive (q = 2 only); returns (d, distribution
+    dict w -> count).
     """
-    from .gfbatch import CodewordScanner, check_scan_shape
-
     field = C.field
     orbits = (field.order**C.k - 1) // (field.order - 1)
     if orbits > budget:
         raise WorkLimitExceeded(orbits, budget)
-    check_scan_shape(CodewordScanner, field, C.k, C.n)
-    scale = field.order - 1
-    results = run_partitioned(_codeword_scan_worker, (field, C.generator), workers)
-    counts = [0] * 7
-    d = C.n
-    for res in results:
-        if res["min"] is not None:
-            d = min(d, res["min"])
-        counts = [a + b for a, b in zip(counts, res["counts"])]
-    return d, {w: scale * c for w, c in enumerate(counts) if c}
+    from .gfbatch import CodewordScanner
+
+    _, hist = exhaustive_scan(C.system, C.k - 1, CodewordScanner, workers)
+    dist = {C.n - w: (field.order - 1) * c for w, c in enumerate(hist) if c}
+    return min(dist), dist
 
 
 # -- span table (F_q side) ----------------------------------------------------
@@ -140,10 +118,12 @@ def span_table(C, workers=1, budget=DEFAULT_BUDGET):
     total = sum(gaussian_binomial(C.n, d, field.q) for d in range(C.n + 1))
     if total > budget:
         raise WorkLimitExceeded(total, budget)
+    from .gfbatch import FqSpanScanner
+
     minspan = [0]
     for d in range(1, C.n + 1):
         bound = minspan[-1]
-        [(first, hist)] = exhaustive_scan(C.system, (d,), False, workers, lo=bound + 1)
+        first, hist = exhaustive_scan(C.system, d, FqSpanScanner, workers, lo=bound + 1)
         if first is None:
             minspan.append(next(v for v, c in enumerate(hist) if c))
         else:

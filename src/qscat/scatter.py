@@ -8,8 +8,9 @@ Two independent algorithms decide h-scatteredness:
   requires dim_q(U ∩ H) <= order.
 
 Every exhaustive scan, both tests, weight_spectrum and the rank-metric
-span table alike, runs through one driver, exhaustive_scan, on the
-numpy GF(64) engines of gfbatch; gfbatch.check_scan_shape is the one
+span table and codeword scan alike, runs through one dispatcher,
+exhaustive_scan, one d per call on the numpy GF(64) engine class it is
+given (gfbatch's scanners); gfbatch.check_scan_shape is the one
 check of what they pack: q = 2, an ambient F_64^r with r <= 10 and their
 width limits, so an r = 3 system such as {(x, x^q, x^(q^2))} scans as
 the r = 4 systems U_s do.  Any other shape is a ConfigError, raised
@@ -192,61 +193,58 @@ def _fqm_witness(U, position, H, w):
 
 
 def _scan_worker(args, start, stride):
-    """Worker `start` of `stride`: its chunks of each scan; see exhaustive_scan."""
+    """Worker `start` of `stride`: its chunks of the scan; see exhaustive_scan."""
     import numpy as np
 
-    from .gfbatch import Gf64Tables, DualCodimScanner, FqSpanScanner
+    from . import gfbatch
 
-    field, basis, ds, oracle, lo, hi = args
-    scanner = (DualCodimScanner if oracle else FqSpanScanner)(Gf64Tables(field), basis)
-    values = scanner.iter_weights if oracle else scanner.iter_span_dims
-    out = []
-    for d in ds:
-        hist = np.zeros(len(basis) + 1, dtype=np.int64)  # values are <= nb
-        first = None
-        for pos, v in values(d, start=start, stride=stride):
-            hist += np.bincount(v, minlength=len(hist))
-            bad = (v < lo) | (v > hi)
-            if bad.any():
-                i = int(np.argmax(bad))
-                first = (int(pos[i]), int(v[i]))
-                break
-        out.append((first, [int(c) for c in hist]))
-    return out
+    field, basis, d, engine, lo, hi = args
+    scanner = engine(gfbatch.Gf64Tables(field), basis)
+    fast = engine is gfbatch.FqSpanScanner
+    values = scanner.iter_span_dims if fast else scanner.iter_weights
+    hist = np.zeros(len(basis) + 1, dtype=np.int64)  # values are <= nb
+    first = None
+    for pos, v in values(d, start=start, stride=stride):
+        hist += np.bincount(v, minlength=len(hist))
+        bad = (v < lo) | (v > hi)
+        if bad.any():
+            i = int(np.argmax(bad))
+            first = (int(pos[i]), int(v[i]))
+            break
+    return first, [int(c) for c in hist]
 
 
-def exhaustive_scan(U, ds, oracle, workers, lo=0, hi=None):
-    """Scan the d-dim subspaces for each d in ds: weight(U, H) over the
-    F_{q^m}-subspaces H if `oracle`, else dim <S>_{F_{q^m}} over the
-    F_q-subspaces S of U.
+def exhaustive_scan(U, d, engine, workers, lo=0, hi=None):
+    """Scan U with `engine`, a gfbatch scanner class built from U's basis:
+    weight(U, H) over the d-dim F_{q^m}-subspaces H (DualCodimScanner),
+    or over the hyperplanes H = m^⊥, one normal m per hyperplane
+    (CodewordScanner, d = r - 1), or dim <S>_{F_{q^m}} over the d-dim
+    F_q-subspaces S of U (FqSpanScanner).
 
-    Each scan is cut into contiguous chunks of at most gfbatch.SCAN_CHUNK
+    The scan is cut into contiguous chunks of at most gfbatch.SCAN_CHUNK
     positions (gfbatch._rref_chunks: the first ones smaller), and chunk k
     goes to worker k mod workers, which scans its chunks in ascending
     order and stops at its first value outside [lo, hi].  Returns
-    (first, hist) per d, merged over the workers: first is the (position,
+    (first, hist), merged over the workers: first is the (position,
     value) of the first value outside [lo, hi] in enumeration order (the
     least of the workers' firsts; None if there is none), and hist[v]
     counts the values scanned.  So first, and every complete hist, is the
-    same for any worker count.  A complete oracle hist (first is None) is
+    same for any worker count.  A complete weight hist (first is None) is
     checked against _check_incidences.
     """
-    from .gfbatch import DualCodimScanner, FqSpanScanner, check_scan_shape
+    from . import gfbatch
 
     field = U.field
-    check_scan_shape(DualCodimScanner if oracle else FqSpanScanner, field, U.r, U.dim_q)
+    gfbatch.check_scan_shape(engine, field, U.r, U.dim_q)
     hi = U.dim_q if hi is None else hi
-    args = (field, U.basis, tuple(ds), oracle, lo, hi)
+    args = (field, U.basis, d, engine, lo, hi)
     results = run_partitioned(_scan_worker, args, workers)
-    out = []
-    for k, d in enumerate(ds):
-        firsts = [res[k][0] for res in results if res[k][0] is not None]
-        first = min(firsts) if firsts else None
-        hist = [sum(col) for col in zip(*(res[k][1] for res in results))]
-        if oracle and first is None:
-            _check_incidences(U, d, hist)
-        out.append((first, hist))
-    return out
+    firsts = [first for first, _ in results if first is not None]
+    first = min(firsts) if firsts else None
+    hist = [sum(col) for col in zip(*(h for _, h in results))]
+    if engine is not gfbatch.FqSpanScanner and first is None:
+        _check_incidences(U, d, hist)
+    return first, hist
 
 
 def _check_incidences(U, d, hist):
@@ -302,7 +300,9 @@ def is_h_scattered_fast(
     total = gaussian_binomial(U.dim_q, d, field.q)
     if total > budget:
         raise WorkLimitExceeded(total, budget)
-    [(first, _)] = exhaustive_scan(U, (d,), False, workers, lo=d)
+    from . import gfbatch
+
+    first, _ = exhaustive_scan(U, d, gfbatch.FqSpanScanner, workers, lo=d)
     details = {"order": order, "subspace_dim": d}
     if first is None:
         return Verdict(True, None, total, "fast", details)
@@ -359,7 +359,9 @@ def is_h_scattered_oracle(
     total = gaussian_binomial(U.r, order, field.order)
     if total > budget:
         raise WorkLimitExceeded(total, budget)
-    [(first, hist)] = exhaustive_scan(U, (order,), True, workers, hi=order)
+    from . import gfbatch
+
+    first, hist = exhaustive_scan(U, order, gfbatch.DualCodimScanner, workers, hi=order)
     if first is None:
         details = {
             "order": order,
@@ -462,7 +464,9 @@ def weight_spectrum(
     total = gaussian_binomial(U.r, d, field.order)
     if total > budget:
         raise WorkLimitExceeded(total, budget)
-    [(_, hist)] = exhaustive_scan(U, (d,), True, workers)
+    from . import gfbatch
+
+    _, hist = exhaustive_scan(U, d, gfbatch.DualCodimScanner, workers)
     return {i: c for i, c in enumerate(hist) if c}
 
 

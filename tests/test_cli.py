@@ -139,6 +139,31 @@ def test_bad_config_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+def _not_utf8(tmp_path):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(b"# caf\xe9\nh=1\n")
+    return path
+
+
+@pytest.mark.parametrize("flag, make", [
+    ("--config", lambda tmp: tmp / "missing.cfg"),
+    ("--config", lambda tmp: tmp),
+    ("--config", _not_utf8),
+    ("--out", lambda tmp: tmp / "missing" / "cert.json"),
+    ("--out", lambda tmp: tmp),
+], ids=["config-missing", "config-directory", "config-not-utf8", "out-missing-dir",
+        "out-directory"])
+def test_unusable_file_paths_exit_2(tmp_path, capsys, flag, make):
+    """A --config that cannot be read or an --out that cannot be written
+    is a config error: exit 2, one error line, no certificate."""
+    code = cli.main(["field-selftest", flag, str(make(tmp_path))])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error" in line]
+    assert len(errors) == 1 and errors[0].startswith("qscat: error: ")
+
+
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "O"])
 @pytest.mark.parametrize("seed", [-1, 1 << 64], ids=["minus1", "2^64"])
 def test_out_of_range_seed_exit_2(tmp_path, flags, seed):

@@ -315,14 +315,17 @@ def _dealt(values, d, total, workers, chunk):
 @pytest.mark.parametrize("which, d, chunk", [
     ("U_G", 1, gfbatch.SCAN_CHUNK), ("U_G", 2, gfbatch.SCAN_CHUNK), ("U_G", 2, 1000),
     ("U1", 1, gfbatch.SCAN_CHUNK), ("U1", 1, 5000), ("U1", 2, gfbatch.SCAN_CHUNK),
+    ("U1 codeword", 3, gfbatch.SCAN_CHUNK), ("U1 codeword", 3, 5000),
 ])
 def test_chunks_deal_every_position_once(F, which, d, chunk, request):
     """Workers w of W = 1, 2, 3 take contiguous chunks round-robin: their
     positions cover the enumeration exactly once, and their weights equal
     the one-worker weights, also where a chunk (1,000 or 5,000 positions)
-    cuts a 4,096-position tile."""
-    U = request.getfixturevalue(which)
-    scanner = DualCodimScanner(Gf64Tables(F), U.basis)
+    cuts a 4,096-position tile.  The codeword scanner deals its normals,
+    one per hyperplane, the same way."""
+    name, _, codeword = which.partition(" ")
+    U = request.getfixturevalue(name)
+    scanner = (CodewordScanner if codeword else DualCodimScanner)(Gf64Tables(F), U.basis)
     total = RrefEnumerator(range(64), U.r, d).total
     whole = _dealt(scanner.iter_weights, d, total, 1, chunk)
     for workers in (2, 3):
@@ -356,30 +359,32 @@ def test_kernel_bitmaps_are_subspaces(F, U1):
 
 
 def test_codeword_scanner_index_map(F, code):
-    """Message number i is the normalized point with id i (k = 4)."""
-    scanner = CodewordScanner(Gf64Tables(F), code.generator)
-    assert scanner.total_messages() == POINT_COUNT == 266_305
-    ids = np.array([0, 1, 63, 64**3 - 1, 64**3, 64**3 + 64**2, POINT_COUNT - 1])
-    msgs = ids_to_points(ids, scanner.k)
-    assert point_ids(msgs).tolist() == ids.tolist()
+    """Normal number i is the RREF of position i among the 1-dim
+    subspaces and the normalized point with id i (k = 4), and n minus the
+    weight of its hyperplane is the rank weight of its codeword."""
+    scanner = CodewordScanner(Gf64Tables(F), code.system.basis)
+    enum = RrefEnumerator(range(64), 4, 1)
+    assert enum.total == POINT_COUNT == 266_305
     # the head of the pivot-0 block, and the tail through pivots 1, 2, 3
     for lo, hi in ((0, 600), (POINT_COUNT - 4200, POINT_COUNT)):
-        minw, counts = scanner.scan_range(lo, hi, chunk=997)
-        whole = [0] * 7
-        for msg in ids_to_points(np.arange(lo, hi)).tolist():
-            whole[rank_weight(F, code.encode(msg))] += 1
-        assert counts.tolist() == whole
-        assert minw == min(w for w in range(7) if whole[w])
+        ids = np.arange(lo, hi)
+        msgs = ids_to_points(ids, 4)
+        assert point_ids(msgs).tolist() == ids.tolist()
+        assert [list(enum.decode(i)[0][0]) for i in range(lo, hi)] == msgs.tolist()
+        weights = scanner.nb - scanner.scan_range(lo, hi)
+        assert weights.tolist() == [
+            rank_weight(F, code.encode(msg)) for msg in msgs.tolist()
+        ]
 
 
 def test_scanner_widths_are_checked(F, U1):
-    """Too many basis vectors or coordinates for an int64 pack raises
-    InvariantViolation (a check, not an assert)."""
+    """Too many basis vectors for an int64 pack (11, in both weight
+    scanners) raises InvariantViolation (a check, not an assert)."""
     tables = Gf64Tables(F)
     with pytest.raises(InvariantViolation):
         DualCodimScanner(tables, list(U1.basis) + list(U1.basis[:3]))
     with pytest.raises(InvariantViolation):
-        CodewordScanner(tables, [[1] * 11] * 4)
+        CodewordScanner(tables, [[1] * 4] * 11)
 
 
 # -- batched sampled tests -----------------------------------------------------

@@ -7,6 +7,7 @@ from qscat.errors import (
     InvariantViolation,
     WorkLimitExceeded,
 )
+from qscat.gfbatch import CodewordScanner, FqSpanScanner
 from qscat.linalg import FqSubspace, apply_gl, weight
 from qscat.rankcode import (
     code_from_system,
@@ -136,7 +137,9 @@ def test_gl_equivalent_systems_share_profile(F, U1, code):
 def _table_from_histograms(C, workers):
     """span_table's definition read off complete span histograms:
     minspan[d] is the first nonzero entry of the d-scan's histogram."""
-    scans = exhaustive_scan(C.system, range(1, C.n + 1), False, workers)
+    scans = [
+        exhaustive_scan(C.system, d, FqSpanScanner, workers) for d in range(1, C.n + 1)
+    ]
     assert all(first is None for first, _ in scans)
     minspan = [0] + [next(v for v, c in enumerate(hist) if c) for _, hist in scans]
     return tuple(
@@ -312,6 +315,28 @@ def test_distribution_disagreement_raises(F, code, monkeypatch):
     monkeypatch.setattr(rankcode, "codeword_scan", shifted)
     with pytest.raises(InvariantViolation):
         min_distance(code)
+
+
+def test_codeword_histogram_off_incidences_raises(code, monkeypatch, capsys):
+    """A codeword scan with one normal one heavier breaks the hyperplane
+    incidence count: ClosedFormMismatch, and code-profile exits 3."""
+    from qscat import cli
+
+    real = CodewordScanner.scan_range
+
+    def heavier(self, lo, hi):
+        weights = real(self, lo, hi)
+        if lo == 0:
+            weights[0] += 1
+        return weights
+
+    monkeypatch.setattr(CodewordScanner, "scan_range", heavier)
+    with pytest.raises(ClosedFormMismatch):
+        codeword_scan(code)
+    assert cli.main(["code-profile"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "ClosedFormMismatch" in captured.err.splitlines()[-1]
 
 
 def test_mrd_code_off_delsarte_raises(F, code, monkeypatch):
