@@ -1,17 +1,21 @@
 """Rank-metric code of a q-system and its generalized weight profile.
 
 The code of an [n, k] system U < F_{q^m}^k has a k x n generator whose
-columns are an F_q-basis of U.  Minimum distance and the generalized
-weights d_rho are each computed by two independent algorithms:
+columns are an F_q-basis of U.  The generalized weights d_rho are each
+computed by two independent algorithms:
 
+* F_q side: d_rho = n - max{dim_q S : S <= U, dim <S>_{F_{q^m}} <= k - rho},
+  read off the complete span histograms of the F_q-subspaces of U
+  (span_histograms), the primary algorithm;
 * geometric side: d_rho = n - max weight of a codim-rho subspace
-  (exhaustive scans over F_{q^m}-subspaces);
-* F_q side: d_rho = n - max{dim_q S : S <= U, dim <S>_{F_{q^m}} <= k - rho}
-  (exhaustive scan over F_q-subspaces of U), the primary algorithm;
-* for d additionally a codeword scan over one message per
-  F_{q^m}^*-orbit, whose weight distribution must equal (q^m - 1) times
-  the hyperplane weight histogram, and Delsarte's closed form when the
-  code is MRD.
+  (exhaustive scans over F_{q^m}-subspaces).
+
+d and the weight distribution come from one codeword scan over one
+message per F_{q^m}^*-orbit, which is a scan of the hyperplane weights.
+Its hyperplane histogram must have the binomial moments that the span
+histograms give (scatter._check_incidences, j = 0..n), which together
+fix the whole histogram; an MRD code's distribution must also be
+Delsarte's closed form.
 
 The subspace scans and the codeword scan all run through
 scatter.exhaustive_scan, the scan dispatcher of the scatteredness tests.
@@ -27,8 +31,13 @@ from .errors import (
     WorkLimitExceeded,
 )
 from .field import BinaryField
-from .linalg import RrefEnumerator, fq_rank, fqm_span_dim, gaussian_binomial
-from .scatter import DEFAULT_BUDGET, exhaustive_scan, weight_spectrum
+from .linalg import fq_rank, fqm_span_dim, gaussian_binomial
+from .scatter import (
+    DEFAULT_BUDGET,
+    _check_incidences,
+    exhaustive_scan,
+    weight_spectrum,
+)
 
 
 @dataclass
@@ -41,7 +50,7 @@ class RankCode:
     m: int
     generator: tuple  # k rows of length n
     system: object  # the FqSubspace U
-    _span_table: Optional[tuple] = dc_field(default=None, repr=False)
+    _span_histograms: Optional[tuple] = dc_field(default=None, repr=False)
 
     def encode(self, message):
         mul = self.field.mul
@@ -100,56 +109,40 @@ def codeword_scan(C, workers=1, budget=DEFAULT_BUDGET):
 # -- span table (F_q side) ----------------------------------------------------
 
 
-def span_table(C, workers=1, budget=DEFAULT_BUDGET):
-    """best[j] = max dim_q of S <= U with dim <S>_{F_{q^m}} <= j.
+def span_histograms(C, workers=1, budget=DEFAULT_BUDGET):
+    """N[d][s] = number of d-dim S <= U with dim <S>_{F_{q^m}} = s.
 
-    Derived from minspan[d], the least span of a d-dim subspace of U.
-    minspan[d] >= minspan[d-1]: every d-dim S contains a (d-1)-dim
-    subspace, whose span lies in <S>.  So the d-scan only looks for a
-    span of at most minspan[d-1] (exhaustive_scan with lo = minspan[d-1]
-    + 1): the first one found is minspan[d] = minspan[d-1], re-checked by
-    scalar linalg at its decoded position, and a scan that finds none is
-    complete, so minspan[d] is the first nonzero entry of its histogram.
-    Cached on the code object.
+    One complete FqSpanScanner scan per d = 1..n; N[0] is the zero
+    subspace's.  Cached on the code object.
     """
-    if C._span_table is not None:
-        return C._span_table
-    field = C.field
-    total = sum(gaussian_binomial(C.n, d, field.q) for d in range(C.n + 1))
+    if C._span_histograms is not None:
+        return C._span_histograms
+    total = sum(gaussian_binomial(C.n, d, C.field.q) for d in range(C.n + 1))
     if total > budget:
         raise WorkLimitExceeded(total, budget)
     from .gfbatch import FqSpanScanner
 
-    minspan = [0]
+    hists = [(1,)]
     for d in range(1, C.n + 1):
-        bound = minspan[-1]
-        first, hist = exhaustive_scan(C.system, d, FqSpanScanner, workers, lo=bound + 1)
-        if first is None:
-            minspan.append(next(v for v, c in enumerate(hist) if c))
-        else:
-            _check_least_span(C.system, d, first, bound)
-            minspan.append(bound)
-    best = []
-    for j in range(C.k + 1):
-        best.append(max(d for d in range(C.n + 1) if minspan[d] <= j))
-    table = tuple(best)
-    C._span_table = table
-    return table
+        _, hist = exhaustive_scan(C.system, d, FqSpanScanner, workers)
+        hists.append(tuple(hist))
+    C._span_histograms = tuple(hists)
+    return C._span_histograms
 
 
-def _check_least_span(U, d, first, bound):
-    """Re-check the (position, span) where a d-scan stopped below its
-    lower bound: the span must be `bound` = minspan[d-1], also when
-    fqm_span_dim recomputes it from the decoded subspace."""
-    pos, span = first
-    rows, _ = RrefEnumerator((0, 1), U.dim_q, d).decode(pos)
-    scalar = fqm_span_dim(U.field, [U.combine(row) for row in rows])
-    if span != bound or scalar != bound:
-        raise InvariantViolation(
-            "span scan of the %d-dim subspaces stops at %d with span %d "
-            "(scalar %d), but the least span of the %d-dim ones is %d"
-            % (d, pos, span, scalar, d - 1, bound)
-        )
+def span_table(C, workers=1, budget=DEFAULT_BUDGET):
+    """best[j] = max dim_q of S <= U with dim <S>_{F_{q^m}} <= j.
+
+    minspan[d], the least span of a d-dim subspace of U, is the first
+    nonzero entry of the d-th span histogram.
+    """
+    minspan = [
+        next(s for s, c in enumerate(hist) if c)
+        for hist in span_histograms(C, workers, budget)
+    ]
+    return tuple(
+        max(d for d in range(C.n + 1) if minspan[d] <= j) for j in range(C.k + 1)
+    )
 
 
 # -- distances ----------------------------------------------------------------
@@ -174,37 +167,6 @@ def mrd_weight_distribution(n, m, d, q):
             )
         out[s] = gaussian_binomial(small, s, q) * acc
     return out
-
-
-def _checked_distance(C, workers, budget):
-    """d by codeword scan and by hyperplane scan, which must agree.
-
-    The nonzero messages of one F_{q^m}^*-orbit have one hyperplane H as
-    kernel, and their codewords have rank weight n - weight(U, H), so the
-    whole codeword distribution must equal q^m - 1 times the hyperplane
-    histogram read at n - w.  Returns (d, codeword weight distribution,
-    hyperplane weight histogram).
-    """
-    d_code, dist = codeword_scan(C, workers=workers, budget=budget)
-    spec1 = weight_spectrum(C.system, codim=1, workers=workers, budget=budget)
-    d_hyper = C.n - max(spec1)
-    if d_code != d_hyper:
-        raise InvariantViolation(
-            "codeword scan gives d = %d, hyperplane scan d = %d" % (d_code, d_hyper)
-        )
-    scale = C.field.order - 1
-    from_hyperplanes = {C.n - w: scale * c for w, c in spec1.items()}
-    if dist != from_hyperplanes:
-        raise InvariantViolation(
-            "codeword distribution %r, hyperplane scan gives %r"
-            % (dist, from_hyperplanes)
-        )
-    return d_code, dist, spec1
-
-
-def min_distance(C, workers=1, budget=DEFAULT_BUDGET):
-    """Minimum distance by codeword scan and hyperplane scan; must agree."""
-    return _checked_distance(C, workers, budget)[0]
 
 
 def generalized_weight(
@@ -276,14 +238,19 @@ ORACLE_RHOS = (1, 3, 4)
 def classify(C, workers=1, budget=DEFAULT_BUDGET):
     """Full profile: d, all d_rho, Singleton equality and MRD flags.
 
-    d comes from the codeword scan and the hyperplane scan (must agree);
-    d_rho from the F_q-side table, cross-checked by subspace scans for
-    every rho in ORACLE_RHOS.  An MRD code's codeword distribution must
-    equal Delsarte's closed form.
+    d and the distribution come from the codeword scan, whose hyperplane
+    histogram must have the moments j = 0..n that the span histograms
+    give; d_rho from the F_q-side table, cross-checked by subspace scans
+    for every rho in ORACLE_RHOS.  An MRD code's codeword distribution
+    must equal Delsarte's closed form.
     """
     n, k, m = C.n, C.k, C.m
-    d, dist, spec1 = _checked_distance(C, workers, budget)
+    d, dist = codeword_scan(C, workers=workers, budget=budget)
     best = span_table(C, workers=workers, budget=budget)
+    spec1 = {n - w: c // (C.field.order - 1) for w, c in dist.items()}
+    hist = [spec1.get(w, 0) for w in range(n + 1)]
+    spans = span_histograms(C, workers=workers, budget=budget)  # cached by span_table
+    _check_incidences(C.system, k - 1, hist, dict(enumerate(spans)))
     d_rho = tuple(n - best[k - rho] for rho in range(1, k + 1))
     checks = {
         "d_codeword_scan": d,

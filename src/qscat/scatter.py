@@ -8,7 +8,7 @@ Two independent algorithms decide h-scatteredness:
   requires dim_q(U ∩ H) <= order.
 
 Every exhaustive scan, both tests, weight_spectrum and the rank-metric
-span table and codeword scan alike, runs through one dispatcher,
+span histograms and codeword scan alike, runs through one dispatcher,
 exhaustive_scan, one d per call on the numpy GF(64) engine class it is
 given (gfbatch's scanners); gfbatch.check_scan_shape is the one
 check of what they pack: q = 2, an ambient F_64^r with r <= 10 and their
@@ -229,8 +229,9 @@ def exhaustive_scan(U, d, engine, workers, lo=0, hi=None):
     value) of the first value outside [lo, hi] in enumeration order (the
     least of the workers' firsts; None if there is none), and hist[v]
     counts the values scanned.  So first, and every complete hist, is the
-    same for any worker count.  A complete weight hist (first is None) is
-    checked against _check_incidences.
+    same for any worker count.  A complete weight hist (first is None)
+    must pass _check_incidences's closed-form first moment; rankcode
+    checks the code's hyperplane hist against every moment.
     """
     from . import gfbatch
 
@@ -247,20 +248,28 @@ def exhaustive_scan(U, d, engine, workers, lo=0, hi=None):
     return first, hist
 
 
-def _check_incidences(U, d, hist):
-    """sum over d-dim H of (q^w(H) - 1) counts the pairs (u in U - 0, H ∋ u).
+def _check_incidences(U, d, hist, spans=None):
+    """The j-th moment sum over d-dim H of [w(H), j]_q counts the pairs
+    (S, H), S a j-dim F_q-subspace of U inside H, for each j in spans.
 
-    Each nonzero u lies in [r-1, d-1]_{q^m} of the d-dim subspaces, so
-    the sum is the same for every U of the same F_q-dimension.
+    spans[j][s] = N_j(s) counts the j-dim S whose F_{q^m}-span has
+    dimension s, and such an S lies in [r-s, d-s]_{q^m} of the d-dim
+    subspaces.  The default is the closed form N_1 = {1: [dim_q U, 1]_q},
+    the same for every U of the same F_q-dimension.
     """
-    field = U.field
-    got = sum((field.q**w - 1) * c for w, c in enumerate(hist))
-    expected = (field.q**U.dim_q - 1) * gaussian_binomial(U.r - 1, d - 1, field.order)
-    if got != expected:
-        raise ClosedFormMismatch(
-            "weight histogram %r of the %d-dim subspaces counts %d "
-            "incidences, expected %d" % (hist, d, got, expected)
+    q, Q = U.field.q, U.field.order
+    if spans is None:
+        spans = {1: (0, gaussian_binomial(U.dim_q, 1, q))}
+    for j, N in spans.items():
+        got = sum(c * gaussian_binomial(w, j, q) for w, c in enumerate(hist) if c)
+        expected = sum(
+            c * gaussian_binomial(U.r - s, d - s, Q) for s, c in enumerate(N) if c
         )
+        if got != expected:
+            raise ClosedFormMismatch(
+                "weight histogram %r of the %d-dim subspaces has %d-th moment "
+                "%d, the span histograms give %d" % (hist, d, j, got, expected)
+            )
 
 
 # -- scatteredness tests ----------------------------------------------------

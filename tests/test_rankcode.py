@@ -1,25 +1,32 @@
+import numpy as np
 import pytest
 
 from qscat import gf2, rankcode
 from qscat.errors import (
     ClosedFormMismatch,
     DegenerateSystem,
-    InvariantViolation,
     WorkLimitExceeded,
 )
-from qscat.gfbatch import CodewordScanner, FqSpanScanner
-from qscat.linalg import FqSubspace, apply_gl, weight
+from qscat.gfbatch import (
+    CodewordScanner,
+    DualCodimScanner,
+    Gf64Tables,
+    normalize_points,
+)
+from qscat.linalg import FqSubspace, apply_gl, gaussian_binomial, weight
 from qscat.rankcode import (
+    classify,
     code_from_system,
     codeword_scan,
     generalized_weight,
-    min_distance,
     mrd_weight_distribution,
     rank_weight,
+    span_histograms,
     span_table,
 )
 from qscat.rng import XorShift64Star
 from qscat.scatter import (
+    _check_incidences,
     build_Us,
     exhaustive_scan,
     random_fq_subspace,
@@ -134,60 +141,87 @@ def test_gl_equivalent_systems_share_profile(F, U1, code):
     assert s1 == s2
 
 
-def _table_from_histograms(C, workers):
-    """span_table's definition read off complete span histograms:
-    minspan[d] is the first nonzero entry of the d-scan's histogram."""
-    scans = [
-        exhaustive_scan(C.system, d, FqSpanScanner, workers) for d in range(1, C.n + 1)
-    ]
-    assert all(first is None for first, _ in scans)
-    minspan = [0] + [next(v for v, c in enumerate(hist) if c) for _, hist in scans]
-    return tuple(
-        max(d for d in range(C.n + 1) if minspan[d] <= j) for j in range(C.k + 1)
-    )
+def _moment_sides(U, d, hist, j, N):
+    """Both sides of the j-th moment identity, N the span histogram of
+    the j-dim F_q-subspaces of U: the sum over the d-dim H of
+    [w(H), j]_q, and the sum over s of N(s) [r - s, d - s]_{q^m}."""
+    q, Q = U.field.q, U.field.order
+    lhs = sum(c * gaussian_binomial(w, j, q) for w, c in enumerate(hist))
+    rhs = sum(c * gaussian_binomial(U.r - s, d - s, Q) for s, c in enumerate(N))
+    return lhs, rhs
+
+
+SYSTEMS = [
+    "U1", "GL image of U1", "U_planted", "U_G", "random 0", "random 1", "random 2"
+]
+
+
+def _system(F, which, request):
+    if which == "GL image of U1":
+        A = random_invertible(F, 4, XorShift64Star(44))
+        return apply_gl(A, request.getfixturevalue("U1"))
+    if which.startswith("random"):
+        rng = XorShift64Star(1234)
+        for _ in range(int(which.split()[1]) + 1):
+            U = random_fq_subspace(F, 4, 8, rng)
+        return U
+    return request.getfixturevalue(which)
 
 
 @pytest.mark.parametrize("workers", [1, 3])
-@pytest.mark.parametrize("which", ["U1", "GL image of U1", "U_planted", "U_G"])
+@pytest.mark.parametrize("which", SYSTEMS)
 def test_lower_bound_stop_gives_the_complete_table(F, which, workers, request):
-    """The d-scans that stop at minspan[d-1] give the table read off the
-    complete histograms, at any worker count."""
-    if which == "GL image of U1":
-        A = random_invertible(F, 4, XorShift64Star(44))
-        U = apply_gl(A, request.getfixturevalue("U1"))
-    else:
-        U = request.getfixturevalue(which)
-    C = code_from_system(U)
-    assert span_table(C, workers=workers) == _table_from_histograms(C, workers)
+    """Every complete weight histogram of the codim 1..r-1 subspaces has
+    the moments j = 0..n that the complete span histograms give, at any
+    worker count, and passes _check_incidences with them."""
+    U = _system(F, which, request)
+    N = span_histograms(code_from_system(U), workers=workers)
+    # complete: N[j] counts every j-dim F_2-subspace of U
+    assert [sum(h) for h in N] == [
+        gaussian_binomial(U.dim_q, j, 2) for j in range(U.dim_q + 1)
+    ]
+    moments = {}
+    for d in range(1, U.r):
+        _, hist = exhaustive_scan(U, d, DualCodimScanner, workers)
+        for j, Nj in enumerate(N):
+            lhs, rhs = _moment_sides(U, d, hist, j, Nj)
+            assert lhs == rhs, (d, j)
+            moments[d, j] = lhs
+        _check_incidences(U, d, hist, dict(enumerate(N)))
+    if which == "U1":
+        # by hand from the hyperplane histogram {2: 206040, 3: 57630, 4: 2635}
+        assert moments[3, 2] == 701_675 == 10_795 * gaussian_binomial(2, 1, 64)
+        assert moments[3, 3] == 97_155 == gaussian_binomial(8, 3, 2)
 
 
-def test_span_table_stops_each_scan_at_its_bound(code, monkeypatch):
-    """span_table on U_1's code walks at most 213,808 of the 417,199
-    F_2-subspaces: d = 4, 6, 7, 8 stop in their first chunk."""
-    from qscat import gfbatch
-
-    real = gfbatch.FqSpanScanner.iter_span_dims
+def test_classify_scans_the_hyperplanes_once(code, monkeypatch):
+    """classify's one hyperplane scan is the codeword scan: no
+    DualCodimScanner scan runs at d = k - 1."""
     seen = []
 
-    def counting(self, d, *args, **kwargs):
-        for pos, spans in real(self, d, *args, **kwargs):
-            seen.append(len(pos))
-            yield pos, spans
+    def recording(cls):
+        real = cls.iter_weights
 
-    monkeypatch.setattr(gfbatch.FqSpanScanner, "iter_span_dims", counting)
-    C = code_from_system(code.system)
-    assert span_table(C, workers=1) == (0, 1, 2, 4, 8)
-    assert 0 < sum(seen) <= 213_808
+        def iter_weights(self, d, *args, **kwargs):
+            seen.append((cls.__name__, d))
+            return real(self, d, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "iter_weights", iter_weights)
+
+    recording(DualCodimScanner)
+    recording(CodewordScanner)
+    classify(code_from_system(code.system), workers=1)
+    assert [s for s in seen if s[1] == code.k - 1] == [("CodewordScanner", 3)]
 
 
 @pytest.mark.parametrize("d, pos, span", [(3, 5, 2), (4, 0, 1)])
 def test_false_least_span_is_an_invariant_violation(
     U1, monkeypatch, capsys, d, pos, span
 ):
-    """A scanner that reports a span of minspan[d-1] where the true one
-    is larger (d = 3), or a span below minspan[d-1] (d = 4), is caught by
-    the re-check of the stop position: an internal error (exit 3), and
-    no certificate."""
+    """A span scanner that reports a false smaller span at one position
+    of the d-scan moves N_d, so the hyperplane histogram's d-th moment
+    no longer matches: ClosedFormMismatch, an internal error (exit 3),
+    and no certificate."""
     from qscat import cli, gfbatch
 
     real = gfbatch.FqSpanScanner.iter_span_dims
@@ -200,8 +234,10 @@ def test_false_least_span_is_an_invariant_violation(
             yield got_pos, spans
 
     monkeypatch.setattr(gfbatch.FqSpanScanner, "iter_span_dims", lying)
-    with pytest.raises(InvariantViolation):
-        span_table(code_from_system(U1))
+    got, expected = {3: (97_155, 97_219), 4: (2_635, 6_795)}[d]
+    message = "%d-th moment %d, the span histograms give %d" % (d, got, expected)
+    with pytest.raises(ClosedFormMismatch, match=message):
+        classify(code_from_system(U1))
     assert cli.main(["code-profile"]) == 3
     assert capsys.readouterr().out == ""
 
@@ -213,8 +249,8 @@ def test_trivial_k1_system(F):
     assert U.dim_q == 4
     C = code_from_system(U)
     assert (C.n, C.k) == (4, 1)
-    d = min_distance(C)
-    assert d == 4  # every nonzero codeword scales an independent tuple
+    # every nonzero codeword scales an independent tuple
+    assert codeword_scan(C) == (4, {4: 63})
 
 
 def test_d_rho_monotone_and_singleton_bound(F, code):
@@ -250,23 +286,39 @@ def test_planted_low_weight_codeword(F, U1):
         H0 = FqmSubspace.span(F, 4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)])
         if weight(U, H0) == 5:
             break
-    C = code_from_system(U)
-    d = min_distance(C, workers=2)
-    assert d <= 3
-    # both algorithms agreed inside min_distance; cross-check the value
+    profile = classify(code_from_system(U), workers=2)
+    assert profile.d <= 3
+    # the codeword scan against the oracle's hyperplane walk
     spec = weight_spectrum(U, codim=1, workers=2)
-    assert d == 8 - max(spec)
+    assert profile.d == 8 - max(spec)
+    assert profile.checks["hyperplane_weight_hist"] == {
+        str(w): c for w, c in sorted(spec.items())
+    }
 
 
-def test_distance_disagreement_raises(F, monkeypatch):
-    """A hyperplane scan that contradicts the codeword scan is an internal
-    error, raised with asserts stripped too."""
-    T = F.trace_kernel_basis()
-    U = FqSubspace.span(F, 1, [(t,) for t in T])
-    C = code_from_system(U)
-    monkeypatch.setattr(rankcode, "weight_spectrum", lambda *a, **kw: {1: 1})
-    with pytest.raises(InvariantViolation):
-        min_distance(C)
+def test_shared_kernel_fault_breaks_a_moment(F, U_planted, monkeypatch):
+    """A fault in the hyperplane kernel, keyed on the normalized normal so
+    that both hyperplane scan orders see it, that reads two weight-3
+    hyperplanes of U_planted as 2 and one as 4: the count and the first
+    moment hold, the second is off by 16, so classify refuses it."""
+    tables = Gf64Tables(F)
+    weights = CodewordScanner(tables, U_planted.basis).scan_range(0, 266_305)
+    faults = dict(zip(np.flatnonzero(weights == 3)[:3].tolist(), (2, 2, 4)))
+    real = DualCodimScanner.weights_for_duals
+
+    def faulty(self, duals):
+        out = real(self, duals)
+        if duals.shape[1] == 1:
+            _, ids = normalize_points(tables, duals[:, 0, :])
+            for i in np.flatnonzero(np.isin(ids, list(faults))):
+                out[i] = faults[int(ids[i])]
+        return out
+
+    monkeypatch.setattr(DualCodimScanner, "weights_for_duals", faulty)
+    with pytest.raises(
+        ClosedFormMismatch, match="2-th moment 730363, the span histograms give 730347"
+    ):
+        classify(code_from_system(U_planted))
 
 
 def test_mrd_weight_distribution_closed_form():
@@ -300,21 +352,27 @@ def test_u1_codeword_distribution(code):
     assert dist == {4: 166_005, 5: 3_630_690, 6: 12_980_520}
 
 
-def test_distribution_disagreement_raises(F, code, monkeypatch):
-    """A codeword distribution off the hyperplane histogram by a single
-    orbit is an internal error even when d agrees."""
-    real = rankcode.codeword_scan
+def test_planted_hyperplane_mutation_exits_3(monkeypatch, capsys):
+    """U_1's codeword scan with +2 at w = 2, -3 at w = 3 and +1 at w = 4
+    of the hyperplane histogram keeps the count and the first moment,
+    and moves the second by 16: code-profile exits 3, no certificate."""
+    from qscat import cli
 
-    def shifted(*args, **kwargs):
-        d, dist = real(*args, **kwargs)
-        dist = dict(dist)
-        dist[5] -= 63
-        dist[6] += 63
-        return d, dist
+    real = CodewordScanner.scan_range
 
-    monkeypatch.setattr(rankcode, "codeword_scan", shifted)
-    with pytest.raises(InvariantViolation):
-        min_distance(code)
+    def mutated(self, lo, hi):
+        weights = real(self, lo, hi)
+        if lo == 0:
+            weights[np.flatnonzero(weights == 3)[:3]] = (2, 2, 4)
+        return weights
+
+    monkeypatch.setattr(CodewordScanner, "scan_range", mutated)
+    assert cli.main(["code-profile"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    last = captured.err.splitlines()[-1]
+    assert "ClosedFormMismatch" in last
+    assert "2-th moment 701691, the span histograms give 701675" in last
 
 
 def test_codeword_histogram_off_incidences_raises(code, monkeypatch, capsys):
