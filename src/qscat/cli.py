@@ -1,81 +1,57 @@
 """Command-line front end and JSON certificate emission.
 
 Standard output carries exactly one JSON certificate; progress notes go
-to standard error.  `run` builds the field once from the configuration
-and hands it to the command's handler.  Exit codes: 0 = all checked
-properties hold, 1 = a property was refuted (the certificate carries a
-witness), 2 = configuration or work-limit error, an unreadable --config
-or an unwritable --out included (nothing is printed on stdout), 3 =
-internal error, such as a failed cross-check between two algorithms (a
-one-line message on stderr, no certificate).
+to standard error.  Each setting is declared once, in `_KEYS`, and is
+read from its flag or from a --config line alike.  `run` builds the field
+GF(2^(6h)) once from the configuration and hands it to the command's
+handler.  Exit codes: 0 = all checked properties hold, 1 = a property
+was refuted (the certificate carries a witness), 2 = configuration or
+work-limit error, an unreadable --config, an empty --modulus or --out,
+and a certificate that cannot be written to --out or to stdout included
+(nothing more is printed on stdout), 3 = internal error, such as a
+failed cross-check between two algorithms (a one-line message on
+stderr, no certificate).
 """
 
 import argparse
 import json
+import os
 import sys
 import time
 
 from . import __version__
 from .errors import ConfigError, QscatError, WorkLimitExceeded
-from .field import DEFAULT_MODULI, BinaryField, poly_is_irreducible
+from .field import DEFAULT_MODULI, BinaryField, from_nibble_hex, poly_is_irreducible
 from .linalg import apply_gl, rows_to_text, weight
 from .rng import XorShift64Star
 from . import dual as dual_mod
 from . import rankcode
-from . import saturate
 from . import scatter
 
 SCHEMA = 1
 MAX_WORKERS = 64  # fixed, so that a config is valid on every host
 
-COMMANDS = (
-    "field-selftest",
-    "verify-scattered",
-    "spectrum",
-    "system-count",
-    "verify-dual",
-    "code-profile",
-    "saturating",
-    "equivalence",
-)
-
-# the values of the choice keys, for flags and config files alike
-_CHOICES = {
-    "mode": scatter.MODES,
-    "oracle": ("off",) + scatter.MODES,
-}
-
-_CONFIG_KEYS = {
-    "h": int,
-    "s": int,
-    "degree": int,
-    "modulus": str,
-    "order": int,
-    "rho": int,
-    "codim": int,
-    "mode": str,
-    "oracle": str,
-    "samples": int,
-    "seed": int,
-    "count": int,
-    "workers": int,
-    "budget": int,
-    "out": str,
-}
-
-_DEFAULTS = {
-    "h": 1,
-    "s": 1,
-    "order": 2,
-    "rho": 2,
-    "codim": 1,
-    "mode": "exhaustive",
-    "oracle": "sampled",
-    "samples": 1000,
-    "seed": 1,
-    "count": 1000,
-    "workers": 1,
-    "budget": scatter.DEFAULT_BUDGET,
+# The one declaration of each setting, as a flag and as a --config key:
+# key -> (type, default, choices or None, help).  An explicit flag wins
+# over the file, the file over the default.
+_KEYS = {
+    "h": (int, 1, None, "tower exponent: q = 2^h, the field is GF(2^(6h))"),
+    "s": (int, 1, None, "automorphism index, 1 or 5"),
+    "modulus": (str, None, None, "modulus as little-endian nibble hex"),
+    "order": (int, 2, None, "scattering order to certify"),
+    "rho": (int, 2, None, "saturation parameter"),
+    "codim": (int, 1, None, "spectrum codimension"),
+    "mode": (str, "exhaustive", scatter.MODES, "how the fast test runs"),
+    "oracle": (
+        str, "sampled", ("off",) + scatter.MODES,
+        "oracle cross-check flavor for verify-scattered",
+    ),
+    "samples": (int, 1000, None, "samples per sampled test"),
+    "seed": (int, 1, None, "xorshift64* seed, 0..2^64 - 1"),
+    "count": (int, 1000, None, "random tuples for system-count"),
+    "workers": (int, 1, None, "worker processes, 1..%d" % MAX_WORKERS),
+    "budget": (int, scatter.DEFAULT_BUDGET, None, "exhaustive work limit"),
+    "out": (str, None, None, "also write the certificate to this path"),
 }
 
 
@@ -93,10 +69,10 @@ def load_config_file(path):
         if "=" not in line:
             raise ConfigError("%s:%d: expected key=value" % (path, lineno))
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_KEYS:
+        if key not in _KEYS:
             raise ConfigError("%s:%d: unknown key %r" % (path, lineno, key))
         try:
-            out[key] = _CONFIG_KEYS[key](value)
+            out[key] = _KEYS[key][0](value)
         except ValueError:
             raise ConfigError(
                 "%s:%d: bad value for %s: %r" % (path, lineno, key, value)
@@ -112,55 +88,53 @@ def write_certificate(path, text):
         raise ConfigError("cannot write the certificate: %s" % exc)
 
 
+def print_certificate(text):
+    """Print to stdout; a closed or broken stdout is a config error too."""
+    if sys.stdout is None:  # the process started with fd 1 closed
+        raise ConfigError("cannot write the certificate: stdout is closed")
+    try:
+        print(text, flush=True)
+    except OSError as exc:
+        # so that the flush at exit cannot fail on stdout a second time
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise ConfigError("cannot write the certificate: %s" % exc)
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="qscat",
         description="certify 2-scattered subspaces of F_{q^6}^4 (q = 2^h, h odd) "
         "and their rank-metric codes",
     )
-    p.add_argument("command", choices=COMMANDS)
-    p.add_argument("--h", type=int, dest="h", help="tower exponent, q = 2^h")
-    p.add_argument("--s", type=int, dest="s", help="automorphism index (1 or 5)")
-    p.add_argument("--degree", type=int, help="field degree (defaults to 6h)")
-    p.add_argument("--modulus", help="modulus as little-endian nibble hex")
-    p.add_argument("--order", type=int, help="scattering order to certify")
-    p.add_argument("--rho", type=int, help="saturation parameter")
-    p.add_argument("--codim", type=int, help="spectrum codimension")
-    p.add_argument("--mode", choices=_CHOICES["mode"])
-    p.add_argument(
-        "--oracle",
-        choices=_CHOICES["oracle"],
-        help="oracle cross-check flavor for verify-scattered",
-    )
-    p.add_argument("--samples", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--count", type=int, help="random tuples for system-count")
-    p.add_argument("--workers", type=int)
-    p.add_argument("--budget", type=int)
-    p.add_argument("--fixed-only", action="store_true", dest="fixed_only")
+    p.add_argument("command", choices=_HANDLERS)
+    for key, (typ, default, choices, text) in _KEYS.items():
+        if default is not None:
+            text += " (default %s)" % default
+        p.add_argument("--" + key, type=typ, choices=choices, help=text)
+    p.add_argument("--fixed-only", action="store_true", dest="fixed_only",
+                   help="spectrum: Frobenius-fixed subspaces only")
     p.add_argument("--config", help="flat key=value config file")
-    p.add_argument("--out", help="also write the certificate to this path")
     return p
 
 
 def resolve_config(ns):
-    cfg = dict(_DEFAULTS)
+    cfg = {key: spec[1] for key, spec in _KEYS.items()}
     if ns.config:
         cfg.update(load_config_file(ns.config))
-    for key in _CONFIG_KEYS:
-        val = getattr(ns, key, None)
+    for key in _KEYS:
+        val = getattr(ns, key)
         if val is not None:
             cfg[key] = val
-    cfg["fixed_only"] = bool(getattr(ns, "fixed_only", False))
-    if cfg.get("degree") is None:
-        cfg["degree"] = 6 * cfg["h"]
-    for key, choices in _CHOICES.items():
-        if cfg[key] not in choices:
+    cfg["fixed_only"] = ns.fixed_only
+    for key, (_, _, choices, _) in _KEYS.items():
+        if cfg[key] == "":
+            raise ConfigError("%s must not be empty" % key)
+        if choices and cfg[key] not in choices:
             raise ConfigError(
                 "%s must be one of %s, got %r" % (key, ", ".join(choices), cfg[key])
             )
-    if cfg["mode"] == "sampled" and cfg.get("seed") is None:
-        raise ConfigError("sampled mode requires a seed")
     if not 1 <= cfg["workers"] <= MAX_WORKERS:
         raise ConfigError("workers must be in 1..%d" % MAX_WORKERS)
     if cfg["s"] not in (1, 5):
@@ -181,16 +155,13 @@ def resolve_config(ns):
 
 
 def field_from_config(cfg):
-    modulus = None
-    if cfg.get("modulus"):
-        modulus = 0
-        for k, ch in enumerate(cfg["modulus"]):
-            try:
-                modulus |= int(ch, 16) << (4 * k)
-            except ValueError:
-                raise ConfigError("bad modulus hex: %r" % cfg["modulus"])
+    text = cfg["modulus"]
     try:
-        return BinaryField(cfg["degree"], modulus, cfg["h"])
+        modulus = None if text is None else from_nibble_hex(text)
+    except ValueError:
+        raise ConfigError("bad modulus hex: %r" % text)
+    try:
+        return BinaryField(cfg["h"], modulus)
     except QscatError as exc:
         raise ConfigError("field construction failed: %s" % exc)
 
@@ -199,7 +170,7 @@ def config_echo(cfg, field):
     return {
         "h": cfg["h"],
         "s": cfg["s"],
-        "degree": field.degree,
+        "degree": field.e,
         "modulus_hex": field.modulus_hex(),
         "mode": cfg["mode"],
         "workers": cfg["workers"],
@@ -346,6 +317,8 @@ def cmd_code_profile(cfg, field):
 
 
 def cmd_saturating(cfg, field):
+    from . import saturate  # numpy: only the commands that scan load it
+
     U = scatter.build_Us(field, cfg["s"])
     S = saturate.linear_set_points(U, budget=cfg["budget"])
     inst = saturate.is_rho_saturating(
@@ -414,9 +387,10 @@ def main(argv=None):
         print("qscat: running %s" % ns.command, file=sys.stderr)
         cert, ok = run(ns.command, cfg)
         text = json.dumps(cert, sort_keys=True, indent=2)
-        if cfg.get("out"):
+        if cfg["out"] is not None:
             # before stdout, so an unwritable path prints no certificate
             write_certificate(cfg["out"], text)
+        print_certificate(text)
     except (ConfigError, WorkLimitExceeded) as exc:
         print("qscat: error: %s" % exc, file=sys.stderr)
         return 2
@@ -425,7 +399,6 @@ def main(argv=None):
         name = type(exc).__name__
         print("qscat: internal error: %s: %s" % (name, exc), file=sys.stderr)
         return 3
-    print(text)
     return 0 if ok else 1
 
 

@@ -1,5 +1,8 @@
 """Arithmetic in GF(2^e) for the tower F_q < F_{q^2} < F_{q^6}, q = 2^h.
 
+A field is named by h alone (and optionally its modulus): its degree is
+e = 6h, never a setting of its own.
+
 Field elements are plain ints: bit k is the coefficient of x^k in the
 polynomial representative (constant term first).  A `BinaryField` keeps
 exp/log tables (degree <= 20) and the Frobenius column images at every q;
@@ -76,6 +79,16 @@ def poly_mulmod_array(a, b, mod):
     return prod
 
 
+def nibble_hex(v, width):
+    """Little-endian nibble hex of `width` chars: the first covers bits 0-3."""
+    return "".join("%x" % ((v >> (4 * k)) & 15) for k in range(width))
+
+
+def from_nibble_hex(s):
+    """The int that nibble_hex writes as `s`; ValueError on a bad digit."""
+    return sum(int(ch, 16) << (4 * k) for k, ch in enumerate(s))
+
+
 def _doubled_tables(walk, g, mod):
     """(exp, log) C-int arrays of GF(2^e)^* from its first powers of g.
 
@@ -144,42 +157,35 @@ def poly_is_irreducible(f):
 
 
 class BinaryField:
-    """GF(2^e) with e = 6h, h odd; q = 2^h."""
+    """GF(2^e), e = 6h, named by the odd h (q = 2^h) and an optional
+    irreducible modulus of degree e (DEFAULT_MODULI[e] when omitted)."""
 
-    def __init__(self, degree, modulus=None, h_exp=None):
-        if h_exp is None:
-            if degree % 6 != 0:
-                raise DegreeMismatch("degree %d is not 6*h" % degree)
-            h_exp = degree // 6
+    def __init__(self, h_exp, modulus=None):
         if h_exp % 2 == 0 or h_exp < 1:
             raise EvenH("h must be a positive odd integer, got %d" % h_exp)
-        if degree != 6 * h_exp:
-            raise DegreeMismatch(
-                "degree %d does not equal 6*h = %d" % (degree, 6 * h_exp)
-            )
+        e = 6 * h_exp
         if modulus is None:
-            modulus = DEFAULT_MODULI.get(degree)
+            modulus = DEFAULT_MODULI.get(e)
             if modulus is None:
-                raise DegreeMismatch("no default modulus for degree %d" % degree)
-        if poly_degree(modulus) != degree:
+                raise DegreeMismatch("no default modulus for degree %d" % e)
+        if poly_degree(modulus) != e:
             raise DegreeMismatch(
-                "modulus degree %d, expected %d" % (poly_degree(modulus), degree)
+                "modulus degree %d, expected %d" % (poly_degree(modulus), e)
             )
         if not poly_is_irreducible(modulus):
             raise ReducibleModulus("0x%x is reducible over GF(2)" % modulus)
 
-        self.degree = degree
-        self.e = degree
+        self.e = e
         self.h = h_exp
         self.m = 6
         self.modulus = modulus
         self.q = 1 << h_exp
-        self.order = 1 << degree  # field size
+        self.order = 1 << e  # field size
         self.mult_order = self.order - 1
 
         self._exp = None
         self._log = None
-        if degree <= _TABLE_LIMIT:
+        if e <= _TABLE_LIMIT:
             self._build_tables()
         self._build_frobenius()
         self._build_fq_basis()
@@ -396,26 +402,20 @@ class BinaryField:
         return (self.e + 3) // 4
 
     def to_hex(self, a):
-        """Little-endian nibble hex: first char covers bits 0-3."""
-        return "".join("%x" % ((a >> (4 * k)) & 15) for k in range(self.hex_width))
+        return nibble_hex(a, self.hex_width)
 
     def from_hex(self, s):
         if len(s) != self.hex_width:
             raise ValueError(
                 "expected %d hex chars, got %d" % (self.hex_width, len(s))
             )
-        v = 0
-        for k, ch in enumerate(s):
-            v |= int(ch, 16) << (4 * k)
+        v = from_nibble_hex(s)
         if v >> self.e:
             raise ValueError("element out of range for degree %d" % self.e)
         return v
 
     def modulus_hex(self):
-        w = (self.e + 4) // 4
-        return "".join(
-            "%x" % ((self.modulus >> (4 * k)) & 15) for k in range(w)
-        )
+        return nibble_hex(self.modulus, (self.e + 4) // 4)
 
     # -- misc --------------------------------------------------------------
 
@@ -423,27 +423,19 @@ class BinaryField:
         return rng.randbits(self.e)
 
     def same_as(self, other):
-        return (
-            self.degree == other.degree
-            and self.modulus == other.modulus
-            and self.h == other.h
-        )
+        return self.modulus == other.modulus and self.h == other.h
 
     def __eq__(self, other):
         return isinstance(other, BinaryField) and self.same_as(other)
 
     def __hash__(self):
-        return hash((self.degree, self.modulus, self.h))
+        return hash((self.modulus, self.h))
 
     def __repr__(self):
-        return "BinaryField(degree=%d, modulus=0x%x, h=%d)" % (
-            self.degree,
-            self.modulus,
-            self.h,
-        )
+        return "BinaryField(h=%d, modulus=0x%x)" % (self.h, self.modulus)
 
 
 @lru_cache(maxsize=None)
 def default_field(h_exp):
     """The tower field F_{q^6}, q = 2^h, with the shipped default modulus."""
-    return BinaryField(6 * h_exp, None, h_exp)
+    return BinaryField(h_exp)

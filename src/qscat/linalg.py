@@ -13,7 +13,7 @@ inverses are read off it, as flattened GF(2) work is off gf2.rref_bits.
 
 from itertools import combinations
 
-from .errors import AmbientMismatch, InvariantViolation, SingularMatrix
+from .errors import AmbientMismatch, DegreeMismatch, InvariantViolation, SingularMatrix
 from . import gf2
 
 
@@ -573,16 +573,17 @@ def rows_to_text(field, r, rows):
 
 
 def rows_from_text(text, field=None):
-    from .field import BinaryField
+    """Parse rows_to_text's format; the header's m must be 6 (F_{q^6})."""
+    from .field import BinaryField, from_nibble_hex
 
     lines = [ln for ln in text.strip().splitlines() if ln.strip()]
     r, m, h, modhex = lines[0].split()
     r, m, h = int(r), int(m), int(h)
-    modulus = 0
-    for k, ch in enumerate(modhex):
-        modulus |= int(ch, 16) << (4 * k)
+    if m != 6:
+        raise DegreeMismatch("header m = %d, expected 6" % m)
+    modulus = from_nibble_hex(modhex)
     if field is None:
-        field = BinaryField(m * h, modulus, h)
+        field = BinaryField(h, modulus)
     elif field.modulus != modulus or field.h != h:
         raise AmbientMismatch("file field differs from supplied field")
     rows = []

@@ -361,6 +361,121 @@ def test_out_file(tmp_path, capsys):
     assert on_disk == cert
 
 
+# one value per setting, each other than its default
+KEY_VALUES = {
+    "h": "3", "s": "5", "modulus": "b5", "order": "1", "rho": "1",
+    "codim": "2", "mode": "sampled", "oracle": "off", "samples": "7",
+    "seed": "9", "count": "3", "workers": "2", "budget": "5", "out": "c.json",
+}
+
+
+def test_flag_and_config_line_resolve_alike(tmp_path):
+    """Every key of the table reads the same from `--key v` and from a
+    `key=v` config line, and moves cfg off its defaults."""
+    assert set(KEY_VALUES) == set(cli._KEYS)
+    parser = cli.build_parser()
+    defaults = cli.resolve_config(parser.parse_args(["field-selftest"]))
+    path = tmp_path / "run.cfg"
+    for key, value in KEY_VALUES.items():
+        path.write_text("%s=%s\n" % (key, value))
+        flag = cli.resolve_config(parser.parse_args(["spectrum", "--" + key, value]))
+        line = cli.resolve_config(parser.parse_args(["spectrum", "--config", str(path)]))
+        assert flag == line != defaults, key
+        assert flag[key] == cli._KEYS[key][0](value)
+
+
+def test_parser_long_options_are_the_key_table():
+    options = {
+        opt
+        for action in cli.build_parser()._actions
+        for opt in action.option_strings
+        if opt.startswith("--")
+    }
+    # --help is argparse's own
+    assert options == {"--" + key for key in cli._KEYS} | {
+        "--fixed-only", "--config", "--help",
+    }
+
+
+def test_degree_setting_is_gone_exit_2(tmp_path, capsys):
+    """The field degree is 6h: neither --degree nor degree= is a setting."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["field-selftest", "--degree", "6"])
+    assert exc.value.code == 2 and capsys.readouterr().out == ""
+    cfg = tmp_path / "degree.cfg"
+    cfg.write_text("degree=6\n")
+    assert cli.main(["field-selftest", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("key", ["modulus", "out"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_empty_value_exit_2(tmp_path, capsys, key, source):
+    """An empty --modulus or --out is a config error, not "unset"."""
+    if source == "flag":
+        args = ["--" + key, ""]
+    else:
+        cfg = tmp_path / "empty.cfg"
+        cfg.write_text("%s=\n" % key)
+        args = ["--config", str(cfg)]
+    code = cli.main(["field-selftest", *args])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.splitlines()[-1] == "qscat: error: %s must not be empty" % key
+
+
+def test_commands_that_do_not_scan_load_no_numpy():
+    """numpy loads with the commands that scan, not at start-up: these
+    commands and a config error run without it."""
+    argvs = [
+        ["field-selftest"], ["equivalence"], ["verify-dual"],
+        ["system-count", "--count", "5"], ["system-count", "--seed", "-1"],
+    ]
+    code = (
+        "import contextlib, io, sys\n"
+        "from qscat import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(argv) for argv in %r]\n"
+        "print(codes, 'numpy' in sys.modules)\n" % argvs
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[0, 0, 0, 0, 2] False\n"
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "O"])
+@pytest.mark.parametrize("stdout", ["pipe-read-end-closed", "fd-1-closed"])
+def test_closed_stdout_exit_2(flags, stdout):
+    """A certificate that cannot reach stdout is a write error (exit 2),
+    like an unwritable --out, not a refutation and not a traceback."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    if stdout == "fd-1-closed":
+        how = {"preexec_fn": lambda: os.close(1)}
+    else:
+        how = {"stdout": write_end}
+    try:
+        proc = subprocess.run(
+            [sys.executable, *flags, "-m", "qscat.cli", "field-selftest"],
+            env=env, stderr=subprocess.PIPE, text=True, timeout=120, **how,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines()[-1].startswith("qscat: error: ")
+
+
 
 @pytest.mark.parametrize(
     "argv",

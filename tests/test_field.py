@@ -54,27 +54,25 @@ def schoolbook_mul(a, b, mod):
 
 
 def test_make_field_accepts_default_modulus():
-    f = BinaryField(6, MOD6, 1)
-    assert f.degree == 6 and f.q == 2
+    f = BinaryField(1, MOD6)
+    assert f.e == 6 and f.q == 2
     assert brute_force_irreducible(MOD6)
 
 
 def test_make_field_rejects_reducible():
     with pytest.raises(ReducibleModulus):
-        BinaryField(6, (1 << 6) | (1 << 2), 1)  # x^6 + x^2 = x^2(x^4 + 1)
+        BinaryField(1, (1 << 6) | (1 << 2))  # x^6 + x^2 = x^2(x^4 + 1)
     assert not brute_force_irreducible((1 << 6) | (1 << 2))
 
 
 def test_make_field_rejects_even_h():
     with pytest.raises(EvenH):
-        BinaryField(12, None, 2)
+        BinaryField(2)
 
 
 def test_make_field_rejects_degree_mismatch():
     with pytest.raises(DegreeMismatch):
-        BinaryField(7, MOD6, 1)
-    with pytest.raises(DegreeMismatch):
-        BinaryField(12, MOD6, 1)
+        BinaryField(1, (1 << 12) | (1 << 3) | 1)  # x^12 + x^3 + 1 for h = 1
 
 
 def test_default_moduli_all_irreducible():
@@ -153,7 +151,8 @@ def scalar_tables(F):
 def test_tables_equal_the_scalar_walk(degree, h, modulus):
     """The exp/log tables (walked for GF(64), doubled for GF(2^18)) equal
     the scalar walk entry for entry, for two moduli of each degree."""
-    F = BinaryField(degree, modulus, h)
+    F = BinaryField(h, modulus)
+    assert F.e == degree
     exp, log = scalar_tables(F)
     assert F._exp.typecode == F._log.typecode == "i"
     assert F._exp.tolist() == exp
@@ -307,7 +306,7 @@ def test_degree30_tower_table_free_path():
 
 def test_user_supplied_irreducible_accepted():
     # x^6 + x + 1 is a different irreducible; any such modulus is valid
-    f = BinaryField(6, 0b1000011, 1)
+    f = BinaryField(1, 0b1000011)
     rng = XorShift64Star(10)
     for _ in range(100):
         a = f.random_element(rng) or 1

@@ -3,7 +3,7 @@ from itertools import combinations
 import pytest
 
 from qscat import gf2
-from qscat.errors import AmbientMismatch, SingularMatrix
+from qscat.errors import AmbientMismatch, DegreeMismatch, SingularMatrix
 from qscat.field import default_field
 from qscat.linalg import (
     FqSubspace,
@@ -267,6 +267,15 @@ def test_rows_text_roundtrip(F, U1):
     assert tuple(rows) == U1.basis
     header = txt.splitlines()[0].split()
     assert header[0] == "4" and header[1] == "6" and header[2] == "1"
+
+
+def test_rows_text_rejects_a_header_m_other_than_6(F, U1):
+    lines = rows_to_text(F, 4, U1.basis).splitlines()
+    r, _, h, modhex = lines[0].split()
+    # GF(2^12) is F_{q^6} for no odd h: the header names no tower field
+    bad = "\n".join([" ".join([r, "12", h, modhex])] + lines[1:])
+    with pytest.raises(DegreeMismatch):
+        rows_from_text(bad)
 
 
 def test_frob_image_subspaces(F, U1):
