@@ -8,9 +8,9 @@ handler.  Exit codes: 0 = all checked properties hold, 1 = a property
 was refuted (the certificate carries a witness), 2 = configuration or
 work-limit error, an unreadable --config, an empty --modulus or --out,
 and a certificate that cannot be written to --out or to stdout included
-(nothing more is printed on stdout), 3 = internal error, such as a
-failed cross-check between two algorithms (a one-line message on
-stderr, no certificate).
+(no certificate is left on stdout or in --out), 3 = internal error,
+such as a failed cross-check between two algorithms (a one-line message
+on stderr, no certificate).
 """
 
 import argparse
@@ -390,7 +390,13 @@ def main(argv=None):
         if cfg["out"] is not None:
             # before stdout, so an unwritable path prints no certificate
             write_certificate(cfg["out"], text)
-        print_certificate(text)
+        try:
+            print_certificate(text)
+        except ConfigError:
+            # exit 2 leaves no certificate behind, in --out either
+            if cfg["out"] is not None and os.path.isfile(cfg["out"]):
+                os.remove(cfg["out"])
+            raise
     except (ConfigError, WorkLimitExceeded) as exc:
         print("qscat: error: %s" % exc, file=sys.stderr)
         return 2

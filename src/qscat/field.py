@@ -5,14 +5,13 @@ e = 6h, never a setting of its own.
 
 Field elements are plain ints: bit k is the coefficient of x^k in the
 polynomial representative (constant term first).  A `BinaryField` keeps
-exp/log tables (degree <= 20) and the Frobenius column images at every q;
-scalar callers call its methods on raw ints, and numpy batches multiply
-through gfbatch.FieldArrays, which views the same exp/log tables.
-
-`poly_mulmod_array` is the one vectorized product: it builds the
-GF(2^18) exp table by doubling (exp[n:2n] = g^n * exp[0:n]) and is
-FieldArrays' product where there are no tables (GF(2^30)).  numpy loads
-on first use, so the q = 2 set-up (GF(64), U_s) never imports it.
+exp/log tables (degree <= 20) and the Frobenius column images at every q.
+Scalar callers call its methods on raw ints; numpy batches call its
+`mul_array`, a gather on views of the same tables, or the carryless
+`poly_mulmod_array` where there are none (GF(2^30)).  That product also
+builds the GF(2^18) exp table by doubling (exp[n:2n] = g^n * exp[0:n]).
+numpy loads on first use, so the q = 2 set-up (GF(64), U_s) never
+imports it.
 """
 
 from array import array
@@ -20,6 +19,7 @@ from functools import lru_cache
 
 from .errors import (
     BadSubIndex,
+    ConfigError,
     DegreeMismatch,
     EvenH,
     InvariantViolation,
@@ -59,13 +59,15 @@ def poly_mulmod_array(a, b, mod):
 
     A carryless shift-xor product whose bits above e = deg(mod) are
     folded back with x^e = mod - x^e; the 2e - 1 product bits must fit
-    in an int64.
+    in an int64, so GF(2^42) and up are a ConfigError.
     """
     import numpy as np
 
+    e = poly_degree(mod)
+    if 2 * e - 1 > 63:
+        raise ConfigError("numpy GF(2^%d) products do not fit in an int64" % e)
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
-    e = poly_degree(mod)
     prod = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.int64)
     for i in range(e):
         prod ^= (a << i) & -((b >> i) & 1)
@@ -214,7 +216,7 @@ class BinaryField:
 
     def _build_tables(self):
         # C-int arrays, not lists: 3 MB instead of ~30 MB at GF(2^18), and
-        # numpy views them without a copy (gfbatch.FieldArrays)
+        # mul_array views them without a copy
         n = self.mult_order
         g = self._find_generator()
         walk = array("i", [1])
@@ -255,13 +257,8 @@ class BinaryField:
         _, basis, _ = gf2.rref_bits(basis, e)
         self.fq_basis = tuple(basis)
         # GF(2)-basis {s_i * x^j} of the whole field; column t = j*h + i
-        bcols = []
-        for j in range(6):
-            xj = 1 << j
-            for s in self.fq_basis:
-                bcols.append(self.mul(s, xj))
-        self._assemble_cols = bcols
-        self.f2_basis = tuple(bcols)  # GF(2)-basis {s_i x^j} of the field
+        bcols = [self.mul(s, 1 << j) for j in range(6) for s in self.fq_basis]
+        self.f2_basis = tuple(bcols)
         self._coord_cols = gf2.inv_cols(bcols, e)
         self._bits_identity = bcols == [1 << t for t in range(e)]
         elems = [0]
@@ -282,6 +279,22 @@ class BinaryField:
                 return 0
             return self._exp[self._log[a] + self._log[b]]
         return poly_mulmod(a, b, self.modulus)
+
+    def mul_array(self, a, b):
+        """Elementwise product of two broadcastable integer arrays, int64.
+
+        With exp/log tables (e <= 20) a gather on numpy views of them (no
+        copy); without them (GF(2^30)) poly_mulmod_array.
+        """
+        if self._exp is None:
+            return poly_mulmod_array(a, b, self.modulus)
+        import numpy as np
+
+        a = np.asarray(a, dtype=np.int64)
+        b = np.asarray(b, dtype=np.int64)
+        exp = np.frombuffer(self._exp, dtype=np.intc)
+        log = np.frombuffer(self._log, dtype=np.intc)
+        return np.where((a != 0) & (b != 0), exp[log[a] + log[b]], np.int64(0))
 
     def inv(self, a):
         if a == 0:
@@ -378,11 +391,6 @@ class BinaryField:
         if self._bits_identity:
             return z
         return gf2.apply_cols(self._coord_cols, z)
-
-    def bits_elem(self, bits):
-        if self._bits_identity:
-            return bits
-        return gf2.apply_cols(self._assemble_cols, bits)
 
     def fq_coords(self, z):
         """The 6 F_q-coordinates of z over the basis {1, x, ..., x^5}."""

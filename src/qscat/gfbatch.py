@@ -25,18 +25,17 @@ words of 64 scalar multiples of each RREF row (line_point_ids,
 plane_point_ids).  A plane is named by its dual point, which the 3x3
 minors of any three of its spanning points give (laplace_minors,
 plane_normal).  The seeded sampled tests
-run in batches over any tower field (`FieldArrays`) and take the same
-xorshift64* stream as a one-sample-at-a-time loop would, one block of
-draws per batch (`XorShift64Star.draws`).
+run in batches over any tower field, whose BinaryField.mul_array is
+their product, and take the same xorshift64* stream as a
+one-sample-at-a-time loop would, one block of draws per batch
+(`XorShift64Star.draws`).
 """
 
-from bisect import bisect_right
 from itertools import combinations
 
 import numpy as np
 
 from .errors import ConfigError, InvariantViolation
-from .field import poly_mulmod_array
 from .linalg import RrefEnumerator
 
 
@@ -61,7 +60,7 @@ class Gf64Tables:
                 % (field.e, field.h)
             )
         elems = np.arange(64)
-        table = FieldArrays(field).mul(elems[:, None], elems).astype(np.int16)
+        table = field.mul_array(elems[:, None], elems).astype(np.int16)
         self.prod = table.ravel()  # prod[64 * a + b] = a * b
         self.inv = np.array([0] + [field.inv(a) for a in range(1, 64)], dtype=np.int16)
 
@@ -233,7 +232,7 @@ def _rref_chunks(enum, start, stride, chunk):
             hi = lo + chunk
         hi = min(hi, total)
         parts = []
-        p = bisect_right(enum.offsets, lo) - 1
+        p = enum.profile_of(lo)
         at = lo
         while at < hi:
             base = enum.offsets[p]
@@ -598,7 +597,7 @@ def laplace_minors(mul, rows, below=None):
     Each row, bottom up, adds one to the size by Laplace expansion along
     it: M_T = sum over c in T of row_c M_{T - c} (no signs in
     characteristic 2).  mul is an elementwise field product
-    (Gf64Tables.mul or FieldArrays.mul).  Two rows of F_64^4 give their
+    (Gf64Tables.mul or BinaryField.mul_array).  Two rows of F_64^4 give their
     Plücker coordinates, three the minors that plane_normal reads.
     """
     minors = {(): 1} if below is None else below
@@ -675,39 +674,9 @@ def line_point_ids(tables, line_rref):
 SAMPLE_BATCH = 4096  # samples drawn and tested per numpy batch
 
 
-class FieldArrays:
-    """Elementwise products of int64 arrays in any tower field GF(2^e).
-
-    With exp/log tables (e <= 20) a product is a gather on numpy views
-    of the field's C-int tables (no copy).  Without them (GF(2^30)) it is
-    field.poly_mulmod_array, whose 2e - 1 product bits must fit in an
-    int64.
-    """
-
-    def __init__(self, field):
-        if 2 * field.e - 1 > 63:
-            raise ConfigError(
-                "numpy GF(2^%d) products do not fit in an int64" % field.e
-            )
-        self.e = field.e
-        self.exp = self.log = None
-        if field._exp is not None:
-            self.exp = np.frombuffer(field._exp, dtype=np.intc)
-            self.log = np.frombuffer(field._log, dtype=np.intc)
-        self.modulus = field.modulus
-
-    def mul(self, a, b):
-        """Elementwise product of two broadcastable integer arrays."""
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        if self.exp is not None:
-            prod = self.exp[self.log[a] + self.log[b]]
-            return np.where((a != 0) & (b != 0), prod, np.int64(0))
-        return poly_mulmod_array(a, b, self.modulus)
-
-
-def fqm_rank_batch(fa, mats):
-    """F_{q^6}-rank of each matrix of a [B, R, C] batch.
+def fqm_rank_batch(mul, mats):
+    """F_{q^6}-rank of each matrix of a [B, R, C] batch; mul is the
+    field's elementwise product (BinaryField.mul_array).
 
     Row by row: row i's first nonzero entry a, in column p, is its pivot,
     and each later row j becomes a * row_j + row_j[p] * row_i.  No
@@ -729,7 +698,7 @@ def fqm_rank_batch(fa, mats):
         lead = np.where(live, row[bidx, p], 1)
         rest = work[:, i + 1 :]
         factors = rest[bidx, :, p]  # [B, R - i - 1]
-        work[:, i + 1 :] = fa.mul(rest, lead[:, None, None]) ^ fa.mul(
+        work[:, i + 1 :] = mul(rest, lead[:, None, None]) ^ mul(
             row[:, None, :], factors[:, :, None]
         )
     return rank
@@ -765,7 +734,7 @@ class SampledFast:
 
     def __init__(self, U, order):
         field = U.field
-        self.fa = FieldArrays(field)
+        self.mul = field.mul_array
         self.d = order + 1
         self.nb = U.dim_q
         self.width = self.d * self.nb
@@ -773,17 +742,17 @@ class SampledFast:
         self.elems = np.array(field.fq_elements, dtype=np.int64)
         basis = np.array(U.basis, dtype=np.int64)
         # combo[j, x] = fq_elements[x] * U.basis[j]
-        self.combo = self.fa.mul(self.elems[None, :, None], basis[:, None, :])
+        self.combo = self.mul(self.elems[None, :, None], basis[:, None, :])
 
     def measure(self, groups):
         """(kept, spans): the accepted groups and their span dimensions."""
         idx = groups.reshape(len(groups), self.d, self.nb)
-        kept = fqm_rank_batch(self.fa, self.elems[idx]) == self.d
+        kept = fqm_rank_batch(self.mul, self.elems[idx]) == self.d
         idx = idx[kept]
         vecs = self.combo[0][idx[:, :, 0]]
         for j in range(1, self.nb):
             vecs ^= self.combo[j][idx[:, :, j]]
-        return kept, fqm_rank_batch(self.fa, vecs)
+        return kept, fqm_rank_batch(self.mul, vecs)
 
     def refutes(self, spans):
         return spans < self.d
@@ -804,16 +773,16 @@ class SampledOracle:
 
     def __init__(self, U, order):
         field = U.field
-        self.fa = FieldArrays(field)
+        self.mul = field.mul_array
         self.order = order
         self.r = U.r
-        self.h = field.h
+        self.e, self.h = field.e, field.h
         self.width = order * U.r
         self.mask = field.order - 1
         basis = np.array(U.basis, dtype=np.int64)
         scal = np.array(field.fq_basis, dtype=np.int64)
         # the F_2-basis {s u : s in fq_basis, u in U.basis} of U, [R, r]
-        self.u2 = self.fa.mul(basis[:, None, :], scal[None, :, None]).reshape(-1, U.r)
+        self.u2 = self.mul(basis[:, None, :], scal[None, :, None]).reshape(-1, U.r)
         # duals[p, t, x]: index of the minor that is entry x of the t-th
         # functional for pivot set subsets[p]; len(subsets) means zero
         self.subsets = list(combinations(range(U.r), order))
@@ -832,7 +801,7 @@ class SampledOracle:
         n, r = len(groups), self.r
         gens = groups.reshape(n, self.order, r).transpose(1, 0, 2)
         ones = np.ones(n, dtype=np.int64)  # every minor is [n], order 0 too
-        minors = laplace_minors(self.fa.mul, list(gens), {(): ones})
+        minors = laplace_minors(self.mul, list(gens), {(): ones})
         stack = np.stack(
             [minors[S] for S in self.subsets] + [np.zeros(n, dtype=np.int64)], axis=1
         )
@@ -845,8 +814,8 @@ class SampledOracle:
         duals = duals.reshape(m, 1, r - self.order, r)
         img = np.zeros((m, len(self.u2), r - self.order), dtype=np.int64)
         for x in range(r):
-            img ^= self.fa.mul(duals[..., x], self.u2[None, :, None, x])
-        kernel = len(self.u2) - _f2_image_rank(img, self.fa.e)
+            img ^= self.mul(duals[..., x], self.u2[None, :, None, x])
+        kernel = len(self.u2) - _f2_image_rank(img, self.e)
         if (kernel % self.h).any():
             raise InvariantViolation(
                 "F_2-dimension of some U ∩ H is not a multiple of h = %d" % self.h

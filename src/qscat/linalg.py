@@ -11,6 +11,7 @@ inverses are read off it, as flattened GF(2) work is off gf2.rref_bits.
 `det_cofactor` is the elimination-free reference the tests use.
 """
 
+from bisect import bisect_right
 from itertools import combinations
 
 from .errors import AmbientMismatch, DegreeMismatch, InvariantViolation, SingularMatrix
@@ -43,18 +44,19 @@ def vec_scale(field, c, v):
 
 
 def flatten_vector(field, v):
-    """Pack a vector into one int of r*e GF(2) coordinates."""
+    """Pack a vector into one int of r*e GF(2) coordinates: coordinate k
+    in its own polynomial bits, at bits k*e .. k*e + e - 1."""
     e = field.e
     out = 0
     for k, z in enumerate(v):
-        out |= field.elem_bits(z) << (k * e)
+        out |= z << (k * e)
     return out
 
 
 def unflatten_vector(field, r, flat):
     e = field.e
     mask = (1 << e) - 1
-    return tuple(field.bits_elem((flat >> (k * e)) & mask) for k in range(r))
+    return tuple((flat >> (k * e)) & mask for k in range(r))
 
 
 def _fq_span_rows(field, vectors):
@@ -518,13 +520,13 @@ class RrefEnumerator:
         self.total = acc
 
     def profile_of(self, index):
-        for p in range(len(self.profiles) - 1, -1, -1):
-            if index >= self.offsets[p]:
-                return p
-        raise IndexError(index)
+        """The pivot profile number of a global index in [0, total)."""
+        if not 0 <= index < self.total:
+            raise IndexError(index)
+        return bisect_right(self.offsets, index) - 1
 
     def decode(self, index):
-        """RREF rows (tuples of scalars) for a global index."""
+        """RREF rows (tuples of scalars) for a global index in [0, total)."""
         p = self.profile_of(index)
         local = index - self.offsets[p]
         piv = self.profiles[p]

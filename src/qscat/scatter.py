@@ -296,9 +296,14 @@ def is_h_scattered_fast(
     """Fast test: every (order+1)-dim F_q-subspace of U spans >= order+1.
 
     Requires that U spans the ambient over F_{q^6}; exhaustive mode is
-    guarded by the work budget, then by gfbatch.check_scan_shape.
+    guarded by the work budget, then by gfbatch.check_scan_shape.  An
+    order outside 0..dim_q U - 1 leaves no subspace to test: a ConfigError.
     """
     _check_mode(mode)
+    if not 0 <= order < U.dim_q:
+        raise ConfigError(
+            "order must be in 0..%d (dim_q U - 1), got %d" % (U.dim_q - 1, order)
+        )
     field = U.field
     d = order + 1
     not_spanning = _not_spanning(U, order, "fast")
@@ -330,6 +335,8 @@ def _sampled(U, order, samples, seed, oracle):
     """
     if samples is None or seed is None:
         raise ValueError("sampled mode requires samples and seed")
+    if samples < 1:
+        raise ConfigError("samples must be >= 1, got %d" % samples)
     if not 0 <= seed < 1 << 64:
         # XorShift64Star keeps seed mod 2^64, which details would misreport
         raise ConfigError("seed must be in 0..2^64 - 1, got %d" % seed)
@@ -355,8 +362,13 @@ def is_h_scattered_oracle(
     U, order, mode="exhaustive", samples=None, seed=None, workers=1,
     budget=DEFAULT_BUDGET,
 ):
-    """Literal test: every order-dim F_{q^6}-subspace meets U in <= order."""
+    """Literal test: every order-dim F_{q^6}-subspace meets U in <= order.
+
+    A negative order is a ConfigError; an order >= r is the degenerate
+    verdict (no proper order-dim subspace to test)."""
     _check_mode(mode)
+    if order < 0:
+        raise ConfigError("order must be >= 0, got %d" % order)
     field = U.field
     not_spanning = _not_spanning(U, order, mode)
     if not_spanning:
@@ -452,9 +464,9 @@ def weight_spectrum(
     restricts to subspaces with F_{q^2}-rational RREF (scalar, q = 2 only).
     """
     field = U.field
+    if not 0 <= codim <= U.r:
+        raise ValueError("codim must be in 0..%d, got %d" % (U.r, codim))
     d = U.r - codim
-    if d < 0:
-        raise ValueError("codim exceeds ambient dimension")
     if d == 0:
         return {0: 1}
     if frobenius_fixed_only:

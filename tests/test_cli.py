@@ -309,6 +309,22 @@ def test_no_assert_statements_in_src():
     assert found == []
 
 
+def test_only_field_reads_the_field_tables():
+    """BinaryField's exp/log tables are its own: no other module under
+    src/qscat reads an attribute named _exp or _log."""
+    found = []
+    for path in sorted((ROOT / "src" / "qscat").glob("*.py")):
+        if path.name == "field.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        found += [
+            "%s:%d" % (path.name, node.lineno)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in ("_exp", "_log")
+        ]
+    assert found == []
+
+
 def test_bad_modulus_exit_2(capsys):
     code, _ = run_cli(capsys, "field-selftest", "--modulus", "zz")
     assert code == 2
@@ -452,9 +468,10 @@ def test_commands_that_do_not_scan_load_no_numpy():
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "O"])
 @pytest.mark.parametrize("stdout", ["pipe-read-end-closed", "fd-1-closed"])
-def test_closed_stdout_exit_2(flags, stdout):
+def test_closed_stdout_exit_2(flags, stdout, tmp_path):
     """A certificate that cannot reach stdout is a write error (exit 2),
-    like an unwritable --out, not a refutation and not a traceback."""
+    like an unwritable --out, not a refutation and not a traceback; the
+    --out file written before it is removed, so no certificate is left."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
@@ -467,13 +484,15 @@ def test_closed_stdout_exit_2(flags, stdout):
         how = {"stdout": write_end}
     try:
         proc = subprocess.run(
-            [sys.executable, *flags, "-m", "qscat.cli", "field-selftest"],
+            [sys.executable, *flags, "-m", "qscat.cli", "field-selftest",
+             "--out", str(tmp_path / "x.json")],
             env=env, stderr=subprocess.PIPE, text=True, timeout=120, **how,
         )
     finally:
         os.close(write_end)
     assert proc.returncode == 2
     assert proc.stderr.splitlines()[-1].startswith("qscat: error: ")
+    assert not (tmp_path / "x.json").exists()
 
 
 

@@ -1,17 +1,15 @@
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from qscat import gfbatch
 from qscat.errors import ConfigError, InvariantViolation
-from qscat.field import default_field
+from qscat.field import BinaryField, default_field, from_nibble_hex
 from qscat.gfbatch import (
     POINT_COUNT,
     CodewordScanner,
     DualCodimScanner,
-    FieldArrays,
     FqSpanScanner,
     Gf64Tables,
     SampledFast,
@@ -392,25 +390,41 @@ def test_scanner_widths_are_checked(F, U1):
 
 @pytest.mark.parametrize("h", [1, 3, 5])
 def test_field_arrays_match_field_mul(h):
-    """numpy products (exp/log gather for e <= 20, carryless product and
-    fold for GF(2^30)) equal BinaryField.mul, zero operands included."""
+    """BinaryField.mul_array on arrays of field elements (exp/log gather
+    for e <= 20, carryless product and fold for GF(2^30)) equals
+    BinaryField.mul, zero operands included."""
     F = default_field(h)
     rng = XorShift64Star(100 + h)
     a = [F.random_element(rng) for _ in range(400)] + [0, 0, 1, F.order - 1]
     b = [F.random_element(rng) for _ in range(400)] + [0, 5, F.order - 1, F.order - 1]
-    fa = FieldArrays(F)
-    got = fa.mul(np.array(a), np.array(b))
+    got = F.mul_array(np.array(a), np.array(b))
     assert got.dtype == np.int64
     assert got.tolist() == [F.mul(x, y) for x, y in zip(a, b)]
-    if F._exp is not None:
-        # views of the field's tables, not copies
-        assert not fa.exp.flags.owndata and not fa.log.flags.owndata
-        assert np.shares_memory(fa.exp, np.frombuffer(F._exp, dtype=np.intc))
+
+
+def test_mul_array_views_the_tables():
+    """At h = 3 a product gathers from views of the field's ~3 MB of
+    GF(2^18) tables: one call on 4-element arrays copies none of them."""
+    F = default_field(3)
+    a = np.array([0, 1, 2, F.order - 1])
+    F.mul_array(a, a)  # numpy's first-call set-up stays out of the bound
+    tracemalloc.start()
+    try:
+        got = F.mul_array(a, a[::-1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tolist() == [F.mul(x, y) for x, y in zip(a.tolist(), a[::-1].tolist())]
+    assert peak < 64 * 1024
 
 
 def test_field_arrays_reject_fields_past_int64():
+    """GF(2^42) (x^42 + x^5 + x^2 + x + 1, as the CLI test builds it) is a
+    real field, but its numpy products do not fit in an int64."""
+    F = BinaryField(7, from_nibble_hex("72000000004"))
+    assert F.e == 42
     with pytest.raises(ConfigError):
-        FieldArrays(SimpleNamespace(e=42))
+        F.mul_array(np.array([1, 2]), np.array([3, 4]))
 
 
 def _random_rows(F, rng, R, C, q_only=False):
@@ -436,7 +450,7 @@ def test_fqm_rank_batch_matches_fqm_span_dim(h, shape):
     F = default_field(h)
     rng = XorShift64Star(7 * h + shape[0])
     mats = [_random_rows(F, rng, *shape, q_only=shape[1] == 8) for _ in range(60)]
-    got = fqm_rank_batch(FieldArrays(F), np.array(mats, dtype=np.int64))
+    got = fqm_rank_batch(F.mul_array, np.array(mats, dtype=np.int64))
     assert got.tolist() == [fqm_span_dim(F, m) for m in mats]
 
 

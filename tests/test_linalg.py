@@ -175,6 +175,30 @@ def test_enumeration_deterministic_and_partitionable(F):
     assert sorted(merged) == full
 
 
+def test_rref_decode_rejects_indices_outside_the_enumeration():
+    """The 35 planes of F_2^4 are indices 0..34; 35 and past are no RREF."""
+    enum = RrefEnumerator((0, 1), 4, 2)
+    assert enum.total == 35
+    assert enum.decode(34)[0] == ((0, 0, 1, 0), (0, 0, 0, 1))
+    for index in (-1, 35, 135):
+        with pytest.raises(IndexError):
+            enum.decode(index)
+    # each index lies in the last profile that starts at or before it
+    assert [enum.profile_of(i) for i in range(35)] == [
+        p for p, count in enumerate(enum.counts) for _ in range(count)
+    ]
+
+
+def test_flatten_packs_each_coordinate_in_its_own_bits(F8):
+    """Over GF(2^18) too, coordinate k is its own 18 polynomial bits."""
+    rng = XorShift64Star(31)
+    for _ in range(50):
+        v = tuple(F8.random_element(rng) for _ in range(4))
+        flat = flatten_vector(F8, v)
+        assert flat == sum(z << (F8.e * k) for k, z in enumerate(v))
+        assert unflatten_vector(F8, 4, flat) == v
+
+
 def test_enumerate_fq_subspaces_small(F):
     small = FqSubspace.span(F, 4, [(1, 0, 0, 0), (2, 0, 0, 0), (0, 1, 0, 0)])
     assert small.dim_q == 3

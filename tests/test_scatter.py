@@ -210,6 +210,33 @@ def test_unknown_mode_is_config_error(U1, test):
             test(U1, order, mode="bogus")
 
 
+@pytest.mark.parametrize("call, error", [
+    pytest.param(lambda U: is_h_scattered_fast(U, 8), ConfigError, id="fast-order-8"),
+    pytest.param(lambda U: is_h_scattered_fast(U, -1), ConfigError, id="fast-order-minus-1"),
+    pytest.param(
+        lambda U: is_h_scattered_fast(U, 8, mode="sampled", samples=10, seed=1),
+        ConfigError, id="sampled-fast-order-8",
+    ),
+    pytest.param(lambda U: is_h_scattered_oracle(U, -1), ConfigError, id="oracle-order-minus-1"),
+    pytest.param(lambda U: weight_spectrum(U, -1), ValueError, id="spectrum-codim-minus-1"),
+    pytest.param(
+        lambda U: is_h_scattered_fast(U, 2, mode="sampled", samples=0, seed=1),
+        ConfigError, id="sampled-fast-no-samples",
+    ),
+    pytest.param(
+        lambda U: is_h_scattered_oracle(U, 2, mode="sampled", samples=-5, seed=1),
+        ConfigError, id="sampled-oracle-negative-samples",
+    ),
+])
+def test_vacuous_or_invalid_parameters_are_rejected(U1, call, error):
+    """An order, codim or sample count that leaves nothing to scan (no
+    9-dim subspace of the 8-dim U_1, no negative dimension, no sample) is
+    an error, not an ok verdict with nothing checked, nor a sampled run
+    that can keep no sample."""
+    with pytest.raises(error, match="order|codim|samples"):
+        call(U1)
+
+
 def test_agreement_seed_and_count_ranges(F, monkeypatch):
     """Sample i of seed s draws from the stream of (s << 20) ^ i, so seeds
     past 2^44 or counts past 2^20 would reuse streams."""
