@@ -7,7 +7,10 @@ re-decoded and re-checked by the scalar reference code.  A scan is cut
 into contiguous chunks that are dealt round-robin to the workers
 (_rref_chunks); the oracle's point and line weights are read off cached
 kernel bitmaps as broadcast tiles of 4,096 positions (DualCodimScanner),
-which stay in cache and leave no multi-MB temporaries.  The engines
+which stay in cache and leave no multi-MB temporaries.  Where the
+kernels that are constant along a tile row can already meet in {0}
+(the points of F_64^4), a row filter ANDs only the rows where they do
+not.  The engines
 take the ambient F_64^r from their input; a vector of F_64^r packs into
 one int64 (coordinate k at bits 6k, `coords_to_flats`/`flats_to_coords`),
 so check_scan_shape admits r <= 10.  The span scan (FqSpanScanner)
@@ -204,6 +207,17 @@ FIRST_CHUNK = 1 << 12  # scan chunks start here and double up to their cap
 SCAN_CHUNK = 1 << 14
 
 
+def chunk_edges(total, chunk=SCAN_CHUNK):
+    """(edges, count): the edges of the growing first chunks that
+    _rref_chunks cuts `total` positions into, and the number of chunks."""
+    edges = [0]
+    size = min(chunk, FIRST_CHUNK)
+    while size < chunk and edges[-1] < total:
+        edges.append(edges[-1] + size)
+        size *= 2
+    return edges, len(edges) - 1 + -(-max(total - edges[-1], 0) // chunk)
+
+
 def _rref_chunks(enum, start, stride, chunk):
     """Deal an RrefEnumerator's positions to worker `start` of `stride`.
 
@@ -217,13 +231,8 @@ def _rref_chunks(enum, start, stride, chunk):
     the chunk.
     """
     total = enum.total
-    edges = [0]
-    size = min(chunk, FIRST_CHUNK)
-    while size < chunk and edges[-1] < total:
-        edges.append(edges[-1] + size)
-        size *= 2
+    edges, count = chunk_edges(total, chunk)
     head = len(edges) - 1
-    count = head + -(-max(total - edges[-1], 0) // chunk)
     for k in range(start, count, stride):
         if k < head:
             lo, hi = edges[k], edges[k + 1]
@@ -276,6 +285,19 @@ class DualCodimScanner:
     ones, and the AND of the slices is one [words, 4096] tile that stays
     in cache.  For d >= 3 each dual is met once, so the weight is nb
     minus the rank of the (nb x 6(r-d))-bit map u -> (u . w_f)_f.
+
+    The row filter.  A tile row is the 64 positions that differ in the
+    last digit only.  That digit is the cell (i, c) of the profile's
+    last free column c, so the other r - d - 1 kernels, the head, are
+    constant along a row.  The full AND is a subset of the head's AND,
+    so a row whose head ANDs to {0} (popcount 1: only a = 0) has weight
+    0 at all 64 positions.  The scanner then ANDs the head once per row,
+    for every row of a chunk's part at once, writes 0 for the dead rows
+    and ANDs only the live ones with K[w_c].  A kernel has F_2-dimension
+    >= nb - 6, since its map goes to F_64; so the head's AND can be {0}
+    only when 6 (r - d - 1) >= nb, and only then does the filter run: on
+    the points of F_64^4 (2-kernel heads, nb <= 10) and at r = 3 for nb
+    <= 6, while lines of F_64^4 at nb = 8 keep the tile loop.
     """
 
     MAX_WIDTH = 10  # nb fields of 6 bits in an int64
@@ -294,6 +316,11 @@ class DualCodimScanner:
         self.tk = coords_to_flats(tables.mul(basis.T[:, None, :], scal[:, None]))
         self._plans = {}  # piv -> tile plan
         self._tiles = {}  # tile digit count -> (tile, popcounts, sizes) buffers
+
+    @staticmethod
+    def enumerator(r, nb, d):
+        """The RrefEnumerator whose positions iter_weights(d) walks."""
+        return RrefEnumerator(range(64), r, d)
 
     def _dots(self, duals):
         """[..., r] dual vectors w -> [...] packs of the u_j . w, 6 bits each."""
@@ -346,15 +373,20 @@ class DualCodimScanner:
         """How each kernel table of profile piv is sliced for a tile.
 
         The last t = min(2, len(cells)) cells vary inside a tile, the
-        others are fixed digits of the tile number g.  Returns (t, views):
-        per free column, its kernel table, the shift of g that gives each
-        fixed axis (None for a tile axis), and the shape that broadcasts
-        the slice over the tile.  Built once per profile and scanner.
+        others are fixed digits of the tile number g.  Returns (t, views,
+        row_filter): per free column, its kernel table, the shift of g
+        that gives each fixed axis (None for a tile axis), and the shape
+        that broadcasts the slice over the tile.  row_filter is None, or,
+        when the row filter runs (see the class docstring), (head, tail):
+        the head is a list and the tail one pair of a kernel table and
+        the shifts of the row number that give its axes but the last
+        cell's.  Built once per profile and scanner.
         """
         plan = self._plans.get(piv)
         if plan is None:
-            fixed = len(cells) - min(2, len(cells))
-            views = []
+            n = len(cells)
+            fixed = n - min(2, n)
+            views, head, tail = [], [], []
             for f in range(self.r):
                 if f in piv:
                     continue
@@ -362,9 +394,15 @@ class DualCodimScanner:
                 table = self._kernel_table(piv, f, rows)
                 axes = [cells.index((i, f)) for i in rows]
                 shifts = [6 * (fixed - 1 - k) if k < fixed else None for k in axes]
-                shape = [64 if k in axes else 1 for k in range(fixed, len(cells))]
+                shape = [64 if k in axes else 1 for k in range(fixed, n)]
                 views.append((table, shifts, table.shape[:1] + tuple(shape)))
-            plan = (len(cells) - fixed, views)
+                # a row number's digits are the cells but the last
+                row_shifts = [6 * (n - 2 - k) for k in axes if k < n - 1]
+                (tail if n - 1 in axes else head).append((table, row_shifts))
+            # K[w] has F_2-dimension >= nb - 6, so the head's AND can be
+            # {0} only when 6 |head| >= nb; a one-position profile has no row
+            row_filter = (head, tail[0]) if n and 6 * len(head) >= self.nb else None
+            plan = (n - fixed, views, row_filter)
             self._plans[piv] = plan
         return plan
 
@@ -382,7 +420,7 @@ class DualCodimScanner:
     def iter_weights(self, d, start=0, stride=1, chunk=SCAN_CHUNK):
         """Yield (global_position_array, weights_array) per chunk of worker
         `start` of `stride` (see _rref_chunks)."""
-        enum = RrefEnumerator(range(64), self.r, d)
+        enum = self.enumerator(self.r, self.nb, d)
         for lo, hi, parts in _rref_chunks(enum, start, stride, chunk):
             weights = np.empty(hi - lo, dtype=np.int64)
             for s, p, a, b in parts:
@@ -396,7 +434,10 @@ class DualCodimScanner:
 
     def _tile_weights(self, piv, cells, a, b, out):
         """Weights of the local positions [a, b) of profile piv into out."""
-        t, views = self._tile_plan(piv, cells)
+        t, views, row_filter = self._tile_plan(piv, cells)
+        if row_filter is not None:
+            self._row_weights(row_filter, a, b, out)
+            return
         tile, pops, sizes = self._tile_buffers(t, views[0][0].shape[0])
         T = len(sizes)
         flat_pops = pops.reshape(-1, T)
@@ -417,6 +458,35 @@ class DualCodimScanner:
             sizes -= 1
             lo, hi = max(a, g * T), min(b, (g + 1) * T)
             out[lo - a : hi - a] = np.bitwise_count(sizes[lo - g * T : hi - g * T])
+
+    def _row_weights(self, row_filter, a, b, out):
+        """_tile_weights through the row filter: the head's AND of every
+        row that meets [a, b) at once, then the tail only on live rows."""
+        head, (tail, tail_shifts) = row_filter
+        words = len(tail)
+        first = a >> 6
+        nums = np.arange(first, ((b - 1) >> 6) + 1, dtype=np.int64)
+        every = slice(None)
+        acc = np.full((words, len(nums)), ~np.uint64(0))
+        for table, shifts in head:
+            part = table[(every,) + tuple((nums >> s) & 63 for s in shifts)]
+            acc &= part.reshape(words, -1)  # [words, 1]: it reads no digit
+        # K[w] holds 0, so the AND is {0} when its popcount is 1
+        live = np.flatnonzero(np.bitwise_count(acc).sum(axis=0) > 1)
+        full = np.zeros((len(nums), 64), dtype=np.uint8)
+        # 64 live rows at a time fill the 4,096-position tile buffers
+        tile, pops, sizes = self._tile_buffers(2, words)
+        for s in range(0, len(live), 64):
+            block = live[s : s + 64]
+            n = len(block)
+            kernel = tail[(every,) + tuple((nums[block] >> k) & 63 for k in tail_shifts)]
+            np.bitwise_and(acc[:, block, None], kernel.reshape(words, -1, 64), out=tile[:, :n])
+            np.bitwise_count(tile[:, :n], out=pops[:, :n])
+            counts = sizes[: 64 * n].reshape(n, 64)
+            np.add.reduce(pops[:, :n], axis=0, dtype=np.uint16, out=counts)
+            counts -= 1
+            full[block] = np.bitwise_count(counts)
+        out[:] = full.ravel()[a - 64 * first : b - 64 * first]
 
     def _rank_weights(self, piv, digits, B):
         free_cols = [c for c in range(self.r) if c not in piv]
@@ -453,10 +523,15 @@ class FqSpanScanner:
         inv = tables.inv.astype(np.int64)
         self.quot = prod.reshape(64, 64)[:, inv].ravel() << 6
 
+    @staticmethod
+    def enumerator(r, nb, d):
+        """The RrefEnumerator whose positions iter_span_dims(d) walks."""
+        return RrefEnumerator((0, 1), nb, d)
+
     def iter_span_dims(self, d, start=0, stride=1, chunk=SCAN_CHUNK):
         """Yield (positions, span_dims) over the d-dim subspaces of U, per
         chunk of worker `start` of `stride` (see _rref_chunks)."""
-        enum = RrefEnumerator((0, 1), self.nb, d)
+        enum = self.enumerator(self.r, self.nb, d)
         # [B] arrays that every chunk reuses: fresh ones would be mapped and
         # faulted in anew each chunk (see SCAN_CHUNK)
         work = np.empty((2 * d + self.r + 4, min(chunk, enum.total)), dtype=np.int64)
@@ -537,10 +612,15 @@ class CodewordScanner(DualCodimScanner):
     nb - w and multiply the counts by 63.
     """
 
+    @staticmethod
+    def enumerator(r, nb, d):
+        """The normals' RrefEnumerator, whose positions iter_weights walks."""
+        return RrefEnumerator(range(64), r, 1)
+
     def iter_weights(self, d, start=0, stride=1, chunk=SCAN_CHUNK):
         """Yield (normal numbers, weights of their hyperplanes) per chunk
         of worker `start` of `stride`; d is r - 1, the hyperplanes'."""
-        enum = RrefEnumerator(range(64), self.r, 1)
+        enum = self.enumerator(self.r, self.nb, d)
         for lo, hi, _ in _rref_chunks(enum, start, stride, chunk):
             yield np.arange(lo, hi, dtype=np.int64), self.scan_range(lo, hi)
 

@@ -224,7 +224,9 @@ def exhaustive_scan(U, d, engine, workers, lo=0, hi=None):
     The scan is cut into contiguous chunks of at most gfbatch.SCAN_CHUNK
     positions (gfbatch._rref_chunks: the first ones smaller), and chunk k
     goes to worker k mod workers, which scans its chunks in ascending
-    order and stops at its first value outside [lo, hi].  Returns
+    order and stops at its first value outside [lo, hi].  No more
+    workers run than there are chunks, so a one-chunk scan runs in
+    process.  Returns
     (first, hist), merged over the workers: first is the (position,
     value) of the first value outside [lo, hi] in enumeration order (the
     least of the workers' firsts; None if there is none), and hist[v]
@@ -239,7 +241,8 @@ def exhaustive_scan(U, d, engine, workers, lo=0, hi=None):
     gfbatch.check_scan_shape(engine, field, U.r, U.dim_q)
     hi = U.dim_q if hi is None else hi
     args = (field, U.basis, d, engine, lo, hi)
-    results = run_partitioned(_scan_worker, args, workers)
+    _, chunks = gfbatch.chunk_edges(engine.enumerator(U.r, U.dim_q, d).total)
+    results = run_partitioned(_scan_worker, args, min(workers, chunks))
     firsts = [first for first, _ in results if first is not None]
     first = min(firsts) if firsts else None
     hist = [sum(col) for col in zip(*(h for _, h in results))]

@@ -333,6 +333,39 @@ def test_chunks_deal_every_position_once(F, which, d, chunk, request):
     assert lo == sorted(lo)
 
 
+@pytest.mark.parametrize("which, filtered", [
+    ("U_G", True), ("random-3-8", False), ("random-4-5", True), ("U_planted", True),
+])
+def test_row_filter_matches_the_rank_path(F, which, filtered, request):
+    """Full point scans (and line scans at r = 3) equal the rank path's
+    weights (_rank_weights, as the d >= 3 scans take them) at chunks of
+    1,000 and SCAN_CHUNK positions and 1-3 workers.  The row filter runs
+    iff the head's 6 (r - d - 1) bits cover nb: U_G (r = 3, nb = 6)
+    filters on 1-kernel heads, r = 3 at nb = 8 keeps the tile loop, r = 4
+    filters on 2-kernel heads, and U_planted has live rows of weight 3."""
+    if which.startswith("random"):
+        r, nb = map(int, which.split("-")[1:])
+        U = random_fq_subspace(F, r, nb, XorShift64Star(r * nb))
+    else:
+        U = request.getfixturevalue(which)
+    scanner = DualCodimScanner(Gf64Tables(F), U.basis)
+    for d in (1, 2) if U.r == 3 else (1,):
+        enum = RrefEnumerator(range(64), U.r, d)
+        expect = np.concatenate([
+            scanner._rank_weights(piv, gfbatch._cell_digits(enum, p, 0, n), n)
+            for p, (piv, n) in enumerate(zip(enum.profiles, enum.counts))
+        ])
+        for chunk in (1000, gfbatch.SCAN_CHUNK):
+            for workers in (1, 2, 3):
+                got = _dealt(scanner.iter_weights, d, enum.total, workers, chunk)
+                assert np.array_equal(got, expect), (d, chunk, workers)
+        # (t, views, row_filter) per profile; a one-position profile has no row
+        plans = [plan for piv, plan in scanner._plans.items() if len(piv) == d and plan[0]]
+        assert {row_filter is not None for _, _, row_filter in plans} == {filtered and d == 1}
+    if which == "U_planted":
+        assert expect.max() == 3
+
+
 def test_span_chunks_deal_every_position_once(F, U1):
     """The fast scan deals its chunks the same way (d = 3 on U_1)."""
     scanner = FqSpanScanner(Gf64Tables(F), U1.basis)

@@ -256,6 +256,27 @@ def test_agreement_seed_and_count_ranges(F, monkeypatch):
     assert mismatches == [] and [r["index"] for r in rows] == [0]
 
 
+def test_scans_fork_no_more_workers_than_chunks(F, U1, monkeypatch):
+    """exhaustive_scan asks run_partitioned for at most one worker per
+    chunk: the 255-position d = 1 span scan runs in process at any worker
+    count, and the 266,305 hyperplanes (18 chunks) keep their workers."""
+    from qscat import gfbatch
+
+    counts = [gfbatch.chunk_edges(n)[1] for n in (0, 255, 4096, 4097, 266_305)]
+    assert counts == [0, 1, 1, 2, 18]
+    run, asked = scatter.run_partitioned, []
+
+    def recording(fn, args, workers):
+        asked.append(workers)
+        return run(fn, args, workers)
+
+    monkeypatch.setattr(scatter, "run_partitioned", recording)
+    one = scatter.exhaustive_scan(U1, 1, gfbatch.FqSpanScanner, 1)
+    assert scatter.exhaustive_scan(U1, 1, gfbatch.FqSpanScanner, 3) == one
+    scatter.exhaustive_scan(U1, 3, gfbatch.DualCodimScanner, 2)
+    assert asked == [1, 1, 2]
+
+
 def test_gl_invariance_of_verdict(F, U1):
     rng = XorShift64Star(21)
     A = random_invertible(F, 4, rng)
