@@ -46,14 +46,18 @@ class ClosedFormMismatch(QscatError):
 
 
 class WorkLimitExceeded(QscatError):
-    """An exhaustive scan would exceed the configured work budget."""
+    """An exhaustive scan would exceed the configured work budget.
+
+    args are (estimate, budget), so pickle, which rebuilds an exception
+    as cls(*args), carries it back from a fork worker."""
 
     def __init__(self, estimate, budget):
-        super().__init__(
-            "work estimate %d exceeds budget %d" % (estimate, budget)
-        )
+        super().__init__(estimate, budget)
         self.estimate = estimate
         self.budget = budget
+
+    def __str__(self):
+        return "work estimate %d exceeds budget %d" % (self.estimate, self.budget)
 
 
 class ConfigError(QscatError):

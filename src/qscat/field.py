@@ -269,10 +269,6 @@ class BinaryField:
 
     # -- arithmetic ------------------------------------------------------
 
-    @staticmethod
-    def add(a, b):
-        return a ^ b
-
     def mul(self, a, b):
         if self._exp is not None:
             if a == 0 or b == 0:
@@ -432,12 +428,6 @@ class BinaryField:
 
     def same_as(self, other):
         return self.modulus == other.modulus and self.h == other.h
-
-    def __eq__(self, other):
-        return isinstance(other, BinaryField) and self.same_as(other)
-
-    def __hash__(self):
-        return hash((self.modulus, self.h))
 
     def __repr__(self):
         return "BinaryField(h=%d, modulus=0x%x)" % (self.h, self.modulus)

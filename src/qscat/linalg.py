@@ -196,30 +196,9 @@ class MatrixFqm:
         self.field = field
         self.rows = rows
 
-    @classmethod
-    def identity(cls, field, n):
-        return cls(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
     @property
     def shape(self):
         return (len(self.rows), len(self.rows[0]) if self.rows else 0)
-
-    def mat_mul(self, other):
-        mul = self.field.mul
-        n, m = self.shape
-        m2, p = other.shape
-        if m != m2:
-            raise ValueError("shape mismatch")
-        out = []
-        for i in range(n):
-            row = []
-            for j in range(p):
-                acc = 0
-                for k in range(m):
-                    acc ^= mul(self.rows[i][k], other.rows[k][j])
-                row.append(acc)
-            out.append(row)
-        return MatrixFqm(self.field, out)
 
     def apply_to_vector(self, v):
         """Column action A.v (v as a column vector)."""
@@ -232,17 +211,11 @@ class MatrixFqm:
             out.append(acc)
         return tuple(out)
 
-    def row_reduce(self):
-        return row_reduce(self.field, self.rows)
-
-    def rank(self):
-        return self.row_reduce()[0]
-
     def det(self):
         n, m = self.shape
         if n != m:
             raise ValueError("determinant of non-square matrix")
-        return self.row_reduce()[2]
+        return row_reduce(self.field, self.rows)[2]
 
     def inverse(self):
         n, m = self.shape
@@ -253,16 +226,6 @@ class MatrixFqm:
         if rank < n or any(rref[i][i] != 1 for i in range(n)):
             raise SingularMatrix("matrix is singular")
         return MatrixFqm(self.field, [r[n:] for r in rref])
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, MatrixFqm)
-            and self.field.same_as(other.field)
-            and self.rows == other.rows
-        )
-
-    def __hash__(self):
-        return hash(self.rows)
 
     def __repr__(self):
         return "MatrixFqm(%dx%d)" % self.shape
@@ -319,10 +282,6 @@ class FqmSubspace:
             _, rref, _ = gf2.rref_bits(rows, self.r * field.e)
             self._f2rows = tuple(rref)
         return self._f2rows
-
-    def contains(self, v):
-        rows = list(self.rows) + [v]
-        return fqm_span_dim(self.field, rows) == self.dim
 
     def frob_image(self, i=1):
         field = self.field
@@ -406,10 +365,6 @@ class FqSubspace:
             scaled = [vec_scale(self.field, c, b) for c in self.field.fq_elements]
             vecs = [vec_add(v, s) for v in vecs for s in scaled]
         return vecs
-
-    def contains(self, v):
-        flat = flatten_vector(self.field, v)
-        return gf2.rank_bits(list(self.f2rows()) + [flat]) == len(self.f2rows())
 
     def frob_image(self, i=1):
         field = self.field
@@ -541,26 +496,10 @@ class RrefEnumerator:
             rows[i][c] = self.scalars[digit]
         return tuple(tuple(r) for r in rows), piv
 
-    def iter_slice(self, start=0, stride=1, stop=None):
-        stop = self.total if stop is None else min(stop, self.total)
-        for index in range(start, stop, stride):
+    def iter_slice(self, start=0, stride=1):
+        for index in range(start, self.total, stride):
             rows, piv = self.decode(index)
             yield index, rows, piv
-
-
-def enumerate_fqm_subspaces(field, r, d, start=0, stride=1):
-    """All d-dim F_{q^m}-subspaces of F_{q^m}^r, deterministically."""
-    enum = RrefEnumerator(range(field.order), r, d)
-    for _, rows, piv in enum.iter_slice(start, stride):
-        yield FqmSubspace(field, r, rows, piv)
-
-
-def enumerate_fq_subspaces(U, d, start=0, stride=1):
-    """All d-dim F_q-subspaces of U via coefficient RREFs over F_q."""
-    field = U.field
-    enum = RrefEnumerator(field.fq_elements, U.dim_q, d)
-    for _, rows, _ in enum.iter_slice(start, stride):
-        yield FqSubspace(field, U.r, [U.combine(row) for row in rows])
 
 
 # -- wire format ----------------------------------------------------------

@@ -52,20 +52,6 @@ MODES = ("exhaustive", "sampled")
 SEC2_EQUIV_MATRIX = ((1, 0, 1, 1), (0, 0, 1, 0), (1, 1, 0, 1), (1, 0, 0, 0))
 
 
-@dataclass(frozen=True)
-class UsParams:
-    """Construction parameters: q = 2^h_exp and sigma = x -> x^(q^s)."""
-
-    h_exp: int
-    s: int = 1
-
-    def __post_init__(self):
-        if self.h_exp < 1 or self.h_exp % 2 == 0:
-            raise ValueError("h_exp must be a positive odd integer")
-        if self.s not in (1, 5):
-            raise ValueError("s must be 1 or 5 (the residues coprime to 6)")
-
-
 @dataclass
 class Verdict:
     """Outcome of one certification run.
@@ -78,7 +64,7 @@ class Verdict:
     ok: bool
     witness: Optional[dict]
     checked_count: int
-    mode: str  # exhaustive | sampled | fast | skipped
+    mode: str  # exhaustive | sampled | fast
     details: dict = dc_field(default_factory=dict)
 
     def to_json(self):
@@ -118,7 +104,8 @@ def build_Us(field, s=1):
     T is the kernel of the trace onto F_{q^2}; exponents are sigma^i with
     sigma = q^s.  dim_q = 8 and the F_{q^6}-span is the full ambient.
     """
-    UsParams(field.h, s)
+    if s not in (1, 5):
+        raise ValueError("s must be 1 or 5 (the residues coprime to 6), got %r" % (s,))
     frob = field.frob
     gens = []
     for t in field.trace_kernel_basis():
@@ -176,10 +163,6 @@ def _oracle_witness(U, order, gens, w, position=-1):
     H = FqmSubspace.span(U.field, U.r, gens)
     if H.dim != order or weight(U, H) != w or w <= order:
         raise InvariantViolation("oracle witness at %d does not re-check" % position)
-    return _fqm_witness(U, position, H, w)
-
-
-def _fqm_witness(U, position, H, w):
     return {
         "kind": "fqm_subspace",
         "position": position,
@@ -228,12 +211,13 @@ def exhaustive_scan(U, d, engine, workers, lo=0, hi=None):
     workers run than there are chunks, so a one-chunk scan runs in
     process.  Returns
     (first, hist), merged over the workers: first is the (position,
-    value) of the first value outside [lo, hi] in enumeration order (the
-    least of the workers' firsts; None if there is none), and hist[v]
-    counts the values scanned.  So first, and every complete hist, is the
-    same for any worker count.  A complete weight hist (first is None)
-    must pass _check_incidences's closed-form first moment; rankcode
-    checks the code's hyperplane hist against every moment.
+    value, rows) of the first value outside [lo, hi] in enumeration order
+    (the least of the workers' firsts, rows its RREF decoded by the
+    engine's enumerator; None if there is none), and hist[v] counts the
+    values scanned.  So first, and every complete hist, is the same for
+    any worker count.  A complete weight hist (first is None) must pass
+    _check_incidences's closed-form first moment; rankcode checks the
+    code's hyperplane hist against every moment.
     """
     from . import gfbatch
 
@@ -241,14 +225,17 @@ def exhaustive_scan(U, d, engine, workers, lo=0, hi=None):
     gfbatch.check_scan_shape(engine, field, U.r, U.dim_q)
     hi = U.dim_q if hi is None else hi
     args = (field, U.basis, d, engine, lo, hi)
-    _, chunks = gfbatch.chunk_edges(engine.enumerator(U.r, U.dim_q, d).total)
+    enum = engine.enumerator(U.r, U.dim_q, d)
+    _, chunks = gfbatch.chunk_edges(enum.total)
     results = run_partitioned(_scan_worker, args, min(workers, chunks))
     firsts = [first for first, _ in results if first is not None]
-    first = min(firsts) if firsts else None
     hist = [sum(col) for col in zip(*(h for _, h in results))]
-    if engine is not gfbatch.FqSpanScanner and first is None:
+    if firsts:
+        pos, value = min(firsts)
+        return (pos, value, enum.decode(pos)[0]), hist
+    if engine is not gfbatch.FqSpanScanner:
         _check_incidences(U, d, hist)
-    return first, hist
+    return None, hist
 
 
 def _check_incidences(U, d, hist, spans=None):
@@ -323,8 +310,7 @@ def is_h_scattered_fast(
     details = {"order": order, "subspace_dim": d}
     if first is None:
         return Verdict(True, None, total, "fast", details)
-    pos, span = first
-    rows, _ = RrefEnumerator(field.fq_elements, U.dim_q, d).decode(pos)
+    pos, span, rows = first
     witness = _fq_witness(U, order, rows, span, pos)
     return Verdict(False, witness, pos + 1, "fast", details)
 
@@ -393,8 +379,7 @@ def is_h_scattered_oracle(
             "weight_hist": {str(i): c for i, c in enumerate(hist) if c},
         }
         return Verdict(True, None, total, "exhaustive", details)
-    pos, w = first
-    rows, _ = RrefEnumerator(range(field.order), U.r, order).decode(pos)
+    pos, w, rows = first
     witness = _oracle_witness(U, order, rows, w, pos)
     return Verdict(False, witness, pos + 1, "exhaustive", {"order": order})
 
@@ -405,30 +390,6 @@ def is_h_scattered_oracle(
 def frobenius_fixed(S):
     """Setwise invariance under the coordinatewise map x -> x^(q^2)."""
     return S.frob_image(2) == S
-
-
-def parity_check(U, H):
-    """Fixed subspaces meet U in even F_q-dimension."""
-    if not frobenius_fixed(H):
-        return Verdict(
-            ok=True,
-            witness=None,
-            checked_count=0,
-            mode="skipped",
-            details={"applicable": False},
-        )
-    w = weight(U, H)
-    ok = w % 2 == 0
-    witness = None
-    if not ok:
-        witness = _fqm_witness(U, -1, H, w)
-    return Verdict(
-        ok=ok,
-        witness=witness,
-        checked_count=1,
-        mode="exhaustive",
-        details={"applicable": True, "weight": w},
-    )
 
 
 def enumerate_frobenius_fixed(field, r, d):
@@ -521,24 +482,6 @@ class SemilinearSystem:
 
     def nullity_q(self):
         return len(self.images) - fq_rank(self.field, self.images)
-
-    def lambda_of(self, u):
-        f, a = self.field, self.a
-        return (
-            f.mul(a, u)
-            ^ f.mul(f.frob(a, 2), f.frob(u, 2))
-            ^ f.mul(f.frob(a, 4), u)
-            ^ f.mul(f.frob(a, 4), f.frob(u, 2))
-        )
-
-    def mu_of(self, u):
-        f, c = self.field, self.c
-        return (
-            f.mul(c, u)
-            ^ f.mul(f.frob(c, 2), f.frob(u, 2))
-            ^ f.mul(f.frob(c, 4), u)
-            ^ f.mul(f.frob(c, 4), f.frob(u, 2))
-        )
 
 
 def _case_invariants(field, a, b, c, d):
@@ -707,17 +650,3 @@ def random_fq_subspace(field, r, d, rng):
         U = FqSubspace.span(field, r, gens)
         if U.dim_q == d:
             return U
-
-
-def random_fq_subspace_of(U, d, rng):
-    """Random d-dim F_q-subspace of U via random coefficient matrices."""
-    field = U.field
-    elems = field.fq_elements
-    while True:
-        gens = [
-            U.combine([elems[rng.randrange(len(elems))] for _ in U.basis])
-            for _ in range(d)
-        ]
-        S = FqSubspace.span(field, U.r, gens)
-        if S.dim_q == d:
-            return S

@@ -86,10 +86,13 @@ def test_default_moduli_all_irreducible():
 
 
 def test_char2_addition(F):
+    """XOR of representatives is the field's addition: a + a = 0, and
+    multiplication distributes over it."""
     rng = XorShift64Star(1)
     for _ in range(100):
-        a = F.random_element(rng)
-        assert F.add(a, a) == 0
+        a, b, c = (F.random_element(rng) for _ in range(3))
+        assert a ^ a == 0
+        assert F.mul(a, b ^ c) == F.mul(a, b) ^ F.mul(a, c)
 
 
 def test_stated_reduction_example(F):

@@ -12,8 +12,6 @@ from qscat.linalg import (
     RrefEnumerator,
     apply_gl,
     det_cofactor,
-    enumerate_fq_subspaces,
-    enumerate_fqm_subspaces,
     flatten_vector,
     fqm_span_dim,
     gaussian_binomial,
@@ -31,6 +29,10 @@ from qscat.rng import XorShift64Star
 from qscat.scatter import random_fqm_subspace, random_invertible
 
 
+def identity(F, n):
+    return MatrixFqm(F, [[int(i == j) for j in range(n)] for i in range(n)])
+
+
 def test_gaussian_binomial_frozen_counts():
     # evaluated directly from the defining product formula
     assert gaussian_binomial(8, 3, 2) == 97_155
@@ -42,8 +44,8 @@ def test_gaussian_binomial_frozen_counts():
 
 
 def test_row_reduce_examples(F):
-    ident = MatrixFqm.identity(F, 4)
-    assert ident.rank() == 4 and ident.det() == 1
+    ident = identity(F, 4)
+    assert row_reduce(F, ident.rows)[0] == 4 and ident.det() == 1
     dup = MatrixFqm(F, [(1, 2, 3, 4)] * 2 + [(5, 6, 7, 8), (9, 10, 11, 12)])
     assert dup.det() == 0
 
@@ -59,7 +61,9 @@ def test_matrix_inverse_roundtrip(F):
     rng = XorShift64Star(12)
     for _ in range(30):
         M = random_invertible(F, 4, rng)
-        assert M.mat_mul(M.inverse()) == MatrixFqm.identity(F, 4)
+        Minv = M.inverse()
+        for e_i in identity(F, 4).rows:
+            assert M.apply_to_vector(Minv.apply_to_vector(e_i)) == e_i
     with pytest.raises(SingularMatrix):
         MatrixFqm(F, [[0] * 4] * 4).inverse()
 
@@ -146,21 +150,23 @@ def test_fqm_span_dim_examples(F, U1):
     rng = XorShift64Star(15)
     for _ in range(50):
         # three F_q-independent vectors of U span at least dimension 3
-        from qscat.scatter import random_fq_subspace_of
-
-        S = random_fq_subspace_of(U1, 3, rng)
+        while True:
+            gens = [U1.combine([rng.randrange(2) for _ in U1.basis]) for _ in range(3)]
+            S = FqSubspace.span(F, 4, gens)
+            if S.dim_q == 3:
+                break
         assert fqm_span_dim(F, S.basis) >= 3
 
 
 def test_enumerate_fqm_counts_and_dedup(F):
     seen = set()
     n = 0
-    for S in enumerate_fqm_subspaces(F, 2, 1):
-        seen.add(S.rows)
+    for _, rows, _ in RrefEnumerator(range(F.order), 2, 1).iter_slice():
+        seen.add(FqmSubspace.span(F, 2, rows).rows)
         n += 1
     assert n == len(seen) == gaussian_binomial(2, 1, 64) == 65
-    only = list(enumerate_fqm_subspaces(F, 4, 4))
-    assert len(only) == 1 and only[0].dim == 4
+    only = list(RrefEnumerator(range(F.order), 4, 4).iter_slice())
+    assert len(only) == 1 and FqmSubspace.span(F, 4, only[0][1]).dim == 4
     assert gaussian_binomial(4, 3, F.order) == 266_305
 
 
@@ -202,18 +208,26 @@ def test_flatten_packs_each_coordinate_in_its_own_bits(F8):
 def test_enumerate_fq_subspaces_small(F):
     small = FqSubspace.span(F, 4, [(1, 0, 0, 0), (2, 0, 0, 0), (0, 1, 0, 0)])
     assert small.dim_q == 3
-    subs = list(enumerate_fq_subspaces(small, 2))
+
+    def subspaces(d):
+        enum = RrefEnumerator(F.fq_elements, small.dim_q, d)
+        return [
+            FqSubspace.span(F, 4, [small.combine(row) for row in rows])
+            for _, rows, _ in enum.iter_slice()
+        ]
+
+    subs = subspaces(2)
     assert len(subs) == gaussian_binomial(3, 2, 2) == 7
     assert len(set(subs)) == 7
-    zero_dim = list(enumerate_fq_subspaces(small, 0))
+    zero_dim = subspaces(0)
     assert len(zero_dim) == 1 and zero_dim[0].dim_q == 0
     for S in subs:
-        assert all(small.contains(v) for v in S.basis)
+        assert S.dim_q == 2
+        assert FqSubspace.span(F, 4, small.basis + S.basis) == small
 
 
 def test_apply_gl(F, U1):
-    ident = MatrixFqm.identity(F, 4)
-    assert apply_gl(ident, U1) == U1
+    assert apply_gl(identity(F, 4), U1) == U1
     rng = XorShift64Star(16)
     for _ in range(10):
         A = random_invertible(F, 4, rng)
@@ -245,7 +259,8 @@ def test_intersect_fq(F, U1):
         Hq = FqSubspace.span(F, 4, gens)
         inter = intersect_fq(U1, Hq)
         assert inter.dim_q == weight(U1, H)
-        assert all(U1.contains(v) and Hq.contains(v) for v in inter.basis)
+        for W in (U1, Hq):
+            assert FqSubspace.span(F, 4, W.basis + inter.basis) == W
 
 
 def test_null_space_and_left_kernel(F):

@@ -5,6 +5,7 @@ from qscat import gf2, rankcode
 from qscat.errors import (
     ClosedFormMismatch,
     DegenerateSystem,
+    InvariantViolation,
     WorkLimitExceeded,
 )
 from qscat.gfbatch import (
@@ -116,11 +117,34 @@ def test_generalized_weight_small_rhos(F, code):
     assert generalized_weight(code, 1, workers=2) == 4
     assert generalized_weight(code, 3, workers=2) == 7
     assert generalized_weight(code, 4) == 8
-    assert generalized_weight(code, 2, algorithm="fq_side") == 6
+    # d_2 from the span table alone, not through the 17M-line scan
+    assert code.n - span_table(code)[code.k - 2] == 6
     with pytest.raises(ValueError):
         generalized_weight(code, 0)
     with pytest.raises(ValueError):
         generalized_weight(code, 5)
+
+
+def test_generalized_weight_cross_check_catches_a_wrong_scan(code, monkeypatch, capsys):
+    """A subspace scan that reads one weight off disagrees with the span
+    table: an internal error (code-profile exits 3, no certificate on
+    stdout), never a profile."""
+    from qscat import cli
+
+    real = rankcode.weight_spectrum
+
+    def one_off(*args, **kwargs):
+        spec = real(*args, **kwargs)
+        top = max(spec)
+        spec[top + 1] = spec.pop(top)
+        return spec
+
+    monkeypatch.setattr(rankcode, "weight_spectrum", one_off)
+    for rho in (1, 3):
+        with pytest.raises(InvariantViolation, match="d_%d " % rho):
+            generalized_weight(code, rho)
+    assert cli.main(["code-profile"]) == 3
+    assert capsys.readouterr().out == ""
 
 
 def test_codeword_scan_budget(F8):

@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from qscat import gf2, scatter
-from qscat.errors import ConfigError, WorkLimitExceeded
+from qscat.errors import ConfigError, EvenH, WorkLimitExceeded
+from qscat.field import BinaryField
 from qscat.linalg import (
     FqSubspace,
     FqmSubspace,
@@ -15,7 +21,6 @@ from qscat.linalg import (
 )
 from qscat.rng import XorShift64Star
 from qscat.scatter import (
-    UsParams,
     build_U5prime,
     build_Us,
     count_solutions,
@@ -25,7 +30,6 @@ from qscat.scatter import (
     is_h_scattered_fast,
     is_h_scattered_oracle,
     max_dim_bound,
-    parity_check,
     random_fq_subspace,
     random_fqm_subspace,
     random_frobenius_fixed,
@@ -37,21 +41,21 @@ from qscat.scatter import (
     weight_spectrum,
 )
 
+ROOT = Path(__file__).resolve().parents[1]
 
-def test_us_params_validation():
-    UsParams(1, 1)
-    UsParams(3, 5)
-    with pytest.raises(ValueError):
-        UsParams(2, 1)
-    with pytest.raises(ValueError):
-        UsParams(1, 2)
-    with pytest.raises(ValueError):
-        UsParams(1, 3)
+
+def test_us_params_validation(F):
+    """s must be coprime to 6 (1 or 5), and q = 2^h needs an odd h."""
+    for s in (0, 2, 3, 4, 6):
+        with pytest.raises(ValueError, match="s must be 1 or 5"):
+            build_Us(F, s)
+    with pytest.raises(EvenH):
+        BinaryField(2)
 
 
 def test_build_us_shape(F, U1):
     assert U1.dim_q == 8 == max_dim_bound(4, 6, 2).value
-    assert U1.contains((0, 0, 0, 0))
+    assert (0, 0, 0, 0) in U1.vectors()
     assert fqm_span_dim(F, U1.basis) == 4
     # membership matches the defining tuple shape on every element
     frob = F.frob
@@ -111,7 +115,7 @@ def test_planted_counterexample_fast(F, U1):
     assert v.witness["fqm_span_dim"] <= 2
     # witness is re-checkable: its basis lies in U and spans <= 2
     basis = [tuple(F.from_hex(h) for h in row) for row in v.witness["basis"]]
-    assert all(U.contains(w) for w in basis)
+    assert FqSubspace.span(F, 4, U.basis + tuple(basis)) == U
     assert fqm_span_dim(F, basis) <= 2
 
 
@@ -256,6 +260,54 @@ def test_agreement_seed_and_count_ranges(F, monkeypatch):
     assert mismatches == [] and [r["index"] for r in rows] == [0]
 
 
+def test_every_error_survives_pickle():
+    """A fork pool pickles a worker's exception back to the parent, which
+    rebuilds it as cls(*args); one that cannot be rebuilt kills the pool's
+    result thread and the parent waits forever."""
+    import inspect
+    import pickle
+
+    from qscat import errors
+
+    classes = [
+        c for _, c in inspect.getmembers(errors, inspect.isclass)
+        if issubclass(c, errors.QscatError)
+    ]
+    assert WorkLimitExceeded in classes
+    for cls in classes:
+        exc = cls(7, 5) if cls is WorkLimitExceeded else cls("boom")
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is cls and str(back) == str(exc) and back.args == exc.args
+    back = pickle.loads(pickle.dumps(WorkLimitExceeded(7, 5)))
+    assert (back.estimate, back.budget) == (7, 5)
+    assert str(back) == "work estimate 7 exceeds budget 5"
+
+
+def test_budget_error_in_a_fork_worker_reaches_the_caller():
+    """The exhaustive q = 8 scans of the agreement suite are past the
+    budget: at two workers the WorkLimitExceeded comes back from the pool
+    as it does in process, and the call does not hang."""
+    code = (
+        "from qscat.errors import WorkLimitExceeded\n"
+        "from qscat.field import default_field\n"
+        "from qscat.scatter import fast_oracle_agreement\n"
+        "try:\n"
+        "    fast_oracle_agreement(default_field(3), 2, seed=1, orders=(1,), workers=2)\n"
+        "except WorkLimitExceeded as exc:\n"
+        "    print('raised:', exc)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised: work estimate ")
+
+
 def test_scans_fork_no_more_workers_than_chunks(F, U1, monkeypatch):
     """exhaustive_scan asks run_partitioned for at most one worker per
     chunk: the 255-position d = 1 span scan runs in process at any worker
@@ -289,15 +341,9 @@ def test_frobenius_fixed_and_parity(F, U1):
     for _ in range(100):
         H = random_frobenius_fixed(F, 4, rng.randrange(3) + 1, rng)
         assert frobenius_fixed(H)
-        v = parity_check(U1, H)
-        assert v.ok and v.details["weight"] % 2 == 0
-    # a subspace moved by the Frobenius yields a skipped verdict
-    while True:
-        H = random_fqm_subspace(F, 4, 2, rng)
-        if not frobenius_fixed(H):
-            break
-    v = parity_check(U1, H)
-    assert v.mode == "skipped" and not v.details["applicable"]
+        assert weight(U1, H) % 2 == 0
+    # a random 2-dim subspace is moved by the Frobenius
+    assert not frobenius_fixed(random_fqm_subspace(F, 4, 2, rng))
 
 
 def test_fixed_3dim_exhaustive(F, U1):
@@ -364,6 +410,18 @@ def test_nullity_q8_matches_the_fq_kernel(F8):
 
 def test_semilinear_random_tuples(F, U1):
     rng = XorShift64Star(2024)
+    frob, mul = F.frob, F.mul
+
+    def form(x, y):
+        """x y + x^(q^2) y^(q^2) + x^(q^4) y + x^(q^4) y^(q^2): λ(u) is
+        form(a, u), μ(u) is form(c, u), and the v-side sum is form(b, v)."""
+        return (
+            mul(x, y)
+            ^ mul(frob(x, 2), frob(y, 2))
+            ^ mul(frob(x, 4), y)
+            ^ mul(frob(x, 4), frob(y, 2))
+        )
+
     buckets = {}
     for i in range(500):
         a, b, c, d = (F.random_element(rng) for _ in range(4))
@@ -380,17 +438,10 @@ def test_semilinear_random_tuples(F, U1):
                 f1 = F.mul(a, u) ^ F.mul(b, v) ^ F.frob(u, 2) ^ F.frob(v, 1)
                 f2 = F.mul(c, u) ^ F.mul(d, v) ^ F.frob(u, 1) ^ F.frob(v, 3)
                 assert f1 == 0 and f2 == 0
-                lam = sysm.lambda_of(u)
-                mu = sysm.mu_of(u)
+                lam, mu = form(a, u), form(c, u)
                 assert F.in_subfield(lam, 2) and F.in_subfield(mu, 2)
                 # the v-side sum telescopes to the same invariants
-                bpart = (
-                    F.mul(b, v)
-                    ^ F.mul(F.frob(b, 2), F.frob(v, 2))
-                    ^ F.mul(F.frob(b, 4), v)
-                    ^ F.mul(F.frob(b, 4), F.frob(v, 2))
-                )
-                assert bpart == lam
+                assert form(b, v) == lam
     assert len(buckets) == 5  # every case class is exercised
 
 
