@@ -3,19 +3,24 @@
 The exhaustive q = 2 certifications walk 10^7-scale enumerations; the
 GF(64) scan engines here run them in numpy batches.  Enumeration indices
 agree exactly with linalg.RrefEnumerator, so witnesses found here can be
-re-decoded and re-checked by the scalar reference code.  A scan is cut
+re-decoded and re-checked by the scalar reference code; each process
+builds one enumerator per (scalars, n, d) (_enumerator).  A scan is cut
 into contiguous chunks that are dealt round-robin to the workers
-(_rref_chunks); the oracle's point and line weights are read off cached
-kernel bitmaps as broadcast tiles of 4,096 positions (DualCodimScanner),
-which stay in cache and leave no multi-MB temporaries.  Where the
-kernels that are constant along a tile row can already meet in {0}
-(the points of F_64^4), a row filter ANDs only the rows where they do
-not.  The engines
+(_rref_chunks), and each chunk yields its positions as a range, with no
+array behind it.  The oracle's point and line weights are read off
+cached kernel bitmaps as broadcast tiles of 4,096 positions
+(DualCodimScanner), which stay in cache and leave no multi-MB
+temporaries.  Where the kernels that are constant along a tile row can
+already meet in {0} (the points of F_64^4), a row filter ANDs only the
+rows where they do not, 4,096 rows at a time, and keeps the nonzero
+weights of that block for the chunks that read it.  The engines
 take the ambient F_64^r from their input; a vector of F_64^r packs into
 one int64 (coordinate k at bits 6k, `coords_to_flats`/`flats_to_coords`),
-so check_scan_shape admits r <= 10.  The span scan (FqSpanScanner)
-row-reduces such packed vectors over GF(64) itself, one coordinate at a
-time in [B] arrays that every chunk reuses; rank_batch ranks the GF(2)
+so check_scan_shape admits r <= 10.  The span scan (FqSpanScanner) reads
+each row's coefficient mask off a per-row deposit table, which depends
+on (nb, d, profile) only, and row-reduces the packed vectors over GF(64)
+itself, one coordinate at a time in [B] arrays that every chunk reuses;
+rank_batch ranks the GF(2)
 bit matrices of the d >= 3 dual scans and of the codeword scan, which
 reads a codeword's rank weight off the weight of the hyperplane its
 message is normal to (CodewordScanner walks one normal per hyperplane
@@ -34,6 +39,7 @@ one-sample-at-a-time loop would, one block of draws per batch
 (`XorShift64Star.draws`).
 """
 
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -142,14 +148,20 @@ def coords_to_flats(coords):
     return flats
 
 
+def _subset_sums(base, vectors):
+    """table[mask] = base ^ the XOR of the ints vectors[k] for the bits k
+    of mask, built by doubling: entries [2^k, 2^(k+1)) are the first 2^k
+    XOR vectors[k], one numpy op per vector."""
+    table = np.empty(1 << len(vectors), dtype=np.int64)
+    table[0] = base
+    for k, vec in enumerate(vectors):
+        np.bitwise_xor(table[: 1 << k], vec, out=table[1 << k : 2 << k])
+    return table
+
+
 def subset_xor_table(vectors):
     """table[mask] = packed sum of the GF(64)^r vectors selected by mask."""
-    flats = coords_to_flats(vectors).tolist()
-    table = np.zeros(1 << len(flats), dtype=np.int64)
-    for mask in range(1, len(table)):
-        low = mask & -mask
-        table[mask] = table[mask ^ low] ^ flats[low.bit_length() - 1]
-    return table
+    return _subset_sums(0, coords_to_flats(vectors).tolist())
 
 
 def point_ids(vecs):
@@ -218,6 +230,14 @@ def chunk_edges(total, chunk=SCAN_CHUNK):
     return edges, len(edges) - 1 + -(-max(total - edges[-1], 0) // chunk)
 
 
+@lru_cache(maxsize=16)
+def _enumerator(scalars, n, d):
+    """RrefEnumerator(scalars, n, d), built once per process: every scan's
+    iterator, exhaustive_scan's chunk count and witness decode, and the
+    span scan's deposit tables share it."""
+    return RrefEnumerator(scalars, n, d)
+
+
 def _rref_chunks(enum, start, stride, chunk):
     """Deal an RrefEnumerator's positions to worker `start` of `stride`.
 
@@ -265,6 +285,17 @@ def _cell_digits(enum, p, a, b):
     }
 
 
+def _tile_slices(table, axes, n):
+    """(shifts, shape) that slice a kernel table, whose axes read the
+    digits `axes` of n, for a tile of the last t = min(2, n) digits: the
+    shift of the tile number that gives each fixed axis (None for a tile
+    axis), and the shape that broadcasts the slice over the tile."""
+    fixed = n - min(2, n)
+    shifts = [6 * (fixed - 1 - k) if k < fixed else None for k in axes]
+    shape = [64 if k in axes else 1 for k in range(fixed, n)]
+    return shifts, table.shape[:1] + tuple(shape)
+
+
 class DualCodimScanner:
     """Weights of U against every d-dim F_{q^m}-subspace of F_{64}^r.
 
@@ -291,13 +322,16 @@ class DualCodimScanner:
     last free column c, so the other r - d - 1 kernels, the head, are
     constant along a row.  The full AND is a subset of the head's AND,
     so a row whose head ANDs to {0} (popcount 1: only a = 0) has weight
-    0 at all 64 positions.  The scanner then ANDs the head once per row,
-    for every row of a chunk's part at once, writes 0 for the dead rows
-    and ANDs only the live ones with K[w_c].  A kernel has F_2-dimension
-    >= nb - 6, since its map goes to F_64; so the head's AND can be {0}
-    only when 6 (r - d - 1) >= nb, and only then does the filter run: on
-    the points of F_64^4 (2-kernel heads, nb <= 10) and at r = 3 for nb
-    <= 6, while lines of F_64^4 at nb = 8 keep the tile loop.
+    0 at all 64 positions.  A kernel has F_2-dimension >= nb - 6, since
+    its map goes to F_64; so the head's AND can be {0} only when
+    6 (r - d - 1) >= nb, and only then does the filter run: on the points
+    of F_64^4 (2-kernel heads, nb <= 10) and at r = 3 for nb <= 6, while
+    lines of F_64^4 at nb = 8 keep the tile loop.  The filter works a
+    row block at a time, the <= 4,096 rows that differ in their last two
+    digits at most, whose head ANDs are one tile: it ANDs the block's
+    live rows with K[w_c] and keeps the block's nonzero weights (for
+    points, at most one per nonzero u) for the chunks that read it, each
+    of which zeroes its weights and writes those in.
     """
 
     MAX_WIDTH = 10  # nb fields of 6 bits in an int64
@@ -316,11 +350,12 @@ class DualCodimScanner:
         self.tk = coords_to_flats(tables.mul(basis.T[:, None, :], scal[:, None]))
         self._plans = {}  # piv -> tile plan
         self._tiles = {}  # tile digit count -> (tile, popcounts, sizes) buffers
+        self._block = (None,)  # ((piv, g), positions, weights) of the last row block
 
     @staticmethod
     def enumerator(r, nb, d):
         """The RrefEnumerator whose positions iter_weights(d) walks."""
-        return RrefEnumerator(range(64), r, d)
+        return _enumerator(range(64), r, d)
 
     def _dots(self, duals):
         """[..., r] dual vectors w -> [...] packs of the u_j . w, 6 bits each."""
@@ -374,35 +409,37 @@ class DualCodimScanner:
 
         The last t = min(2, len(cells)) cells vary inside a tile, the
         others are fixed digits of the tile number g.  Returns (t, views,
-        row_filter): per free column, its kernel table, the shift of g
-        that gives each fixed axis (None for a tile axis), and the shape
-        that broadcasts the slice over the tile.  row_filter is None, or,
-        when the row filter runs (see the class docstring), (head, tail):
-        the head is a list and the tail one pair of a kernel table and
-        the shifts of the row number that give its axes but the last
-        cell's.  Built once per profile and scanner.
+        row_filter): views lists, per free column, its kernel table with
+        its _tile_slices.  row_filter is None, or, when the row filter
+        runs (see the class docstring), (t', head, tail): the head is a
+        list of kernel tables with their _tile_slices for the tiles of
+        t' = min(2, len(cells) - 1) row digits, the row blocks, and the
+        tail one pair of a kernel table and the shifts of the row number
+        that give its axes but the last cell's.  Built once per profile
+        and scanner.
         """
         plan = self._plans.get(piv)
         if plan is None:
             n = len(cells)
-            fixed = n - min(2, n)
-            views, head, tail = [], [], []
+            views, head, tail = [], [], None
             for f in range(self.r):
                 if f in piv:
                     continue
                 rows = [i for i in range(len(piv)) if piv[i] < f]
                 table = self._kernel_table(piv, f, rows)
                 axes = [cells.index((i, f)) for i in rows]
-                shifts = [6 * (fixed - 1 - k) if k < fixed else None for k in axes]
-                shape = [64 if k in axes else 1 for k in range(fixed, n)]
-                views.append((table, shifts, table.shape[:1] + tuple(shape)))
-                # a row number's digits are the cells but the last
-                row_shifts = [6 * (n - 2 - k) for k in axes if k < n - 1]
-                (tail if n - 1 in axes else head).append((table, row_shifts))
+                views.append((table,) + _tile_slices(table, axes, n))
+                if n - 1 in axes:
+                    # a row number's digits are the cells but the last
+                    tail = (table, [6 * (n - 2 - k) for k in axes if k < n - 1])
+                else:
+                    head.append((table,) + _tile_slices(table, axes, n - 1))
             # K[w] has F_2-dimension >= nb - 6, so the head's AND can be
             # {0} only when 6 |head| >= nb; a one-position profile has no row
-            row_filter = (head, tail[0]) if n and 6 * len(head) >= self.nb else None
-            plan = (n - fixed, views, row_filter)
+            row_filter = None
+            if n and 6 * len(head) >= self.nb:
+                row_filter = (min(2, n - 1), head, tail)
+            plan = (min(2, n), views, row_filter)
             self._plans[piv] = plan
         return plan
 
@@ -417,9 +454,29 @@ class DualCodimScanner:
             self._tiles[t] = bufs
         return bufs
 
+    def _and_tile(self, views, g, t):
+        """The AND of the kernel slices of tile g into the reused tile
+        buffer of t digits, and its [64^t] kernel sizes minus one (|AND_f
+        K[w_f]| = 2^weight, and 2^weight - 1 has weight bits set)."""
+        tile, pops, sizes = self._tile_buffers(t, views[0][0].shape[0])
+        every = slice(None)
+        slices = [
+            table[(every,) + tuple(every if s is None else (g >> s) & 63 for s in shifts)]
+            .reshape(shape)
+            for table, shifts, shape in views
+        ]
+        # x & x = x, so one free column ANDs its slice with itself
+        np.bitwise_and(slices[0], slices[-1], out=tile)
+        for kernel in slices[1:-1]:
+            np.bitwise_and(tile, kernel, out=tile)
+        np.bitwise_count(tile, out=pops)
+        np.add.reduce(pops.reshape(len(tile), -1), axis=0, dtype=np.uint16, out=sizes)
+        sizes -= 1
+        return tile, sizes
+
     def iter_weights(self, d, start=0, stride=1, chunk=SCAN_CHUNK):
-        """Yield (global_position_array, weights_array) per chunk of worker
-        `start` of `stride` (see _rref_chunks)."""
+        """Yield (range of global positions, weights array) per chunk of
+        worker `start` of `stride` (see _rref_chunks)."""
         enum = self.enumerator(self.r, self.nb, d)
         for lo, hi, parts in _rref_chunks(enum, start, stride, chunk):
             weights = np.empty(hi - lo, dtype=np.int64)
@@ -430,63 +487,60 @@ class DualCodimScanner:
                 else:
                     digits = _cell_digits(enum, p, a, b)
                     weights[s : s + b - a] = self._rank_weights(piv, digits, b - a)
-            yield np.arange(lo, hi, dtype=np.int64), weights
+            yield range(lo, hi), weights
 
     def _tile_weights(self, piv, cells, a, b, out):
         """Weights of the local positions [a, b) of profile piv into out."""
         t, views, row_filter = self._tile_plan(piv, cells)
         if row_filter is not None:
-            self._row_weights(row_filter, a, b, out)
+            self._row_weights(piv, row_filter, a, b, out)
             return
-        tile, pops, sizes = self._tile_buffers(t, views[0][0].shape[0])
-        T = len(sizes)
-        flat_pops = pops.reshape(-1, T)
-        every = slice(None)
+        T = 64**t
         for g in range(a // T, (b - 1) // T + 1):
-            slices = [
-                table[(every,) + tuple(every if s is None else (g >> s) & 63 for s in shifts)]
-                .reshape(shape)
-                for table, shifts, shape in views
-            ]
-            # x & x = x, so one free column ANDs its slice with itself
-            np.bitwise_and(slices[0], slices[-1], out=tile)
-            for kernel in slices[1:-1]:
-                np.bitwise_and(tile, kernel, out=tile)
-            # |AND_f K[w_f]| = 2^weight, and 2^weight - 1 has weight bits set
-            np.bitwise_count(tile, out=pops)
-            np.add.reduce(flat_pops, axis=0, dtype=np.uint16, out=sizes)
-            sizes -= 1
+            _, sizes = self._and_tile(views, g, t)
             lo, hi = max(a, g * T), min(b, (g + 1) * T)
             out[lo - a : hi - a] = np.bitwise_count(sizes[lo - g * T : hi - g * T])
 
-    def _row_weights(self, row_filter, a, b, out):
-        """_tile_weights through the row filter: the head's AND of every
-        row that meets [a, b) at once, then the tail only on live rows."""
-        head, (tail, tail_shifts) = row_filter
-        words = len(tail)
-        first = a >> 6
-        nums = np.arange(first, ((b - 1) >> 6) + 1, dtype=np.int64)
-        every = slice(None)
-        acc = np.full((words, len(nums)), ~np.uint64(0))
-        for table, shifts in head:
-            part = table[(every,) + tuple((nums >> s) & 63 for s in shifts)]
-            acc &= part.reshape(words, -1)  # [words, 1]: it reads no digit
-        # K[w] holds 0, so the AND is {0} when its popcount is 1
-        live = np.flatnonzero(np.bitwise_count(acc).sum(axis=0) > 1)
-        full = np.zeros((len(nums), 64), dtype=np.uint8)
-        # 64 live rows at a time fill the 4,096-position tile buffers
-        tile, pops, sizes = self._tile_buffers(2, words)
-        for s in range(0, len(live), 64):
-            block = live[s : s + 64]
-            n = len(block)
-            kernel = tail[(every,) + tuple((nums[block] >> k) & 63 for k in tail_shifts)]
-            np.bitwise_and(acc[:, block, None], kernel.reshape(words, -1, 64), out=tile[:, :n])
-            np.bitwise_count(tile[:, :n], out=pops[:, :n])
-            counts = sizes[: 64 * n].reshape(n, 64)
-            np.add.reduce(pops[:, :n], axis=0, dtype=np.uint16, out=counts)
-            counts -= 1
-            full[block] = np.bitwise_count(counts)
-        out[:] = full.ravel()[a - 64 * first : b - 64 * first]
+    def _row_weights(self, piv, row_filter, a, b, out):
+        """_tile_weights through the row filter: zero out, then write the
+        nonzero weights of the row blocks that meet [a, b)."""
+        out[:] = 0
+        bits = 6 * (row_filter[0] + 1)  # a row block spans 64^(t' + 1) positions
+        for g in range(a >> bits, ((b - 1) >> bits) + 1):
+            pos, weights = self._row_block(piv, row_filter, g)
+            i, j = np.searchsorted(pos, (a, b))
+            out[pos[i:j] - a] = weights[i:j]
+
+    def _row_block(self, piv, row_filter, g):
+        """(local positions, weights) of the nonzero weights in row block
+        g of profile piv, kept until another block is asked for."""
+        if self._block[0] != (piv, g):
+            t, head, (tail, tail_shifts) = row_filter
+            heads, sizes = self._and_tile(head, g, t)
+            # K[w] holds 0, so the head's AND is {0} when its popcount is 1
+            live = np.flatnonzero(sizes)
+            words = len(heads)
+            heads = heads.reshape(words, -1)[:, live]
+            nums = (g << (6 * t)) + live  # the live rows' numbers
+            weights = np.empty((len(live), 64), dtype=np.uint8)
+            # 64 live rows at a time fill the 4,096-position tile buffers
+            tile, pops, sizes = self._tile_buffers(2, words)
+            every = slice(None)
+            for s in range(0, len(live), 64):
+                rows = nums[s : s + 64]
+                n = len(rows)
+                kernel = tail[(every,) + tuple((rows >> k) & 63 for k in tail_shifts)]
+                np.bitwise_and(heads[:, s : s + n, None], kernel.reshape(words, -1, 64),
+                               out=tile[:, :n])
+                np.bitwise_count(tile[:, :n], out=pops[:, :n])
+                counts = sizes[: 64 * n].reshape(n, 64)
+                np.add.reduce(pops[:, :n], axis=0, dtype=np.uint16, out=counts)
+                counts -= 1
+                np.bitwise_count(counts, out=weights[s : s + n])
+            nonzero = np.flatnonzero(weights)
+            pos = (nums[nonzero >> 6] << 6) | (nonzero & 63)
+            self._block = ((piv, g), pos, weights.ravel()[nonzero])
+        return self._block[1:]
 
     def _rank_weights(self, piv, digits, B):
         free_cols = [c for c in range(self.r) if c not in piv]
@@ -497,6 +551,38 @@ class DualCodimScanner:
                 if (i, f) in digits:
                     duals[:, fi, piv[i]] = digits[(i, f)]
         return self.weights_for_duals(duals)
+
+
+@lru_cache(maxsize=4096)
+def _deposit_tables(nb, d, p):
+    """Per row i of profile p of RrefEnumerator((0, 1), nb, d): (shift,
+    low, table), where table[(x >> shift) & low] is the bit mask of row
+    i's coefficients at local position x.  Row i's cells are one run of
+    the cell list, and so one run of the position's bits (the last cell
+    least significant); table[y] sets bit piv[i] and, for each bit j of
+    y, the column of the run's j-th cell from its end.  The tables depend
+    on (nb, d, p) only, so every scan of every U shares them."""
+    enum = _enumerator((0, 1), nb, d)
+    cells = enum.cells[p]
+    below = len(cells)  # less row i's cells: the bits below its run
+    tables = []
+    for i, c in enumerate(enum.profiles[p]):
+        cols = [col for row, col in cells if row == i]
+        below -= len(cols)
+        table = _subset_sums(1 << c, [1 << col for col in reversed(cols)])
+        table.flags.writeable = False  # the cache hands it to every scan
+        tables.append((below, (1 << len(cols)) - 1, table))
+    return tuple(tables)
+
+
+def _coefficient_masks(nb, d, p, rem, masks, idx):
+    """masks[i] = the coefficient bit masks of row i of the RREFs at the
+    local positions rem of profile p of RrefEnumerator((0, 1), nb, d),
+    one gather per row; idx is scratch of rem's length."""
+    for mask, (shift, low, table) in zip(masks, _deposit_tables(nb, d, p)):
+        np.right_shift(rem, shift, out=idx)
+        idx &= low
+        np.take(table, idx, out=mask, mode="clip")
 
 
 class FqSpanScanner:
@@ -526,35 +612,28 @@ class FqSpanScanner:
     @staticmethod
     def enumerator(r, nb, d):
         """The RrefEnumerator whose positions iter_span_dims(d) walks."""
-        return RrefEnumerator((0, 1), nb, d)
+        return _enumerator((0, 1), nb, d)
 
     def iter_span_dims(self, d, start=0, stride=1, chunk=SCAN_CHUNK):
-        """Yield (positions, span_dims) over the d-dim subspaces of U, per
-        chunk of worker `start` of `stride` (see _rref_chunks)."""
+        """Yield (range of positions, span_dims) over the d-dim subspaces
+        of U, per chunk of worker `start` of `stride` (see _rref_chunks)."""
         enum = self.enumerator(self.r, self.nb, d)
         # [B] arrays that every chunk reuses: fresh ones would be mapped and
         # faulted in anew each chunk (see SCAN_CHUNK)
         work = np.empty((2 * d + self.r + 4, min(chunk, enum.total)), dtype=np.int64)
+        iota = np.arange(work.shape[1], dtype=np.int64)
         for lo, hi, parts in _rref_chunks(enum, start, stride, chunk):
             w = work[:, : hi - lo]
             masks, rows, temps = w[:d], w[d : 2 * d], w[2 * d :]
-            bit = temps[0]
             for s, p, a, b in parts:
-                n = b - a
-                for i, c in enumerate(enum.profiles[p]):
-                    masks[i, s : s + n] = 1 << c
-                rem = np.arange(a, b, dtype=np.int64)
-                # the last cell is the least significant bit of the position
-                for t, (i, c) in enumerate(reversed(enum.cells[p])):
-                    np.right_shift(rem, t, out=bit[:n])
-                    bit[:n] &= 1
-                    bit[:n] <<= c
-                    masks[i, s : s + n] |= bit[:n]
+                rem, idx = temps[0][: b - a], temps[1][: b - a]
+                np.add(iota[: b - a], a, out=rem)
+                _coefficient_masks(self.nb, d, p, rem, masks[:, s : s + b - a], idx)
             # every index is in range; mode "clip" writes straight into
             # out, where the default "raise" goes through a copy of it
             for mask, row in zip(masks, rows):
                 np.take(self.sums, mask, out=row, mode="clip")
-            yield np.arange(lo, hi, dtype=np.int64), self._packed_rank(rows, temps)
+            yield range(lo, hi), self._packed_rank(rows, temps)
 
     def _packed_rank(self, rows, temps):
         """GF(64) rank of d packed vectors per item, rows[i] for i < d.
@@ -615,14 +694,15 @@ class CodewordScanner(DualCodimScanner):
     @staticmethod
     def enumerator(r, nb, d):
         """The normals' RrefEnumerator, whose positions iter_weights walks."""
-        return RrefEnumerator(range(64), r, 1)
+        return _enumerator(range(64), r, 1)
 
     def iter_weights(self, d, start=0, stride=1, chunk=SCAN_CHUNK):
-        """Yield (normal numbers, weights of their hyperplanes) per chunk
-        of worker `start` of `stride`; d is r - 1, the hyperplanes'."""
+        """Yield (range of normal numbers, weights of their hyperplanes)
+        per chunk of worker `start` of `stride`; d is r - 1, the
+        hyperplanes'."""
         enum = self.enumerator(self.r, self.nb, d)
         for lo, hi, _ in _rref_chunks(enum, start, stride, chunk):
-            yield np.arange(lo, hi, dtype=np.int64), self.scan_range(lo, hi)
+            yield range(lo, hi), self.scan_range(lo, hi)
 
     def scan_range(self, lo, hi):
         """[hi - lo] weights of the hyperplanes m^⊥, m the normals [lo, hi)."""

@@ -176,7 +176,15 @@ def _oracle_witness(U, order, gens, w, position=-1):
 
 
 def _scan_worker(args, start, stride):
-    """Worker `start` of `stride`: its chunks of the scan; see exhaustive_scan."""
+    """Worker `start` of `stride`: its chunks of the scan; see exhaustive_scan.
+
+    Per chunk it reads the values' least and greatest, which say whether
+    any value is outside [lo, hi] (only then is the bound mask built) and
+    which levels the histogram must count: one count_nonzero(v > k) per
+    k in [least, greatest), with no full-length bincount.  The chunk of
+    the first value outside [lo, hi] is counted whole.  A value outside
+    0..nb is an InvariantViolation.
+    """
     import numpy as np
 
     from . import gfbatch
@@ -185,16 +193,27 @@ def _scan_worker(args, start, stride):
     scanner = engine(gfbatch.Gf64Tables(field), basis)
     fast = engine is gfbatch.FqSpanScanner
     values = scanner.iter_span_dims if fast else scanner.iter_weights
-    hist = np.zeros(len(basis) + 1, dtype=np.int64)  # values are <= nb
+    hist = [0] * (len(basis) + 1)  # values are <= nb
     first = None
     for pos, v in values(d, start=start, stride=stride):
-        hist += np.bincount(v, minlength=len(hist))
-        bad = (v < lo) | (v > hi)
-        if bad.any():
+        least, most = int(v.min()), int(v.max())
+        if least < 0 or most >= len(hist):
+            raise InvariantViolation(
+                "scan value %d outside 0..%d" % (least if least < 0 else most, len(basis))
+            )
+        # at_least counts the chunk's values >= k
+        at_least = len(v)
+        for k in range(least, most):
+            above = int(np.count_nonzero(v > k))
+            hist[k] += at_least - above
+            at_least = above
+        hist[most] += at_least
+        if least < lo or most > hi:
+            bad = (v < lo) | (v > hi)
             i = int(np.argmax(bad))
             first = (int(pos[i]), int(v[i]))
             break
-    return first, [int(c) for c in hist]
+    return first, hist
 
 
 def exhaustive_scan(U, d, engine, workers, lo=0, hi=None):
@@ -206,10 +225,11 @@ def exhaustive_scan(U, d, engine, workers, lo=0, hi=None):
 
     The scan is cut into contiguous chunks of at most gfbatch.SCAN_CHUNK
     positions (gfbatch._rref_chunks: the first ones smaller), and chunk k
-    goes to worker k mod workers, which scans its chunks in ascending
-    order and stops at its first value outside [lo, hi].  No more
-    workers run than there are chunks, so a one-chunk scan runs in
-    process.  Returns
+    goes to worker k mod workers (_scan_worker), which scans its chunks
+    in ascending order and stops at its first value outside [lo, hi].
+    No more workers run than there are chunks, so a one-chunk scan runs
+    in process.  The engine's enumerator, which the chunk count and the
+    witness decode read, is the one its iterators walk.  Returns
     (first, hist), merged over the workers: first is the (position,
     value, rows) of the first value outside [lo, hi] in enumeration order
     (the least of the workers' firsts, rows its RREF decoded by the

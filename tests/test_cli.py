@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qscat import cli
@@ -638,16 +639,21 @@ def test_corrupted_histogram_exit_3(capsys, monkeypatch):
     from qscat import gfbatch
 
     real = gfbatch.DualCodimScanner.iter_weights
+    hits = []
 
     def corrupted(self, d, *args, **kwargs):
         for pos, w in real(self, d, *args, **kwargs):
-            w = w.copy()
-            w[pos == 0] += 1  # one line too heavy
+            if 0 in pos:
+                w = w.copy()
+                at = np.asarray(pos) == 0
+                w[at] += 1  # one line too heavy
+                hits.append(int(at.sum()))
             yield pos, w
 
     monkeypatch.setattr(gfbatch.DualCodimScanner, "iter_weights", corrupted)
     code = cli.main(["spectrum", "--codim", "2"])
     captured = capsys.readouterr()
+    assert hits == [1]  # the fault hit exactly one position
     assert code == 3
     assert captured.out == ""
     assert "ClosedFormMismatch" in captured.err.splitlines()[-1]

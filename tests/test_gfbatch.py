@@ -218,6 +218,21 @@ def _awkward_basis(F, r, seed):
             tuple(a ^ b for a, b in zip(vecs[0], vecs[2]))] + vecs
 
 
+def test_subset_xor_table_matches_a_per_mask_sum(F, U1):
+    """The doubling build of subset_xor_table gives, mask by mask, the
+    packed XOR of the basis vectors that the mask selects."""
+    for basis in (U1.basis, _awkward_basis(F, 10, 39)):
+        flats = coords_to_flats(basis).tolist()
+        expect = []
+        for mask in range(1 << len(flats)):
+            acc = 0
+            for k, flat in enumerate(flats):
+                if mask >> k & 1:
+                    acc ^= flat
+            expect.append(acc)
+        assert gfbatch.subset_xor_table(basis).tolist() == expect
+
+
 def _f2_combine(basis, row):
     """The sum of the basis vectors that the 0/1 coefficient row selects."""
     out = [0] * len(basis[0])
@@ -267,11 +282,35 @@ def test_span_dims_match_fqm_span_dim(F, which, request):
         assert low == set(range(1, nb + 1))
 
 
+@pytest.mark.parametrize("nb, dims", [
+    (6, range(1, 7)), (10, range(1, 11)), (16, (1, 2, 3, 13, 15, 16)),
+])
+def test_coefficient_masks_decode_the_rref(nb, dims):
+    """The span scan's per-row deposit tables give the coefficient masks
+    that RrefEnumerator((0, 1), nb, d).decode gives: at every position
+    for nb = 6, at ~40 spread positions (the first and last among them)
+    for nb = 10 and 16, where a row holds up to 15 cells."""
+    for d in dims:
+        enum = RrefEnumerator((0, 1), nb, d)
+        if nb == 6:
+            picks = range(enum.total)
+        else:
+            picks = sorted({int(x) for x in np.linspace(0, enum.total - 1, 40)})
+        for x in picks:
+            p = enum.profile_of(x)
+            rem = np.array([x - enum.offsets[p]], dtype=np.int64)
+            masks = np.empty((d, 1), dtype=np.int64)
+            gfbatch._coefficient_masks(nb, d, p, rem, masks, np.empty(1, dtype=np.int64))
+            rows, _ = enum.decode(x)
+            expect = [sum(bit << c for c, bit in enumerate(row)) for row in rows]
+            assert masks[:, 0].tolist() == expect, (d, x)
+
+
 def _weight_at(scanner, d, pos):
     """The scanner's weight of the subspace at one enumeration position."""
     enum = RrefEnumerator(range(64), 4, d)
     ((got_pos, w),) = scanner.iter_weights(d, start=pos, stride=enum.total, chunk=1)
-    assert got_pos.tolist() == [pos]
+    assert np.asarray(got_pos).tolist() == [pos]
     return int(w[0])
 
 
@@ -299,13 +338,15 @@ def test_bitmap_weights_match_scalar_weight(F, U1, which):
 
 def _dealt(values, d, total, workers, chunk):
     """Each position's value, merged over the shares of W = `workers`;
-    the shares must cover range(total) exactly once."""
+    each chunk's positions are a step-1 range (no array is allocated for
+    them), and the shares must cover range(total) exactly once."""
     seen = np.zeros(total, dtype=np.int8)
     got = np.zeros(total, dtype=np.int8)
     for w in range(workers):
         for pos, v in values(d, start=w, stride=workers, chunk=chunk):
-            seen[pos] += 1
-            got[pos] = v
+            assert isinstance(pos, range) and pos.step == 1 and len(pos) == len(v)
+            seen[pos.start : pos.stop] += 1
+            got[pos.start : pos.stop] = v
     assert (seen == 1).all()
     return got
 
@@ -364,6 +405,37 @@ def test_row_filter_matches_the_rank_path(F, which, filtered, request):
         assert {row_filter is not None for _, _, row_filter in plans} == {filtered and d == 1}
     if which == "U_planted":
         assert expect.max() == 3
+
+
+@pytest.mark.parametrize("which, d, count", [("random", 1, None), ("U1", 2, 20)])
+def test_scan_chunks_allocate_only_their_weights(F, U1, which, d, count):
+    """After the first chunk, which builds the profile's kernel tables
+    and tile buffers, each chunk of a full point scan of a random 8-dim U
+    (the row filter) and of 20 chunks of U_1's line scan (the tile loop)
+    keeps its weight array and a small constant at most, and peaks above
+    that by at most numpy's two ufunc buffers (the tile AND broadcasts
+    two kernel slices).  So no positions array comes with a chunk, and
+    no array the size of a profile is built per chunk."""
+    U = U1 if which == "U1" else random_fq_subspace(F, 4, 8, XorShift64Star(48))
+    chunks = DualCodimScanner(Gf64Tables(F), U.basis).iter_weights(d)
+    kept = [next(chunks)]
+    small, buffers = 16 * 1024, 2 * 8 * np.getbufsize()
+    tracemalloc.start()
+    try:
+        while len(kept) != count:
+            before, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            item = next(chunks, None)
+            now, peak = tracemalloc.get_traced_memory()
+            if item is None:
+                break
+            kept.append(item)
+            size = item[1].nbytes
+            assert now - before <= size + small, len(kept)
+            assert peak - before <= size + buffers + small, len(kept)
+    finally:
+        tracemalloc.stop()
+    assert len(kept) == (count or 18)
 
 
 def test_span_chunks_deal_every_position_once(F, U1):

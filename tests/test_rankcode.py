@@ -249,12 +249,15 @@ def test_false_least_span_is_an_invariant_violation(
     from qscat import cli, gfbatch
 
     real = gfbatch.FqSpanScanner.iter_span_dims
+    hits = []
 
     def lying(self, dim, *args, **kwargs):
         for got_pos, spans in real(self, dim, *args, **kwargs):
-            if dim == d:
+            if dim == d and pos in got_pos:
                 spans = spans.copy()
-                spans[got_pos == pos] = span
+                at = np.asarray(got_pos) == pos
+                spans[at] = span
+                hits.append(int(at.sum()))
             yield got_pos, spans
 
     monkeypatch.setattr(gfbatch.FqSpanScanner, "iter_span_dims", lying)
@@ -262,8 +265,10 @@ def test_false_least_span_is_an_invariant_violation(
     message = "%d-th moment %d, the span histograms give %d" % (d, got, expected)
     with pytest.raises(ClosedFormMismatch, match=message):
         classify(code_from_system(U1))
+    assert hits == [1]  # the fault hit exactly one position
     assert cli.main(["code-profile"]) == 3
     assert capsys.readouterr().out == ""
+    assert hits == [1, 1]
 
 
 def test_trivial_k1_system(F):

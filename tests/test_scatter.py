@@ -3,6 +3,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qscat import gf2, scatter
@@ -329,6 +330,89 @@ def test_scans_fork_no_more_workers_than_chunks(F, U1, monkeypatch):
     assert asked == [1, 1, 2]
 
 
+def _bincount_dispatch(values, d, workers, lo, hi, nb):
+    """(first, hist, inside) as a dispatcher with a full bincount and bound
+    mask on every chunk takes them: each worker counts its chunks up to
+    and including its first one with a value outside [lo, hi]; inside
+    says that the first such value is neither a chunk's first nor last."""
+    firsts, hist = [], np.zeros(nb + 1, dtype=np.int64)
+    for w in range(workers):
+        for pos, v in values(d, start=w, stride=workers):
+            hist += np.bincount(v, minlength=nb + 1)
+            bad = (v < lo) | (v > hi)
+            if bad.any():
+                i = int(np.argmax(bad))
+                firsts.append((int(np.asarray(pos)[i]), int(v[i]), 0 < i < len(v) - 1))
+                break
+    first = min(firsts) if firsts else None
+    return first and first[:2], hist.tolist(), first and first[2]
+
+
+@pytest.mark.parametrize("which, engine, d, lo, hi", [
+    ("U1", "DualCodimScanner", 1, 0, 0),  # row filter; first weight 1 at 901
+    ("U_planted", "DualCodimScanner", 1, 1, 8),  # row filter; live rows of weight 3
+    ("random-3-8", "DualCodimScanner", 1, 0, 1),  # the tile loop
+    ("U_G", "DualCodimScanner", 2, 0, 1),  # lines (of F_64^3), the tile loop
+    ("U_G", "CodewordScanner", 2, 0, 1),
+    ("U_planted", "FqSpanScanner", 3, 0, 2),  # the first span 3 at 34
+])
+def test_exhaustive_scan_matches_a_bincount_reference(F, which, engine, d, lo, hi, request,
+                                                  monkeypatch):
+    """exhaustive_scan's (first, hist) equals _bincount_dispatch's on the
+    values the engine yields, complete (no bounds) and refuted (bounds
+    [lo, hi], the first value outside them inside a chunk), at chunks of
+    1,000 and SCAN_CHUNK positions and 1-3 workers."""
+    from qscat import gfbatch
+
+    if which.startswith("random"):
+        r, nb = map(int, which.split("-")[1:])
+        U = random_fq_subspace(F, r, nb, XorShift64Star(r * nb))
+    else:
+        U = request.getfixturevalue(which)
+    engine = getattr(gfbatch, engine)
+    name = "iter_span_dims" if engine is gfbatch.FqSpanScanner else "iter_weights"
+    real = getattr(engine, name)
+    scanner = engine(gfbatch.Gf64Tables(F), U.basis)
+    chunks = gfbatch.chunk_edges(engine.enumerator(U.r, U.dim_q, d).total)[1]
+    for chunk in (1000, gfbatch.SCAN_CHUNK):
+
+        def chunked(self, d, start=0, stride=1, chunk=chunk):
+            return real(self, d, start, stride, chunk)
+
+        monkeypatch.setattr(engine, name, chunked)
+        values = getattr(scanner, name)
+        _, whole, _ = _bincount_dispatch(values, d, 1, 0, U.dim_q, U.dim_q)
+        for workers in (1, 2, 3):
+            first, hist = scatter.exhaustive_scan(U, d, engine, workers)
+            assert first is None and hist == whole, (chunk, workers)
+            # exhaustive_scan runs min(workers, chunks) workers
+            expect, ref, inside = _bincount_dispatch(
+                values, d, min(workers, chunks), lo, hi, U.dim_q
+            )
+            first, hist = scatter.exhaustive_scan(U, d, engine, workers, lo=lo, hi=hi)
+            assert inside and first[:2] == expect and hist == ref, (chunk, workers)
+
+
+@pytest.mark.parametrize("value", [-1, 9])
+def test_scan_value_outside_0_to_nb_is_an_invariant_violation(U1, monkeypatch, value):
+    """No weight of U_1 (nb = 8) is below 0 or above 8: an engine that
+    yields one is an internal error, not a refutation or a histogram."""
+    from qscat import gfbatch
+    from qscat.errors import InvariantViolation
+
+    real = gfbatch.DualCodimScanner.iter_weights
+
+    def broken(self, d, *args, **kwargs):
+        for pos, w in real(self, d, *args, **kwargs):
+            w = w.copy()
+            w[len(w) // 2] = value
+            yield pos, w
+
+    monkeypatch.setattr(gfbatch.DualCodimScanner, "iter_weights", broken)
+    with pytest.raises(InvariantViolation, match="outside 0..8"):
+        scatter.exhaustive_scan(U1, 1, gfbatch.DualCodimScanner, 1)
+
+
 def test_gl_invariance_of_verdict(F, U1):
     rng = XorShift64Star(21)
     A = random_invertible(F, 4, rng)
@@ -508,16 +592,21 @@ def test_corrupted_histogram_raises(F, U1, monkeypatch):
     from qscat.errors import ClosedFormMismatch
 
     real = gfbatch.DualCodimScanner.iter_weights
+    hits = []
 
     def corrupted(self, d, *args, **kwargs):
         for pos, w in real(self, d, *args, **kwargs):
-            w = w.copy()
-            w[pos == 0] += 1  # one point too heavy
+            if 0 in pos:
+                w = w.copy()
+                at = np.asarray(pos) == 0
+                w[at] += 1  # one point too heavy
+                hits.append(int(at.sum()))
             yield pos, w
 
     monkeypatch.setattr(gfbatch.DualCodimScanner, "iter_weights", corrupted)
     with pytest.raises(ClosedFormMismatch):
         weight_spectrum(U1, 3)
+    assert hits == [1]  # the fault hit exactly one position
 
 
 def test_r3_u_g_is_2_scattered(U_G):
@@ -600,15 +689,21 @@ def test_false_low_span_is_an_invariant_violation(U1, monkeypatch, capsys):
     from qscat.errors import InvariantViolation
 
     real = gfbatch.FqSpanScanner.iter_span_dims
+    hits = []
 
     def lying(self, d, *args, **kwargs):
         for pos, spans in real(self, d, *args, **kwargs):
-            spans = spans.copy()
-            spans[pos == 5] = d - 1
+            if 5 in pos:
+                spans = spans.copy()
+                at = np.asarray(pos) == 5
+                spans[at] = d - 1
+                hits.append(int(at.sum()))
             yield pos, spans
 
     monkeypatch.setattr(gfbatch.FqSpanScanner, "iter_span_dims", lying)
     with pytest.raises(InvariantViolation):
         is_h_scattered_fast(U1, 2)
+    assert hits == [1]  # the fault hit exactly one position
     assert cli.main(["verify-scattered", "--order", "2", "--oracle", "off"]) == 3
     assert capsys.readouterr().out == ""
+    assert hits == [1, 1]
