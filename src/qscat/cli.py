@@ -1,16 +1,17 @@
 """Command-line front end and JSON certificate emission.
 
 Standard output carries exactly one JSON certificate; progress notes go
-to standard error.  Each setting is declared once, in `_KEYS`, and is
-read from its flag or from a --config line alike.  `run` builds the field
-GF(2^(6h)) once from the configuration and hands it to the command's
-handler.  Exit codes: 0 = all checked properties hold, 1 = a property
-was refuted (the certificate carries a witness), 2 = configuration or
-work-limit error, an unreadable --config, an empty --modulus or --out,
-and a certificate that cannot be written to --out or to stdout included
-(no certificate is left on stdout or in --out), 3 = internal error,
-such as a failed cross-check between two algorithms (a one-line message
-on stderr, no certificate).
+to standard error.  Each setting of `_KEYS` is declared once there and
+is read from its flag or from a --config line alike; `--fixed-only` and
+`--config` are flags only, and a config line naming either is an unknown
+key (exit 2).  `run` builds the field GF(2^(6h)) once from the
+configuration and hands it to the command's handler.  Exit codes: 0 =
+all checked properties hold, 1 = a property was refuted (the certificate
+carries a witness), 2 = configuration or work-limit error, an unreadable
+--config, an empty --modulus or --out, and a certificate that cannot be
+written to --out or to stdout included (no certificate is left on stdout
+or in --out), 3 = internal error, such as a failed cross-check between
+two algorithms (a one-line message on stderr, no certificate).
 """
 
 import argparse

@@ -1,42 +1,46 @@
 """Vectorized GF(2^e)/GF(2) engines.
 
-The exhaustive q = 2 certifications walk 10^7-scale enumerations; the
-GF(64) scan engines here run them in numpy batches.  Enumeration indices
-agree exactly with linalg.RrefEnumerator, so witnesses found here can be
-re-decoded and re-checked by the scalar reference code; each process
-builds one enumerator per (scalars, n, d) (_enumerator).  A scan is cut
-into contiguous chunks that are dealt round-robin to the workers
-(_rref_chunks), and each chunk yields its positions as a range, with no
-array behind it.  The oracle's point and line weights are read off
-cached kernel bitmaps as broadcast tiles of 4,096 positions
-(DualCodimScanner), which stay in cache and leave no multi-MB
-temporaries.  Where the kernels that are constant along a tile row can
-already meet in {0} (the points of F_64^4), a row filter ANDs only the
-rows where they do not, 4,096 rows at a time, and keeps the nonzero
-weights of that block for the chunks that read it.  The engines
-take the ambient F_64^r from their input; a vector of F_64^r packs into
-one int64 (coordinate k at bits 6k, `coords_to_flats`/`flats_to_coords`),
-so check_scan_shape admits r <= 10.  The span scan (FqSpanScanner) reads
-each row's coefficient mask off a per-row deposit table, which depends
-on (nb, d, profile) only, and row-reduces the packed vectors over GF(64)
-itself, one coordinate at a time in [B] arrays that every chunk reuses;
-rank_batch ranks the GF(2)
-bit matrices of the d >= 3 dual scans and of the codeword scan, which
-reads a codeword's rank weight off the weight of the hyperplane its
-message is normal to (CodewordScanner walks one normal per hyperplane
-instead of the hyperplanes' RREFs).  The point ids,
-lines and planes below are those of PG(3, 64), for the saturation scan.
-A point id is a pivot shift plus the codec word of the reversed
-normalized coordinates (coordinate 0 the top digit), and that word is
-XOR-linear, so the ids of a line's or a plane's points are XORs of the
-words of 64 scalar multiples of each RREF row (line_point_ids,
-plane_point_ids).  A plane is named by its dual point, which the 3x3
-minors of any three of its spanning points give (laplace_minors,
-plane_normal).  The seeded sampled tests
-run in batches over any tower field, whose BinaryField.mul_array is
-their product, and take the same xorshift64* stream as a
-one-sample-at-a-time loop would, one block of draws per batch
-(`XorShift64Star.draws`).
+The exhaustive q = 2 certifications walk 10^7-scale enumerations of
+linalg.RrefEnumerator; the GF(64) scan engines here run them in numpy
+batches at the same positions, so the scalar code re-decodes and
+re-checks any witness found here.  Each process builds one enumerator
+per (scalars, n, d) (_enumerator).  The engines share three primitives:
+
+* One chunk size.  _rref_chunks cuts every scan into contiguous chunks
+  of SCAN_CHUNK positions, only the last one shorter (chunk_count),
+  deals chunk k to worker k mod W, and yields each chunk's positions as
+  a range, with no array behind it.
+* One position decoder.  decode_rows turns ascending positions into
+  their RREF rows: the d >= 3 oracle's duals, the codeword scan's
+  normals and the saturation's plane duals.  The points of PG(3, 64)
+  are the positions of POINTS, and point_ids is decode_rows' inverse.
+* One subset-sum builder.  _subset_sums tabulates the XOR of every
+  subset of n vectors by doubling: U's packed subset sums
+  (subset_xor_table), the span scan's per-row deposit tables and the
+  oracle's kernel bitmaps.
+
+The oracle (DualCodimScanner) reads point and line weights off cached
+kernel bitmaps, in broadcast tiles of 4,096 positions that stay in
+cache; where the kernels that are constant along a tile row can already
+meet in {0} (the points of F_64^4), a row filter ANDs only the rows
+where they do not, a block of 4,096 rows at a time.  The d >= 3 oracle
+and the codeword scan (CodewordScanner, one normal per hyperplane) rank
+GF(2) bit matrices (rank_batch).  The span scan (FqSpanScanner) reads
+each row's coefficient mask off its deposit table, which depends on
+(nb, d, profile) only, and row-reduces the packed vectors over GF(64)
+in [B] arrays that every chunk reuses.  A vector of F_64^r packs into
+one int64 (coordinate k at bits 6k, coords_to_flats/flats_to_coords),
+so check_scan_shape admits r <= 10.
+
+For the saturation scan, a point id's codec word is XOR-linear, so the
+ids of a line's or a plane's points are XORs of the words of 64 scalar
+multiples of each RREF row (line_point_ids, plane_point_ids); a plane
+is named by its dual point, which the 3x3 minors of any three of its
+spanning points give (laplace_minors, plane_normal).  The seeded
+sampled tests run in batches over any tower field, whose
+BinaryField.mul_array is their product, and take the same xorshift64*
+stream as a one-sample-at-a-time loop would, one block of draws per
+batch (`XorShift64Star.draws`).
 """
 
 from functools import lru_cache
@@ -48,15 +52,18 @@ from .errors import ConfigError, InvariantViolation
 from .linalg import RrefEnumerator
 
 
-def _radix_offsets(k):
-    """Digit weights and pivot-block offsets of the PG(k-1, 64) point ids."""
-    radix = 64 ** np.arange(k - 1, -1, -1, dtype=np.int64)
-    return radix, np.cumsum(radix) - radix
+@lru_cache(maxsize=16)
+def _enumerator(scalars, n, d):
+    """RrefEnumerator(scalars, n, d), built once per process: every scan's
+    iterator, exhaustive_scan's chunk count and witness decode, and the
+    span scan's deposit tables share it."""
+    return RrefEnumerator(scalars, n, d)
 
 
-_RADIX, _OFFSET = _radix_offsets(4)
-
-POINT_COUNT = 64**3 + 64**2 + 64 + 1  # points of PG(3, 64)
+# the points of PG(3, 64): a point's id is its position here (point_ids)
+POINTS = _enumerator(range(64), 4, 1)
+POINT_COUNT = POINTS.total
+_ID_SHIFT = np.array(POINTS.offsets) - np.array(POINTS.counts)
 
 
 class Gf64Tables:
@@ -148,33 +155,42 @@ def coords_to_flats(coords):
     return flats
 
 
-def _subset_sums(base, vectors):
-    """table[mask] = base ^ the XOR of the ints vectors[k] for the bits k
-    of mask, built by doubling: entries [2^k, 2^(k+1)) are the first 2^k
-    XOR vectors[k], one numpy op per vector."""
-    table = np.empty(1 << len(vectors), dtype=np.int64)
-    table[0] = base
-    for k, vec in enumerate(vectors):
-        np.bitwise_xor(table[: 1 << k], vec, out=table[1 << k : 2 << k])
+def _subset_sums(vectors, base=0):
+    """table[..., mask] = base ^ the XOR of vectors[..., k] over the bits k
+    of mask, for the n vectors along the last axis of [..., n] vectors.
+
+    Built by doubling into one [..., 2^n] table of the vectors' dtype:
+    entries [2^k, 2^(k+1)) are the first 2^k XOR vectors[..., k], one
+    numpy op per vector.
+    """
+    n = vectors.shape[-1]
+    table = np.empty(vectors.shape[:-1] + (1 << n,), dtype=vectors.dtype)
+    table[..., 0] = base
+    for k in range(n):
+        np.bitwise_xor(table[..., : 1 << k], vectors[..., k, None],
+                       out=table[..., 1 << k : 2 << k])
     return table
 
 
 def subset_xor_table(vectors):
     """table[mask] = packed sum of the GF(64)^r vectors selected by mask."""
-    return _subset_sums(0, coords_to_flats(vectors).tolist())
+    return _subset_sums(coords_to_flats(vectors))
 
 
 def point_ids(vecs):
-    """Dense PG(3, 64) ids of normalized coordinate rows [..., 4].
+    """Dense PG(3, 64) ids of normalized coordinate rows [..., 4]: their
+    positions in POINTS, which decode_rows inverts.
 
-    The id of a row v with pivot p is (_OFFSET - _RADIX)[p] plus the
-    base-64 word of v, coordinate 0 the top digit: the codec word of the
-    reversed coordinates, coords_to_flats(v[..., ::-1]), which is
-    XOR-linear in v.
+    The id of a row v with pivot p is POINTS.offsets[p] plus the base-64
+    word of its coordinates after the pivot.  The word of all of v,
+    coordinate 0 the top digit, adds the pivot's 1 at weight
+    POINTS.counts[p]; so the id is (offsets - counts)[p] plus that word,
+    the codec word of the reversed coordinates, coords_to_flats(v[...,
+    ::-1]), which is XOR-linear in v.
     """
     vecs = np.asarray(vecs)
     piv = np.argmax(vecs != 0, axis=-1)
-    return (_OFFSET - _RADIX)[piv] + coords_to_flats(vecs[..., ::-1])
+    return _ID_SHIFT[piv] + coords_to_flats(vecs[..., ::-1])
 
 
 def normalize_points(tables, vecs):
@@ -188,78 +204,31 @@ def normalize_points(tables, vecs):
     return out, point_ids(out)
 
 
-def ids_to_points(ids, k=4):
-    """Inverse of point_ids: [B] ids -> [B, k] normalized int16 rows.
-
-    Ids run over PG(k-1, 64) pivot block by pivot block, each block in
-    base-64 order of the coordinates after the pivot.
-    """
-    ids = np.asarray(ids, dtype=np.int64)
-    radix, offset = _radix_offsets(k)
-    count = int(offset[-1]) + 1
-    if ids.size and (ids.min() < 0 or ids.max() >= count):
-        raise ValueError("point id out of range [0, %d)" % count)
-    piv = np.searchsorted(offset, ids, side="right") - 1
-    rest = ids - offset[piv]
-    # rest < 64^(k - 1 - piv), so its base-64 digits sit right of the pivot
-    vecs = (rest[:, None] // radix) % 64
-    vecs[np.arange(len(ids)), piv] = 1
-    return vecs.astype(np.int16)
-
-
-def id_to_point(pid):
-    """Inverse of point_ids for a single id."""
-    return tuple(int(c) for c in ids_to_points([pid])[0])
-
-
-FIRST_CHUNK = 1 << 12  # scan chunks start here and double up to their cap
-# the cap: 2^14 positions keep the per-chunk position and weight arrays at
-# or below 128 KB, glibc's default mmap threshold, so chunks reuse heap
-# pages instead of mapping and faulting in fresh ones
+# 2^14 positions keep each chunk's weight array (and the codeword scan's
+# positions) at 128 KB, glibc's default mmap threshold, so chunks reuse
+# heap pages instead of mapping and faulting in fresh ones
 SCAN_CHUNK = 1 << 14
 
 
-def chunk_edges(total, chunk=SCAN_CHUNK):
-    """(edges, count): the edges of the growing first chunks that
-    _rref_chunks cuts `total` positions into, and the number of chunks."""
-    edges = [0]
-    size = min(chunk, FIRST_CHUNK)
-    while size < chunk and edges[-1] < total:
-        edges.append(edges[-1] + size)
-        size *= 2
-    return edges, len(edges) - 1 + -(-max(total - edges[-1], 0) // chunk)
-
-
-@lru_cache(maxsize=16)
-def _enumerator(scalars, n, d):
-    """RrefEnumerator(scalars, n, d), built once per process: every scan's
-    iterator, exhaustive_scan's chunk count and witness decode, and the
-    span scan's deposit tables share it."""
-    return RrefEnumerator(scalars, n, d)
+def chunk_count(total, chunk=SCAN_CHUNK):
+    """The number of chunks _rref_chunks cuts `total` positions into."""
+    return -(-total // chunk)
 
 
 def _rref_chunks(enum, start, stride, chunk):
     """Deal an RrefEnumerator's positions to worker `start` of `stride`.
 
-    The positions are cut into contiguous chunks: the first holds
-    min(chunk, FIRST_CHUNK) positions, each next one twice as many up to
-    `chunk`, so a scan that stops at an early witness does little extra
-    work.  Chunk k goes to worker k mod stride, and each worker walks its
-    chunks in ascending order.  Yields (lo, hi, parts) per chunk of
-    positions [lo, hi), where parts lists (s, p, a, b): the local
-    positions [a, b) of pivot profile p, which sit at [s, s + b - a) of
-    the chunk.
+    The positions are cut into contiguous chunks of `chunk` positions,
+    only the last one shorter: chunk k starts at position k * chunk and
+    goes to worker k mod stride, and each worker walks its chunks in
+    ascending order.  Yields (lo, hi, parts) per chunk of positions
+    [lo, hi), where parts lists (s, p, a, b): the local positions [a, b)
+    of pivot profile p, which sit at [s, s + b - a) of the chunk.
     """
     total = enum.total
-    edges, count = chunk_edges(total, chunk)
-    head = len(edges) - 1
-    for k in range(start, count, stride):
-        if k < head:
-            lo, hi = edges[k], edges[k + 1]
-        else:
-            lo = edges[-1] + (k - head) * chunk
-            hi = lo + chunk
-        hi = min(hi, total)
+    for k in range(start, chunk_count(total, chunk), stride):
+        lo = k * chunk
+        hi = min(lo + chunk, total)
         parts = []
         p = enum.profile_of(lo)
         at = lo
@@ -272,17 +241,34 @@ def _rref_chunks(enum, start, stride, chunk):
         yield lo, hi, parts
 
 
-def _cell_digits(enum, p, a, b):
-    """{cell (i, c): entries} of the RREFs at local positions [a, b) of
-    profile p: the base-Q digits of the position, Q = len(enum.scalars)
-    a power of two, the last cell least significant."""
+def decode_rows(enum, positions):
+    """[B, d, n] int16 RREF rows of ascending positions [B] of an
+    RrefEnumerator whose scalars are range(Q), Q a power of two (the
+    GF(64) and F_2 enumerators): RrefEnumerator.decode for a batch.
+
+    Each profile's positions are one run of them; a local position's
+    base-Q digits, the last cell least significant, are its cells'
+    entries, and each row gets its pivot's 1.  A position outside
+    [0, total) is an IndexError, as in decode.
+    """
+    positions = np.asarray(positions, dtype=np.int64)
     bits = len(enum.scalars).bit_length() - 1
-    rem = np.arange(a, b, dtype=np.int64)
-    mask = (1 << bits) - 1
-    return {
-        cell: (rem >> (bits * t)) & mask
-        for t, cell in enumerate(reversed(enum.cells[p]))
-    }
+    if len(positions) and (positions[0] < 0 or positions[-1] >= enum.total):
+        raise IndexError("position outside [0, %d)" % enum.total)
+    if (positions[1:] < positions[:-1]).any():
+        raise ValueError("positions must ascend")
+    rows = np.zeros((len(positions), enum.d, enum.n), dtype=np.int16)
+    edges = np.searchsorted(positions, enum.offsets + [enum.total]).tolist()
+    for p, (piv, cells) in enumerate(zip(enum.profiles, enum.cells)):
+        block = rows[edges[p] : edges[p + 1]]
+        if not len(block):
+            continue
+        rem = positions[edges[p] : edges[p + 1]] - enum.offsets[p]
+        block[:, range(enum.d), piv] = 1
+        for i, c in reversed(cells):
+            block[:, i, c] = rem & ((1 << bits) - 1)
+            rem >>= bits
+    return rows
 
 
 def _tile_slices(table, axes, n):
@@ -381,9 +367,7 @@ class DualCodimScanner:
         Bit a (a = sum_j a_j 2^j) is set iff (sum_j a_j u_j) . w = 0.
         """
         dots = flats_to_coords(self._dots(duals), self.nb).astype(np.uint8)
-        sums = np.zeros((len(duals), 1), dtype=np.uint8)
-        for j in range(self.nb):
-            sums = np.concatenate([sums, sums ^ dots[:, j, None]], axis=1)
+        sums = _subset_sums(dots)  # sums[:, a] = (sum_j a_j u_j) . w
         packed = np.packbits(sums == 0, axis=1, bitorder="little")
         if packed.shape[1] % 8:  # nb < 6: fewer than 8 bytes
             packed = np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8)))
@@ -485,8 +469,9 @@ class DualCodimScanner:
                 if d <= 2:
                     self._tile_weights(piv, enum.cells[p], a, b, weights[s : s + b - a])
                 else:
-                    digits = _cell_digits(enum, p, a, b)
-                    weights[s : s + b - a] = self._rank_weights(piv, digits, b - a)
+                    at = enum.offsets[p]
+                    rows = decode_rows(enum, np.arange(at + a, at + b))
+                    weights[s : s + b - a] = self._rank_weights(piv, rows)
             yield range(lo, hi), weights
 
     def _tile_weights(self, piv, cells, a, b, out):
@@ -542,14 +527,14 @@ class DualCodimScanner:
             self._block = ((piv, g), pos, weights.ravel()[nonzero])
         return self._block[1:]
 
-    def _rank_weights(self, piv, digits, B):
-        free_cols = [c for c in range(self.r) if c not in piv]
-        duals = np.zeros((B, len(free_cols), self.r), dtype=np.int16)
-        for fi, f in enumerate(free_cols):
-            duals[:, fi, f] = 1
-            for i in range(len(piv)):
-                if (i, f) in digits:
-                    duals[:, fi, piv[i]] = digits[(i, f)]
+    def _rank_weights(self, piv, rows):
+        """Weights of the subspaces of profile piv with RREF rows [B, d, r]:
+        their duals w_f = e_f plus the rows' column f placed at the
+        pivots, one per free column f."""
+        free = [c for c in range(self.r) if c not in piv]
+        duals = np.zeros((len(rows), len(free), self.r), dtype=np.int16)
+        duals[:, range(len(free)), free] = 1
+        duals[:, :, list(piv)] = rows[:, :, free].transpose(0, 2, 1)
         return self.weights_for_duals(duals)
 
 
@@ -569,7 +554,8 @@ def _deposit_tables(nb, d, p):
     for i, c in enumerate(enum.profiles[p]):
         cols = [col for row, col in cells if row == i]
         below -= len(cols)
-        table = _subset_sums(1 << c, [1 << col for col in reversed(cols)])
+        bits = np.array([1 << col for col in reversed(cols)], dtype=np.int64)
+        table = _subset_sums(bits, 1 << c)
         table.flags.writeable = False  # the cache hands it to every scan
         tables.append((below, (1 << len(cols)) - 1, table))
     return tuple(tables)
@@ -684,11 +670,11 @@ class CodewordScanner(DualCodimScanner):
     codeword (m . u_j)_j, of rank weight nb - weight(U, m^⊥): the
     hyperplane weight that weights_for_duals gives for the dual m.
     Scaling m by F_64^* keeps m^⊥, so one normal per hyperplane is
-    walked, its first nonzero coordinate 1: normal number i is
-    ids_to_points([i], r) (for r = 4 the point_ids numbering), the order
-    of RrefEnumerator(range(64), r, 1), whose positions _rref_chunks
-    deals as in the other scans.  Callers read the codeword weights as
-    nb - w and multiply the counts by 63.
+    walked, its first nonzero coordinate 1: normal number i is position
+    i of RrefEnumerator(range(64), r, 1) (for r = 4 the point_ids
+    numbering), which _rref_chunks deals as in the other scans and
+    decode_rows decodes.  Callers read the codeword weights as nb - w and
+    multiply the counts by 63.
     """
 
     @staticmethod
@@ -706,8 +692,9 @@ class CodewordScanner(DualCodimScanner):
 
     def scan_range(self, lo, hi):
         """[hi - lo] weights of the hyperplanes m^⊥, m the normals [lo, hi)."""
-        normals = ids_to_points(np.arange(lo, hi), self.r)
-        return self.weights_for_duals(normals[:, None, :])
+        enum = self.enumerator(self.r, self.nb, self.r - 1)
+        # [B, 1, r]: each hyperplane's one dual
+        return self.weights_for_duals(decode_rows(enum, np.arange(lo, hi)))
 
 
 def rref_small_batch(tables, mats):

@@ -131,8 +131,8 @@ def _mark_planes(tables, covered, plane_bitmap, chunk=256):
     """
     dual_ids = np.flatnonzero(plane_bitmap)
     for lo in range(0, len(dual_ids), chunk):
-        duals = gfbatch.ids_to_points(dual_ids[lo : lo + chunk])
-        ids = gfbatch.plane_point_ids(tables, _plane_rref(tables, duals))
+        rows = gfbatch.decode_rows(gfbatch.POINTS, dual_ids[lo : lo + chunk])
+        ids = gfbatch.plane_point_ids(tables, _plane_rref(tables, rows[:, 0]))
         covered[ids.ravel()] = True
         if covered.all():
             return
@@ -284,7 +284,7 @@ def is_rho_saturating(S, rho, workers=1, budget=DEFAULT_BUDGET):
         )
     else:
         pid = int(np.argmin(covered))
-        vec = gfbatch.id_to_point(pid)
+        vec = gfbatch.POINTS.decode(pid)[0][0]
         verdict = Verdict(
             ok=False,
             witness={

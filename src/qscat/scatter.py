@@ -223,21 +223,22 @@ def exhaustive_scan(U, d, engine, workers, lo=0, hi=None):
     (CodewordScanner, d = r - 1), or dim <S>_{F_{q^m}} over the d-dim
     F_q-subspaces S of U (FqSpanScanner).
 
-    The scan is cut into contiguous chunks of at most gfbatch.SCAN_CHUNK
-    positions (gfbatch._rref_chunks: the first ones smaller), and chunk k
+    The scan is cut into contiguous chunks of gfbatch.SCAN_CHUNK
+    positions, the last one shorter (gfbatch._rref_chunks), and chunk k
     goes to worker k mod workers (_scan_worker), which scans its chunks
     in ascending order and stops at its first value outside [lo, hi].
-    No more workers run than there are chunks, so a one-chunk scan runs
-    in process.  The engine's enumerator, which the chunk count and the
-    witness decode read, is the one its iterators walk.  Returns
-    (first, hist), merged over the workers: first is the (position,
-    value, rows) of the first value outside [lo, hi] in enumeration order
-    (the least of the workers' firsts, rows its RREF decoded by the
-    engine's enumerator; None if there is none), and hist[v] counts the
-    values scanned.  So first, and every complete hist, is the same for
-    any worker count.  A complete weight hist (first is None) must pass
-    _check_incidences's closed-form first moment; rankcode checks the
-    code's hyperplane hist against every moment.
+    No more workers run than there are chunks (gfbatch.chunk_count), so
+    a one-chunk scan runs in process.  The engine's enumerator, which
+    the chunk count and the witness decode read, is the one its
+    iterators walk.  Returns (first, hist), merged over the workers:
+    first is the (position, value, rows) of the first value outside
+    [lo, hi] in enumeration order (the least of the workers' firsts, rows
+    its RREF decoded by the engine's enumerator; None if there is none),
+    and hist[v] counts the values scanned.  So first, and every complete
+    hist, is the same for any worker count.  A complete weight hist
+    (first is None) must pass _check_incidences's closed-form first
+    moment; rankcode checks the code's hyperplane hist against every
+    moment.
     """
     from . import gfbatch
 
@@ -246,7 +247,7 @@ def exhaustive_scan(U, d, engine, workers, lo=0, hi=None):
     hi = U.dim_q if hi is None else hi
     args = (field, U.basis, d, engine, lo, hi)
     enum = engine.enumerator(U.r, U.dim_q, d)
-    _, chunks = gfbatch.chunk_edges(enum.total)
+    chunks = gfbatch.chunk_count(enum.total)
     results = run_partitioned(_scan_worker, args, min(workers, chunks))
     firsts = [first for first, _ in results if first is not None]
     hist = [sum(col) for col in zip(*(h for _, h in results))]

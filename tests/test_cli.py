@@ -484,6 +484,17 @@ def test_degree_setting_is_gone_exit_2(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("key", ["fixed_only", "config"])
+def test_flag_only_options_are_no_config_keys(tmp_path, capsys, key):
+    """--fixed-only and --config are flags only: a config line naming
+    either is an unknown key, exit 2, with no certificate."""
+    cfg = tmp_path / "flag.cfg"
+    cfg.write_text("%s = 1\n" % key)
+    assert cli.main(["field-selftest", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unknown key %r" % key in captured.err
+
+
 @pytest.mark.parametrize("key", ["modulus", "out"])
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_empty_value_exit_2(tmp_path, capsys, key, source):

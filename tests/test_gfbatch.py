@@ -8,6 +8,7 @@ from qscat.errors import ConfigError, InvariantViolation
 from qscat.field import BinaryField, default_field, from_nibble_hex
 from qscat.gfbatch import (
     POINT_COUNT,
+    POINTS,
     CodewordScanner,
     DualCodimScanner,
     FqSpanScanner,
@@ -15,10 +16,10 @@ from qscat.gfbatch import (
     SampledFast,
     SampledOracle,
     coords_to_flats,
+    decode_rows,
     first_refutation,
     flats_to_coords,
     fqm_rank_batch,
-    ids_to_points,
     laplace_minors,
     line_point_ids,
     normalize_points,
@@ -158,7 +159,7 @@ def test_line_and_plane_ids_match_dual_equations(F):
     x of PG(3, 64), in id order, with w . x = 0 for the plane's dual w
     (both duals of a line), by GF(64) products."""
     tables = Gf64Tables(F)
-    points = ids_to_points(np.arange(POINT_COUNT))
+    points = decode_rows(POINTS, np.arange(POINT_COUNT))[:, 0]
     scal = np.arange(64, dtype=np.int16)[:, None]
     rng = np.random.default_rng(14)
     for last in range(4):
@@ -172,7 +173,7 @@ def test_line_and_plane_ids_match_dual_equations(F):
             # entry 64 a + b is r1 + a r2 + b r3, then r2 + a r3, then r3
             m2, m3 = tables.mul(scal, r2), tables.mul(scal, r3)
             order = np.concatenate([(r1 ^ m2[:, None] ^ m3).reshape(-1, 4), r2 ^ m3, [r3]])
-            assert (ids_to_points(ids) == order).all()
+            assert (points[ids] == order).all()
         # different last nonzero coordinates: independent duals
         pairs = list(zip(duals, _some_duals(6, 3 - last, rng)))
         rrefs = [_kernel_rref(tables, pair) for pair in pairs]
@@ -183,7 +184,7 @@ def test_line_and_plane_ids_match_dual_equations(F):
             assert len(np.unique(ids)) == 65
             assert sorted(ids.tolist()) == np.flatnonzero(on).tolist()
             order = np.concatenate([r1 ^ tables.mul(scal, r2), [r2]])
-            assert (ids_to_points(ids) == order).all()
+            assert (points[ids] == order).all()
 
 
 def test_plane_ids_peak_memory(F):
@@ -336,6 +337,63 @@ def test_bitmap_weights_match_scalar_weight(F, U1, which):
                 assert _weight_at(scanner, d, pos) == weight(U, H), (d, pos)
 
 
+def _spread(enum, count):
+    """~count positions spread over enum, with both ends of each profile."""
+    ends = [x for at in enum.offsets for x in (at - 1, at)] + [enum.total - 1]
+    spread = np.linspace(0, enum.total - 1, count).astype(np.int64).tolist()
+    return sorted({x for x in ends + spread if 0 <= x < enum.total})
+
+
+def _scalars(Q):
+    return range(64) if Q == 64 else (0, 1)
+
+
+@pytest.mark.parametrize("Q, n, d, spread", [
+    (64, 3, 1, False), (64, 3, 2, False), *((2, 6, d, False) for d in range(7)),
+    (64, 4, 1, True), (64, 4, 3, True),
+])
+def test_decode_rows_matches_the_scalar_decode(Q, n, d, spread):
+    """decode_rows gives RrefEnumerator.decode's rows at every position,
+    or at spread positions and every profile's ends, and rejects the
+    positions outside [0, total) and positions that do not ascend."""
+    enum = RrefEnumerator(_scalars(Q), n, d)
+    positions = _spread(enum, 300) if spread else range(enum.total)
+    rows = decode_rows(enum, np.array(positions))
+    assert rows.shape == (len(positions), d, n) and rows.dtype == np.int16
+    assert [tuple(map(tuple, r)) for r in rows.tolist()] == [
+        enum.decode(i)[0] for i in positions
+    ]
+    for bad in (-1, enum.total):
+        with pytest.raises(IndexError):
+            decode_rows(enum, [bad])
+    if enum.total > 1:
+        with pytest.raises(ValueError):
+            decode_rows(enum, [1, 0])
+
+
+@pytest.mark.parametrize("Q, n, d", [(64, 4, 1), (64, 3, 2), (2, 8, 3), (2, 6, 2)])
+def test_every_chunk_but_the_last_is_full(Q, n, d):
+    """_rref_chunks cuts positions [k chunk, (k + 1) chunk) into chunk k,
+    the last one shorter, chunk_count(total) of them, at chunks of 1,000
+    and SCAN_CHUNK; each chunk's parts tile it profile by profile, and
+    worker w of 3 takes the chunks k = w mod 3."""
+    enum = RrefEnumerator(_scalars(Q), n, d)
+    for chunk in (1000, gfbatch.SCAN_CHUNK):
+        count = gfbatch.chunk_count(enum.total, chunk)
+        chunks = list(gfbatch._rref_chunks(enum, 0, 1, chunk))
+        assert len(chunks) == count == -(-enum.total // chunk)
+        for k, (lo, hi, parts) in enumerate(chunks):
+            assert (lo, hi) == (k * chunk, min((k + 1) * chunk, enum.total))
+            at = lo
+            for s, p, a, b in parts:
+                assert s == at - lo and a == at - enum.offsets[p] < b <= enum.counts[p]
+                at += b - a
+            assert at == hi
+        for w in range(3):
+            dealt = list(gfbatch._rref_chunks(enum, w, 3, chunk))
+            assert dealt == chunks[w::3]
+
+
 def _dealt(values, d, total, workers, chunk):
     """Each position's value, merged over the shares of W = `workers`;
     each chunk's positions are a step-1 range (no array is allocated for
@@ -393,8 +451,8 @@ def test_row_filter_matches_the_rank_path(F, which, filtered, request):
     for d in (1, 2) if U.r == 3 else (1,):
         enum = RrefEnumerator(range(64), U.r, d)
         expect = np.concatenate([
-            scanner._rank_weights(piv, gfbatch._cell_digits(enum, p, 0, n), n)
-            for p, (piv, n) in enumerate(zip(enum.profiles, enum.counts))
+            scanner._rank_weights(piv, decode_rows(enum, np.arange(at, at + n)))
+            for piv, at, n in zip(enum.profiles, enum.offsets, enum.counts)
         ])
         for chunk in (1000, gfbatch.SCAN_CHUNK):
             for workers in (1, 2, 3):
@@ -435,7 +493,7 @@ def test_scan_chunks_allocate_only_their_weights(F, U1, which, d, count):
             assert peak - before <= size + buffers + small, len(kept)
     finally:
         tracemalloc.stop()
-    assert len(kept) == (count or 18)
+    assert len(kept) == (count or 17)
 
 
 def test_span_chunks_deal_every_position_once(F, U1):
@@ -471,7 +529,7 @@ def test_codeword_scanner_index_map(F, code):
     # the head of the pivot-0 block, and the tail through pivots 1, 2, 3
     for lo, hi in ((0, 600), (POINT_COUNT - 4200, POINT_COUNT)):
         ids = np.arange(lo, hi)
-        msgs = ids_to_points(ids, 4)
+        msgs = decode_rows(enum, ids)[:, 0]
         assert point_ids(msgs).tolist() == ids.tolist()
         assert [list(enum.decode(i)[0][0]) for i in range(lo, hi)] == msgs.tolist()
         weights = scanner.nb - scanner.scan_range(lo, hi)

@@ -10,9 +10,9 @@ from qscat import gfbatch
 from qscat.errors import ConfigError, WorkLimitExceeded
 from qscat.gfbatch import (
     POINT_COUNT,
+    POINTS,
     Gf64Tables,
-    id_to_point,
-    ids_to_points,
+    decode_rows,
     line_point_ids,
     plane_point_ids,
     point_ids,
@@ -30,17 +30,21 @@ REFERENCE = (
 
 
 def test_point_id_bijection():
-    assert POINT_COUNT == 266_305
+    """point_ids inverts decode_rows on the points of PG(3, 64), which the
+    scalar decode, the saturation witness's, decodes alike."""
+    assert POINT_COUNT == POINTS.total == 266_305
     ids = np.arange(POINT_COUNT)
-    vecs = ids_to_points(ids)
+    vecs = decode_rows(POINTS, ids)[:, 0]
     lead = vecs[np.arange(POINT_COUNT), np.argmax(vecs != 0, axis=1)]
     assert (lead == 1).all()
     assert (point_ids(vecs) == ids).all()
     for pid in range(0, POINT_COUNT, 97):
-        assert id_to_point(pid) == tuple(int(c) for c in vecs[pid])
+        assert POINTS.decode(pid)[0][0] == tuple(int(c) for c in vecs[pid])
     for bad in (-1, POINT_COUNT):
-        with pytest.raises(ValueError):
-            id_to_point(bad)
+        with pytest.raises(IndexError):
+            decode_rows(POINTS, [bad])
+        with pytest.raises(IndexError):
+            POINTS.decode(bad)
 
 
 def _subset(F, U1, seed, draws):
@@ -185,7 +189,7 @@ def test_plane_section_spans_one_plane(F, U1, rho):
     on = full.coords[:, 3] == 0
     S = LinearSet(F, full.ids[on], full.coords[on])
     assert len(S) == 15
-    plane = ids_to_points(np.arange(POINT_COUNT))[:, 3] == 0
+    plane = decode_rows(POINTS, np.arange(POINT_COUNT))[:, 0][:, 3] == 0
     assert (_mark_every_span(F, S, rho) == plane).all()
     for workers in (1, 2):
         inst = is_rho_saturating(S, rho, workers=workers)
@@ -275,7 +279,7 @@ def test_plane_rref_matches_rref_small_batch(F):
     from qscat.saturate import _plane_rref
 
     tables = Gf64Tables(F)
-    duals = ids_to_points(np.arange(POINT_COUNT))
+    duals = decode_rows(POINTS, np.arange(POINT_COUNT))[:, 0]
     piv = np.argmax(duals != 0, axis=1)  # the first nonzero w_piv is 1
     bidx = np.arange(len(duals))
     basis = np.zeros((len(duals), 3, 4), dtype=np.int16)

@@ -312,11 +312,11 @@ def test_budget_error_in_a_fork_worker_reaches_the_caller():
 def test_scans_fork_no_more_workers_than_chunks(F, U1, monkeypatch):
     """exhaustive_scan asks run_partitioned for at most one worker per
     chunk: the 255-position d = 1 span scan runs in process at any worker
-    count, and the 266,305 hyperplanes (18 chunks) keep their workers."""
+    count, and the 266,305 hyperplanes (17 chunks) keep their workers."""
     from qscat import gfbatch
 
-    counts = [gfbatch.chunk_edges(n)[1] for n in (0, 255, 4096, 4097, 266_305)]
-    assert counts == [0, 1, 1, 2, 18]
+    counts = [gfbatch.chunk_count(n) for n in (0, 255, 4096, 4097, 266_305)]
+    assert counts == [0, 1, 1, 1, 17]
     run, asked = scatter.run_partitioned, []
 
     def recording(fn, args, workers):
@@ -373,7 +373,8 @@ def test_exhaustive_scan_matches_a_bincount_reference(F, which, engine, d, lo, h
     name = "iter_span_dims" if engine is gfbatch.FqSpanScanner else "iter_weights"
     real = getattr(engine, name)
     scanner = engine(gfbatch.Gf64Tables(F), U.basis)
-    chunks = gfbatch.chunk_edges(engine.enumerator(U.r, U.dim_q, d).total)[1]
+    # exhaustive_scan counts SCAN_CHUNK chunks whatever the iterators cut
+    chunks = gfbatch.chunk_count(engine.enumerator(U.r, U.dim_q, d).total)
     for chunk in (1000, gfbatch.SCAN_CHUNK):
 
         def chunked(self, d, start=0, stride=1, chunk=chunk):
