@@ -10,10 +10,13 @@ expected closed form.
 from dataclasses import dataclass
 
 from .errors import ClosedFormMismatch, InvariantViolation
+from . import gf2
 from .linalg import (
     FqSubspace,
     FqmSubspace,
     MatrixFqm,
+    apply_gl,
+    flatten_vector,
     fqm_span_dim,
     intersect_fq,
     moore_matrix,
@@ -21,7 +24,7 @@ from .linalg import (
     vec_scale,
     weight,
 )
-from .scatter import Verdict
+from .scatter import Verdict, build_Us, trace_pair_span, trace_pairs, us_vector
 
 # GL(4, q^6) matrix carrying U_1 onto the rearranged dual (column action)
 DUAL_EQUIV_MATRIX = ((1, 1, 1, 0), (1, 1, 0, 1), (1, 1, 1, 1), (1, 0, 1, 0))
@@ -80,10 +83,7 @@ def build_scene(field):
     evecs = [tuple(1 if j == k else 0 for j in range(8)) for k in range(8)]
     V_embed = FqmSubspace.span(field, 8, evecs[:4])
     Delta = FqmSubspace.span(field, 8, evecs[:4])
-    wgens = [w_vector(field, t, 0) for t in T] + [
-        w_vector(field, 0, t) for t in T
-    ]
-    W = FqSubspace.span(field, 8, wgens)
+    W = trace_pair_span(field, 8, lambda x, y: w_vector(field, x, y))
     Gamma = FqmSubspace.span(field, 8, _GAMMA_ROWS)
     gram = MatrixFqm(
         field,
@@ -93,8 +93,6 @@ def build_scene(field):
         ],
     )
     # invariants of the embedding
-    if W.dim_q != 8:
-        raise InvariantViolation("dim_q W = %d" % W.dim_q)
     if fqm_span_dim(field, W.basis) != 8:
         raise InvariantViolation("W does not span Z over F_{q^6}")
     if moore_matrix(field, T).det() == 0:
@@ -146,28 +144,27 @@ def _project_to_front(S8):
 def primal_closed_form(field):
     """{(x, y, x^q + y^(q^3), y^q + x^(q^2))} over (x, y) in T x T."""
     frob = field.frob
-    T = field.trace_kernel_basis()
-    gens = [(t, 0, frob(t, 1), frob(t, 2)) for t in T]
-    gens += [(0, t, frob(t, 3), frob(t, 1)) for t in T]
-    return FqSubspace.span(field, 4, gens)
+    return trace_pair_span(
+        field, 4, lambda x, y: (x, y, frob(x, 1) ^ frob(y, 3), frob(y, 1) ^ frob(x, 2))
+    )
 
 
 def dual_closed_form_1(field):
     """{(x + y^(q^3), y, x^q, y^q + x^(q^3))}."""
     frob = field.frob
-    T = field.trace_kernel_basis()
-    gens = [(t, 0, frob(t, 1), frob(t, 3)) for t in T]
-    gens += [(frob(t, 3), t, 0, frob(t, 1)) for t in T]
-    return FqSubspace.span(field, 4, gens)
+    return trace_pair_span(
+        field, 4, lambda x, y: (x ^ frob(y, 3), y, frob(x, 1), frob(y, 1) ^ frob(x, 3))
+    )
 
 
 def dual_closed_form_2(field):
     """{(z^q + z^(q^3) + t^(q^3), t, z, t^q + z^(q^2))}."""
     frob = field.frob
-    T = field.trace_kernel_basis()
-    gens = [(frob(t, 1) ^ frob(t, 3), 0, t, frob(t, 2)) for t in T]
-    gens += [(frob(t, 3), t, 0, frob(t, 1)) for t in T]
-    return FqSubspace.span(field, 4, gens)
+
+    def vec(z, t):
+        return (frob(z, 1) ^ frob(z, 3) ^ frob(t, 3), t, z, frob(t, 1) ^ frob(z, 2))
+
+    return trace_pair_span(field, 4, vec)
 
 
 def primal_from_scene(scene):
@@ -196,86 +193,61 @@ def dual_from_scene(scene):
     return out
 
 
+def rearranged_vector(field, z, t):
+    """(z, t, z^(q^2) + t^q, z^q + z^(q^3) + t^(q^3))."""
+    frob = field.frob
+    return (z, t, frob(z, 2) ^ frob(t, 1), frob(z, 1) ^ frob(z, 3) ^ frob(t, 3))
+
+
 def rearranged_dual(field):
     """{(z, t, z^(q^2) + t^q, z^q + z^(q^3) + t^(q^3))}: the image side
     of the displayed equivalence, a coordinate rearrangement of the dual."""
-    frob = field.frob
-    T = field.trace_kernel_basis()
-    gens = [(t, 0, frob(t, 2), frob(t, 1) ^ frob(t, 3)) for t in T]
-    gens += [(0, t, frob(t, 1), frob(t, 3)) for t in T]
-    return FqSubspace.span(field, 4, gens)
+    return trace_pair_span(field, 4, lambda z, t: rearranged_vector(field, z, t))
 
 
 def verify_dual_equivalence(field, matrix_rows=DUAL_EQUIV_MATRIX):
     """Check that the displayed matrix maps U_1 onto the rearranged dual.
 
     Verifies, per trace-kernel basis pair, that the image tuple has the
-    shape (z, t, z^(q^2)+t^q, z^q+z^(q^3)+t^(q^3)) with z, t in T, and
-    that the induced map (x, y) -> (z, t) is invertible; then checks the
-    subspace-level identity apply_gl(A, U_1) == rearranged dual.
+    shape rearranged_vector(z, t) with z, t in T, and that the induced
+    map (x, y) -> (z, t) is invertible; then checks the subspace-level
+    identity apply_gl(A, U_1) == rearranged dual.
     """
-    from .linalg import apply_gl, flatten_vector
-    from .scatter import build_Us
-    from . import gf2
+    witness, count = _equivalence_witness(field, MatrixFqm(field, matrix_rows))
+    details = {} if witness else {"matrix": [list(r) for r in matrix_rows]}
+    return Verdict(witness is None, witness, count, "exhaustive", details)
 
-    frob = field.frob
-    A = MatrixFqm(field, matrix_rows)
-    T = field.trace_kernel_basis()
-    pairs = [(t, 0) for t in T] + [(0, t) for t in T]
+
+def _equivalence_witness(field, A):
+    """(witness, checked_count) of verify_dual_equivalence for the matrix
+    A; the witness is None when every check passes."""
+    pairs = trace_pairs(field)
     zt_rows = []
     for x, y in pairs:
-        vec = (x, y, frob(x, 2) ^ frob(y, 1), frob(x, 1) ^ frob(y, 3))
+        vec = us_vector(field, 1, x, y)
         img = A.apply_to_vector(vec)
         z, t = img[0], img[1]
-        checks = (
-            field.rel_trace(z, 2) == 0
-            and field.rel_trace(t, 2) == 0
-            and img[2] == frob(z, 2) ^ frob(t, 1)
-            and img[3] == frob(z, 1) ^ frob(z, 3) ^ frob(t, 3)
-        )
-        if not checks:
-            return Verdict(
-                ok=False,
-                witness={
-                    "kind": "basis_image_mismatch",
-                    "input": [field.to_hex(c) for c in vec],
-                    "image": [field.to_hex(c) for c in img],
-                },
-                checked_count=len(zt_rows),
-                mode="exhaustive",
-                details={},
-            )
+        in_T = field.rel_trace(z, 2) == 0 and field.rel_trace(t, 2) == 0
+        if not (in_T and img == rearranged_vector(field, z, t)):
+            witness = {
+                "kind": "basis_image_mismatch",
+                "input": [field.to_hex(c) for c in vec],
+                "image": [field.to_hex(c) for c in img],
+            }
+            return witness, len(zt_rows)
         zt_rows.append(flatten_vector(field, (z, t)))
     if gf2.rank_bits(zt_rows) != len(zt_rows):
-        return Verdict(
-            ok=False,
-            witness={"kind": "zt_map_not_injective"},
-            checked_count=len(pairs),
-            mode="exhaustive",
-            details={},
-        )
-    U1 = build_Us(field, 1)
-    image = apply_gl(A, U1)
+        return {"kind": "zt_map_not_injective"}, len(pairs)
+    image = apply_gl(A, build_Us(field, 1))
     target = rearranged_dual(field)
-    if image != target:
-        for v, w in zip(image.basis, target.basis):
-            if v != w:
-                break
-        return Verdict(
-            ok=False,
-            witness={
-                "kind": "subspace_mismatch",
-                "image_vector": [field.to_hex(c) for c in v],
-                "expected_vector": [field.to_hex(c) for c in w],
-            },
-            checked_count=len(pairs),
-            mode="exhaustive",
-            details={},
-        )
-    return Verdict(
-        ok=True,
-        witness=None,
-        checked_count=len(pairs),
-        mode="exhaustive",
-        details={"matrix": [list(r) for r in matrix_rows]},
-    )
+    if image == target:
+        return None, len(pairs)
+    for v, w in zip(image.basis, target.basis):
+        if v != w:
+            break
+    witness = {
+        "kind": "subspace_mismatch",
+        "image_vector": [field.to_hex(c) for c in v],
+        "expected_vector": [field.to_hex(c) for c in w],
+    }
+    return witness, len(pairs)

@@ -158,6 +158,15 @@ def poly_is_irreducible(f):
     return True
 
 
+def _span_elements(basis):
+    """Every GF(2)-combination of `basis`: bit i of an element's index
+    selects basis[i]."""
+    elems = [0]
+    for s in basis:
+        elems += [v ^ s for v in elems]
+    return elems
+
+
 class BinaryField:
     """GF(2^e), e = 6h, named by the odd h (q = 2^h) and an optional
     irreducible modulus of degree e (DEFAULT_MODULI[e] when omitted)."""
@@ -261,9 +270,7 @@ class BinaryField:
         self.f2_basis = tuple(bcols)
         self._coord_cols = gf2.inv_cols(bcols, e)
         self._bits_identity = bcols == [1 << t for t in range(e)]
-        elems = [0]
-        for s in self.fq_basis:
-            elems += [v ^ s for v in elems]
+        elems = _span_elements(self.fq_basis)
         self._fq_of_mask = tuple(elems)  # bit i of the index selects fq_basis[i]
         self.fq_elements = tuple(sorted(elems))
 
@@ -304,13 +311,7 @@ class BinaryField:
             return self.pow(self.inv(a), -n)
         if self._exp is not None and a != 0:
             return self._exp[(self._log[a] * n) % self.mult_order]
-        r = 1
-        while n:
-            if n & 1:
-                r = self.mul(r, a)
-            a = self.mul(a, a)
-            n >>= 1
-        return r
+        return self._pow_raw(a, n)
 
     def frob(self, a, i=1):
         """a^(q^i); the Galois group is cyclic of order 6."""
@@ -368,11 +369,7 @@ class BinaryField:
             return self._subfield_elems[d]
         fc = self._frob_cols[d % 6]
         cols = [fc[b] ^ (1 << b) for b in range(self.e)]
-        basis = gf2.left_kernel_combos(cols, self.e)
-        elems = [0]
-        for s in basis:
-            elems += [v ^ s for v in elems]
-        out = tuple(sorted(elems))
+        out = tuple(sorted(_span_elements(gf2.left_kernel_combos(cols, self.e))))
         self._subfield_elems[d] = out
         return out
 

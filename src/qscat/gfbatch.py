@@ -14,10 +14,10 @@ per (scalars, n, d) (_enumerator).  The engines share three primitives:
   their RREF rows: the d >= 3 oracle's duals, the codeword scan's
   normals and the saturation's plane duals.  The points of PG(3, 64)
   are the positions of POINTS, and point_ids is decode_rows' inverse.
-* One subset-sum builder.  _subset_sums tabulates the XOR of every
+* One subset-sum builder.  subset_sums tabulates the XOR of every
   subset of n vectors by doubling: U's packed subset sums
-  (subset_xor_table), the span scan's per-row deposit tables and the
-  oracle's kernel bitmaps.
+  (subset_xor_table), the span scan's per-row deposit tables, the
+  oracle's kernel bitmaps and rng's byte-sliced jump tables.
 
 The oracle (DualCodimScanner) reads point and line weights off cached
 kernel bitmaps, in broadcast tiles of 4,096 positions that stay in
@@ -155,7 +155,7 @@ def coords_to_flats(coords):
     return flats
 
 
-def _subset_sums(vectors, base=0):
+def subset_sums(vectors, base=0):
     """table[..., mask] = base ^ the XOR of vectors[..., k] over the bits k
     of mask, for the n vectors along the last axis of [..., n] vectors.
 
@@ -174,7 +174,7 @@ def _subset_sums(vectors, base=0):
 
 def subset_xor_table(vectors):
     """table[mask] = packed sum of the GF(64)^r vectors selected by mask."""
-    return _subset_sums(coords_to_flats(vectors))
+    return subset_sums(coords_to_flats(vectors))
 
 
 def point_ids(vecs):
@@ -349,17 +349,9 @@ class DualCodimScanner:
 
     def weights_for_duals(self, duals):
         """duals: [B, nd, r] dual basis vectors; returns [B] weights."""
-        B, nd, _ = duals.shape
-        blocks = self._dots(duals)
-        # row j packs u_j . w_f over the nd duals f, one [B] array at a
-        # time: a [B, nd, nb] transpose raises the hyperplane scan's peak RSS
-        rows = np.zeros((B, self.nb), dtype=np.int64)
-        for j in range(self.nb):
-            acc = np.zeros(B, dtype=np.int64)
-            for i in range(nd):
-                acc |= ((blocks[:, i] >> (6 * j)) & 63) << (6 * i)
-            rows[:, j] = acc
-        return self.nb - rank_batch(rows)
+        # row j of a dual's map packs u_j . w_f over its nd duals f
+        img = flats_to_coords(self._dots(duals), self.nb)  # [B, nd, nb]
+        return self.nb - _f2_image_rank(img.transpose(0, 2, 1), 6)
 
     def kernel_bitmaps(self, duals):
         """[B, r] dual vectors -> [B, words] uint64 bitmaps of K[w].
@@ -367,7 +359,7 @@ class DualCodimScanner:
         Bit a (a = sum_j a_j 2^j) is set iff (sum_j a_j u_j) . w = 0.
         """
         dots = flats_to_coords(self._dots(duals), self.nb).astype(np.uint8)
-        sums = _subset_sums(dots)  # sums[:, a] = (sum_j a_j u_j) . w
+        sums = subset_sums(dots)  # sums[:, a] = (sum_j a_j u_j) . w
         packed = np.packbits(sums == 0, axis=1, bitorder="little")
         if packed.shape[1] % 8:  # nb < 6: fewer than 8 bytes
             packed = np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8)))
@@ -555,7 +547,7 @@ def _deposit_tables(nb, d, p):
         cols = [col for row, col in cells if row == i]
         below -= len(cols)
         bits = np.array([1 << col for col in reversed(cols)], dtype=np.int64)
-        table = _subset_sums(bits, 1 << c)
+        table = subset_sums(bits, 1 << c)
         table.flags.writeable = False  # the cache hands it to every scan
         tables.append((below, (1 << len(cols)) - 1, table))
     return tuple(tables)
@@ -773,45 +765,39 @@ def plane_normal(minors):
     )
 
 
-def _multiple_words(tables, rows):
-    """[P, s, 64] int64 id words of c * v, for each row v of rows
-    [P, s, 4] and every scalar c: codec words of the reversed rows."""
-    scal = np.arange(64, dtype=np.int16)
-    return coords_to_flats(tables.mul(scal[:, None], rows[:, :, None, ::-1]))
-
-
 def plane_point_ids(tables, plane_rref):
     """Point ids of the planes given by RREF rows [P, 3, 4], [P, 4161] int64.
 
     A plane's points are r1 + a r2 + b r3 (entry 64 a + b of its row),
-    then r2 + a r3, then r3, each already normalized with the pivot of
-    its first row.  Id words are XOR-linear, and a vector that is zero
-    at and before a point's pivot leaves that point's id shift alone, so
-    id(r1 + a r2 + b r3) = id(r1) ^ word(a r2) ^ word(b r3): one
+    then the 65 points of the line (r2, r3), each already normalized with
+    the pivot of its first row.  Id words are XOR-linear, and a vector
+    that is zero at and before a point's pivot leaves that point's id
+    shift alone, so id(r1 + a r2 + b r3) = id(r1 + a r2) ^ word(b r3) and
+    word(b r3) = id(r2 + b r3) ^ id(r2): two line_point_ids, then one
     [P, 64, 64] broadcast XOR written in place into the output.
     """
     rref = np.asarray(plane_rref, dtype=np.int16)
     P = len(rref)
-    ids = point_ids(rref)  # [P, 3]
-    words = _multiple_words(tables, rref[:, 1:])
-    out = np.empty((P, 64 * 64 + 64 + 1), dtype=np.int64)
-    fam1 = out[:, : 64 * 64].reshape(P, 64, 64)
-    line = ids[:, 0, None] ^ words[:, 0]  # id(r1 + a r2), [P, 64]
-    np.bitwise_xor(line[:, :, None], words[:, None, 1], out=fam1)
-    np.bitwise_xor(ids[:, 1, None], words[:, 1], out=out[:, 64 * 64 : -1])
-    out[:, -1] = ids[:, 2]
+    head = line_point_ids(tables, rref[:, :2])[:, :64]  # id(r1 + a r2)
+    tail = line_point_ids(tables, rref[:, 1:])
+    out = np.empty((P, 64 * 64 + 65), dtype=np.int64)
+    out[:, 64 * 64 :] = tail
+    fam = out[:, : 64 * 64].reshape(P, 64, 64)
+    np.bitwise_xor(head[:, :, None], (tail[:, :64] ^ tail[:, :1])[:, None], out=fam)
     return out
 
 
 def line_point_ids(tables, line_rref):
     """Point ids of the lines given by RREF rows [P, 2, 4], [P, 65] int64:
-    id(r1 + a r2) = id(r1) ^ word(a r2) at entry a, then id(r2), as in
+    id(r1 + a r2) = id(r1) ^ word(a r2) at entry a, then id(r2); see
     plane_point_ids."""
     rref = np.asarray(line_rref, dtype=np.int16)
     ids = point_ids(rref)  # [P, 2]
-    words = _multiple_words(tables, rref[:, 1:])
+    # word(a r2) for every scalar a: codec words of the reversed multiples
+    scal = np.arange(64, dtype=np.int16)
+    words = coords_to_flats(tables.mul(scal[:, None], rref[:, 1, None, ::-1]))
     out = np.empty((len(rref), 64 + 1), dtype=np.int64)
-    np.bitwise_xor(ids[:, 0, None], words[:, 0], out=out[:, :-1])
+    np.bitwise_xor(ids[:, 0, None], words, out=out[:, :-1])
     out[:, -1] = ids[:, 1]
     return out
 

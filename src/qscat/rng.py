@@ -93,10 +93,9 @@ def _byte_tables(cols):
     """Byte-sliced [8, 256] tables of the map with column images `cols`."""
     import numpy as np
 
-    cols = np.asarray(cols, dtype=np.uint64).reshape(8, 8)
-    tables = np.zeros((8, 256), dtype=np.uint64)
-    for i in range(8):
-        tables[:, 1 << i : 2 << i] = tables[:, : 1 << i] ^ cols[:, i : i + 1]
+    from .gfbatch import subset_sums
+
+    tables = subset_sums(np.asarray(cols, dtype=np.uint64).reshape(8, 8))
     tables.flags.writeable = False
     return tables
 

@@ -21,7 +21,7 @@ the exhaustive mode feeds the decoded first refuting position and the
 sampled mode the first refuting draw.
 """
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 from typing import Optional
 
 from .errors import (
@@ -68,13 +68,7 @@ class Verdict:
     details: dict = dc_field(default_factory=dict)
 
     def to_json(self):
-        return {
-            "ok": self.ok,
-            "witness": self.witness,
-            "checked_count": self.checked_count,
-            "mode": self.mode,
-            "details": self.details,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -98,6 +92,29 @@ def max_dim_bound(r, n, order):
 # -- constructions ---------------------------------------------------------
 
 
+def trace_pairs(field):
+    """The F_q-basis (t, 0), (0, t) of T x T, t over T's basis, where T is
+    the kernel of the trace onto F_{q^2}."""
+    T = field.trace_kernel_basis()
+    return [(t, 0) for t in T] + [(0, t) for t in T]
+
+
+def trace_pair_span(field, r, vec):
+    """{vec(x, y) : x, y in T} for an F_q-linear map vec into F_{q^6}^r:
+    the F_q-span of its values on trace_pairs.  Every system built so is
+    an injective image of T x T, of dim_q 8, else an InvariantViolation."""
+    U = FqSubspace.span(field, r, [vec(x, y) for x, y in trace_pairs(field)])
+    if U.dim_q != 8:
+        raise InvariantViolation("T x T spans dim_q %d, expected 8" % U.dim_q)
+    return U
+
+
+def us_vector(field, s, x, y):
+    """(x, y, x^(s2)+y^(s1), x^(s1)+y^(s3)), exponents sigma^i, sigma = q^s."""
+    frob = field.frob
+    return (x, y, frob(x, 2 * s) ^ frob(y, s), frob(x, s) ^ frob(y, 3 * s))
+
+
 def build_Us(field, s=1):
     """The subspace {(x, y, x^(s2)+y^(s1), x^(s1)+y^(s3)) : x, y in T}.
 
@@ -106,30 +123,18 @@ def build_Us(field, s=1):
     """
     if s not in (1, 5):
         raise ValueError("s must be 1 or 5 (the residues coprime to 6), got %r" % (s,))
-    frob = field.frob
-    gens = []
-    for t in field.trace_kernel_basis():
-        gens.append((t, 0, frob(t, 2 * s), frob(t, s)))
-    for t in field.trace_kernel_basis():
-        gens.append((0, t, frob(t, s), frob(t, 3 * s)))
-    return _checked_dim8(FqSubspace.span(field, 4, gens))
+    return trace_pair_span(field, 4, lambda x, y: us_vector(field, s, x, y))
 
 
 def build_U5prime(field):
     """The representative {(x, y, x^(q2)+y^q+y^(q3), x^q+x^(q3)+y^(q3))}."""
     frob = field.frob
-    gens = []
-    for t in field.trace_kernel_basis():
-        gens.append((t, 0, frob(t, 2), frob(t, 1) ^ frob(t, 3)))
-    for t in field.trace_kernel_basis():
-        gens.append((0, t, frob(t, 1) ^ frob(t, 3), frob(t, 3)))
-    return _checked_dim8(FqSubspace.span(field, 4, gens))
 
+    def vec(x, y):
+        c2 = frob(x, 2) ^ frob(y, 1) ^ frob(y, 3)
+        return (x, y, c2, frob(x, 1) ^ frob(x, 3) ^ frob(y, 3))
 
-def _checked_dim8(U):
-    if U.dim_q != 8:
-        raise InvariantViolation("constructed U has dim_q %d, expected 8" % U.dim_q)
-    return U
+    return trace_pair_span(field, 4, vec)
 
 
 def sec2_equivalence_matrix(field):

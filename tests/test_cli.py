@@ -1,4 +1,3 @@
-import ast
 import json
 import os
 import subprocess
@@ -295,94 +294,6 @@ def test_exhaustive_q8_exit_2(flags, args):
     assert err[0] == "qscat: running %s" % args[0]
     assert len(err) == 2 and err[1].startswith("qscat: error: ")
     assert "q = 8" in err[1]
-
-
-def test_no_assert_statements_in_src():
-    """python -O strips asserts, so no check in src/qscat may be one."""
-    found = []
-    for path in sorted((ROOT / "src" / "qscat").glob("*.py")):
-        tree = ast.parse(path.read_text(), str(path))
-        found += [
-            "%s:%d" % (path.name, node.lineno)
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Assert)
-        ]
-    assert found == []
-
-
-# library names that no code in src/qscat calls, each kept for a reason
-_UNCALLED_IN_SRC = {
-    "beta_form": "reference: the scalar form of the dual scene's Gram matrix",
-    "pow": "reference: tests check frob against BinaryField.pow",
-    "det_cofactor": "reference: tests check the elimination determinant against it",
-    "encode": "reference: tests check the codeword scanner's weights against it",
-    "rank_weight": "reference: the scalar rank weight of an encoded codeword",
-    "solutions": "reference: the enumerated kernel behind count_solutions",
-    "frobenius_fixed": "reference: tests check the Frobenius-fixed makers with it",
-    "default_field": "entry point: the field the tests and the benchmark build",
-    "fast_oracle_agreement": "entry point: acceptance criterion 10 and the benchmark",
-    "max_dim_bound": "entry point: acceptance criterion 5",
-    "random_frobenius_fixed": "entry point: acceptance criterion 6",
-    "random_invertible": "entry point: acceptance criterion 10",
-    "random_fqm_subspace": "entry point: acceptance criterion 10",
-    "rows_from_text": "entry point: the parser of the witness text rows_to_text writes",
-}
-
-
-def test_every_library_function_is_reached_from_src():
-    """A top-level def or class, or a non-dunder method, in src/qscat
-    must be named by some other Name, Attribute or import in src/qscat,
-    or be on _UNCALLED_IN_SRC with its reason: code only tests call
-    leaves src/."""
-    trees = [
-        ast.parse(path.read_text(), str(path))
-        for path in sorted((ROOT / "src" / "qscat").glob("*.py"))
-    ]
-
-    def names(node):
-        found = []
-        for n in ast.walk(node):
-            if isinstance(n, ast.Name):
-                found.append(n.id)
-            elif isinstance(n, ast.Attribute):
-                found.append(n.attr)
-            elif isinstance(n, ast.alias):
-                found.append(n.name)
-        return found
-
-    everywhere = [name for tree in trees for name in names(tree)]
-    defs = []
-    for tree in trees:
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defs.append(node)
-            if isinstance(node, ast.ClassDef):
-                defs += [
-                    n for n in node.body
-                    if isinstance(n, ast.FunctionDef)
-                    and not (n.name.startswith("__") and n.name.endswith("__"))
-                ]
-    uncalled = {
-        node.name for node in defs
-        if everywhere.count(node.name) == names(node).count(node.name)
-    }
-    assert uncalled == set(_UNCALLED_IN_SRC)
-
-
-def test_only_field_reads_the_field_tables():
-    """BinaryField's exp/log tables are its own: no other module under
-    src/qscat reads an attribute named _exp or _log."""
-    found = []
-    for path in sorted((ROOT / "src" / "qscat").glob("*.py")):
-        if path.name == "field.py":
-            continue
-        tree = ast.parse(path.read_text(), str(path))
-        found += [
-            "%s:%d" % (path.name, node.lineno)
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and node.attr in ("_exp", "_log")
-        ]
-    assert found == []
 
 
 def test_bad_modulus_exit_2(capsys):

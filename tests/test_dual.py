@@ -110,7 +110,8 @@ def test_dual_equivalence_verdict(F):
 def test_dual_equivalence_identity_fails(F):
     ident = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
     v = verify_dual_equivalence(F, ident)
-    assert not v.ok and v.witness is not None
+    assert not v.ok and v.witness["kind"] == "basis_image_mismatch"
+    assert v.checked_count == 0
 
 
 def test_scene_and_equivalence_q8(F8):

@@ -7,7 +7,8 @@ sampled goldens (h = 1, 3, 5 at orders 1-3, and the order-4 refutation)
 and the planted q = 2 verdicts were written by the one-sample-at-a-time
 sampled loops that the batched ones replaced; `saturating --rho 1` by
 the point-id kernels that built [P, 64, 4] coordinate arrays before the
-XOR-packed ones.
+XOR-packed ones; closed_forms.json by the constructions that listed each
+system's two T-families by hand.
 """
 
 import json
@@ -16,7 +17,20 @@ from pathlib import Path
 import pytest
 
 from qscat import cli
-from qscat.scatter import is_h_scattered_fast, is_h_scattered_oracle
+from qscat.dual import (
+    build_scene,
+    dual_closed_form_1,
+    dual_closed_form_2,
+    primal_closed_form,
+    rearranged_dual,
+)
+from qscat.linalg import rows_to_text
+from qscat.scatter import (
+    build_U5prime,
+    build_Us,
+    is_h_scattered_fast,
+    is_h_scattered_oracle,
+)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -75,6 +89,27 @@ def test_result_matches_golden(name, workers, capsys):
     assert cli.main(argv + ["--workers", str(workers)]) == code
     result = json.loads(capsys.readouterr().out)["result"]
     assert as_golden(result) == golden_text(name)
+
+
+def test_closed_form_bases_match_golden(F, F8):
+    """The canonical bases of the eight closed-form systems, as
+    rows_to_text writes them, at q = 2 and q = 8."""
+    got = {}
+    for field in (F, F8):
+        systems = {
+            "U1": build_Us(field, 1),
+            "U5": build_Us(field, 5),
+            "U5prime": build_U5prime(field),
+            "primal": primal_closed_form(field),
+            "dual1": dual_closed_form_1(field),
+            "dual2": dual_closed_form_2(field),
+            "rearranged": rearranged_dual(field),
+            "W": build_scene(field).W,
+        }
+        got[str(field.q)] = {
+            name: rows_to_text(field, U.r, U.basis) for name, U in systems.items()
+        }
+    assert as_golden(got) == golden_text("closed_forms")
 
 
 def test_planted_q2_sampled_verdicts(U_planted):

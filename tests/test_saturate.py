@@ -265,6 +265,13 @@ def test_budget_guard(F, U1):
         is_rho_saturating(S, 3)  # C(255, 4) exceeds the default budget
 
 
+def test_linear_set_budget_counts_subset_sums(U1):
+    """The work estimate is the 2^dim_q = 256 subset sums of U's basis."""
+    assert len(linear_set_points(U1, budget=256)) == 255
+    with pytest.raises(WorkLimitExceeded):
+        linear_set_points(U1, budget=255)
+
+
 def test_q8_linear_set_guarded(F8):
     """q = 8 is outside the GF(64) subset-XOR packing: a shape error
     naming q, not a budget error."""
