@@ -21,7 +21,7 @@ import sys
 import time
 
 from . import __version__
-from .errors import ConfigError, QscatError, WorkLimitExceeded
+from .errors import ConfigError, InvariantViolation, QscatError, WorkLimitExceeded
 from .field import DEFAULT_MODULI, BinaryField, from_nibble_hex, poly_is_irreducible
 from .linalg import apply_gl, rows_to_text, weight
 from .rng import XorShift64Star
@@ -264,7 +264,6 @@ def cmd_system_count(cfg, field):
     q2 = field.q**2
     buckets = {}
     max_count = 0
-    agree = True
     violations = []
     for _ in range(cfg["count"]):
         a, b, c, d = (field.random_element(rng) for _ in range(4))
@@ -273,7 +272,11 @@ def cmd_system_count(cfg, field):
         buckets[sysm.case] = buckets.get(sysm.case, 0) + 1
         max_count = max(max_count, n)
         W = scatter.retta4_subspace(field, a, b, c, d)
-        agree = agree and (n == field.q ** weight(U, W))
+        if n != field.q ** weight(U, W):
+            raise InvariantViolation(
+                "solution count %d differs from q^weight(U, W) at coefficients %s"
+                % (n, " ".join(field.to_hex(x) for x in (a, b, c, d)))
+            )
         if n > q2:
             violations.append(
                 {"coeffs": [field.to_hex(x) for x in (a, b, c, d)], "count": n}
@@ -284,21 +287,17 @@ def cmd_system_count(cfg, field):
         "case_buckets": buckets,
         "max_solution_count": max_count,
         "bound_q_squared": q2,
-        "weight_cross_check": agree,
+        "weight_cross_check": True,  # a disagreement raised above
         "violations": violations,
     }
-    return payload, not violations and agree
+    return payload, not violations
 
 
 def cmd_verify_dual(cfg, field):
     payload = {}
-    try:
-        scene = dual_mod.build_scene(field)
-        primal = dual_mod.primal_from_scene(scene)
-        dual_sub = dual_mod.dual_from_scene(scene)
-    except QscatError as exc:
-        payload["error"] = str(exc)
-        return payload, False
+    scene = dual_mod.build_scene(field)
+    primal = dual_mod.primal_from_scene(scene)
+    dual_sub = dual_mod.dual_from_scene(scene)
     verdict = dual_mod.verify_dual_equivalence(field)
     payload["primal_closed_form"] = rows_to_text(field, 4, primal.basis)
     payload["dual_closed_form"] = rows_to_text(field, 4, dual_sub.basis)

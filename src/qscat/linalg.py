@@ -147,26 +147,6 @@ def fqm_span_dim(field, vectors):
     return row_reduce(field, vectors)[0]
 
 
-def null_space(field, rows, r):
-    """Basis of {y : sum_j rows[i][j] * y_j = 0 for all i} in field^r."""
-    rows = [row for row in rows if any(row)]
-    if not rows:
-        return [tuple(1 if j == f else 0 for j in range(r)) for f in range(r)]
-    _, rref, _ = row_reduce(field, rows)
-    pivots = [next(j for j, x in enumerate(row) if x) for row in rref]
-    pivset = set(pivots)
-    out = []
-    for f in range(r):
-        if f in pivset:
-            continue
-        y = [0] * r
-        y[f] = 1
-        for i, p in enumerate(pivots):
-            y[p] = rref[i][f]
-        out.append(tuple(y))
-    return out
-
-
 def left_kernel_fq(field, rows):
     """F_q-kernel combos: coefficient tuples c with sum c_i rows[i] = 0.
 

@@ -522,6 +522,33 @@ def test_internal_error_exit_3(exc, capsys, monkeypatch):
     )
 
 
+def test_verify_dual_closed_form_mismatch_exit_3(capsys, monkeypatch):
+    """A scene that disagrees with a closed form is a failed cross-check:
+    exit 3 and no certificate, not a refutation without a witness."""
+    from qscat import dual
+
+    monkeypatch.setattr(dual, "primal_closed_form", dual.dual_closed_form_1)
+    code = cli.main(["verify-dual"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "ClosedFormMismatch" in captured.err.splitlines()[-1]
+
+
+def test_system_count_weight_disagreement_exit_3(capsys, monkeypatch):
+    """A solution count that differs from q^weight(U, W) is exit 3, and
+    the message names the tuple's coefficients."""
+    from qscat import scatter
+
+    monkeypatch.setattr(scatter, "count_solutions", lambda sysm: 0)
+    code = cli.main(["system-count", "--count", "5"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    last = captured.err.splitlines()[-1]
+    assert "InvariantViolation" in last and "at coefficients" in last
+
+
 REFERENCE_RUNS = {
     "code_profile_q2": ["code-profile"],
     "verify_scattered_q2": ["verify-scattered", "--order", "2", "--oracle", "exhaustive"],

@@ -13,7 +13,8 @@ from qscat.dual import (
     verify_dual_equivalence,
     w_vector,
 )
-from qscat.linalg import MatrixFqm, apply_gl, fqm_span_dim, weight
+from qscat.errors import InvariantViolation
+from qscat.linalg import MatrixFqm, apply_gl, fq_rank, fqm_span_dim, vec_scale, weight
 from qscat.rng import XorShift64Star
 from qscat.scatter import is_h_scattered_fast
 
@@ -69,11 +70,22 @@ def test_beta_restriction_and_nondegeneracy(F):
 
 
 def test_join_dimension(F):
-    from qscat.dual import _join_with_fqm
-
+    """<W, Gamma>_{F_q} is a direct sum: dim_q 8 + 24."""
     scene = build_scene(F)
-    join = _join_with_fqm(scene, scene.Gamma)
-    assert join.dim_q == scene.W.dim_q + 6 * 4
+    gamma_q = [vec_scale(F, 1 << j, row) for row in scene.Gamma.rows for j in range(6)]
+    assert fq_rank(F, list(scene.W.basis) + gamma_q) == 32
+
+
+def test_wrong_gamma_perp_closed_form_is_caught(F, F8, monkeypatch):
+    """A closed form that is 4-dimensional but not beta-orthogonal to
+    Gamma (Gamma-perp with e_0 for its first row) is an invariant failure."""
+    from qscat import dual
+
+    wrong = ((1, 0, 0, 0, 0, 0, 0, 0),) + dual._GAMMA_PERP_ROWS[1:]
+    monkeypatch.setattr(dual, "_GAMMA_PERP_ROWS", wrong)
+    for field in (F, F8):
+        with pytest.raises(InvariantViolation, match="Gamma-perp"):
+            build_scene(field)
 
 
 def test_primal_from_scene(F, U1):
@@ -107,11 +119,21 @@ def test_dual_equivalence_verdict(F):
     assert apply_gl(perm, dual) == rearranged_dual(F)
 
 
-def test_dual_equivalence_identity_fails(F):
+def test_dual_equivalence_identity_fails(F, F8):
     ident = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-    v = verify_dual_equivalence(F, ident)
-    assert not v.ok and v.witness["kind"] == "basis_image_mismatch"
-    assert v.checked_count == 0
+    for field in (F, F8):
+        v = verify_dual_equivalence(field, ident)
+        assert not v.ok and v.witness["kind"] == "basis_image_mismatch"
+        assert v.checked_count == 0 and v.details == {}
+
+
+def test_dual_equivalence_zero_matrix_fails(F, F8):
+    """Every basis image of the zero matrix is the rearranged vector at
+    z = t = 0, but the images span nothing."""
+    for field in (F, F8):
+        v = verify_dual_equivalence(field, ((0, 0, 0, 0),) * 4)
+        assert not v.ok and v.checked_count == 8 and v.details == {}
+        assert v.witness == {"kind": "image_not_full", "image_dim_q": 0}
 
 
 def test_scene_and_equivalence_q8(F8):

@@ -8,7 +8,9 @@ and the planted q = 2 verdicts were written by the one-sample-at-a-time
 sampled loops that the batched ones replaced; `saturating --rho 1` by
 the point-id kernels that built [P, 64, 4] coordinate arrays before the
 XOR-packed ones; closed_forms.json by the constructions that listed each
-system's two T-families by hand.
+system's two T-families by hand; verify_dual_h3 and equivalence_h3 by the
+dual scene that intersected F_q-spans, solved for Gamma-perp by
+elimination and rebuilt A.U_1 to compare it.
 """
 
 import json
@@ -39,6 +41,8 @@ CASES = {
     "field_selftest": (["field-selftest"], False, 0),
     "verify_dual": (["verify-dual"], False, 0),
     "equivalence": (["equivalence"], False, 0),
+    "verify_dual_h3": (["verify-dual", "--h", "3"], False, 0),
+    "equivalence_h3": (["equivalence", "--h", "3"], False, 0),
     "system_count": (["system-count", "--count", "500", "--seed", "7"], False, 0),
     "spectrum_codim3": (["spectrum", "--codim", "3"], True, 0),
     "spectrum_codim1_fixed": (["spectrum", "--codim", "1", "--fixed-only"], True, 0),

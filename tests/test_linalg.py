@@ -18,7 +18,6 @@ from qscat.linalg import (
     intersect_fq,
     left_kernel_fq,
     moore_matrix,
-    null_space,
     row_reduce,
     rows_from_text,
     rows_to_text,
@@ -263,16 +262,10 @@ def test_intersect_fq(F, U1):
             assert FqSubspace.span(F, 4, W.basis + inter.basis) == W
 
 
-def test_null_space_and_left_kernel(F):
+def test_left_kernel_fq(F):
     rng = XorShift64Star(19)
     for _ in range(20):
         rows = [[F.random_element(rng) for _ in range(4)] for _ in range(2)]
-        for y in null_space(F, rows, 4):
-            for row in rows:
-                acc = 0
-                for a, b in zip(row, y):
-                    acc ^= F.mul(a, b)
-                assert acc == 0
         combos = left_kernel_fq(F, rows + rows)  # duplicated rows force kernel
         assert combos
         for c in combos:
