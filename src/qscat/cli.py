@@ -21,7 +21,8 @@ import sys
 import time
 
 from . import __version__
-from .errors import ConfigError, InvariantViolation, QscatError, WorkLimitExceeded
+from .errors import ClosedFormMismatch, ConfigError, InvariantViolation, QscatError
+from .errors import WorkLimitExceeded
 from .field import DEFAULT_MODULI, BinaryField, from_nibble_hex, poly_is_irreducible
 from .linalg import apply_gl, rows_to_text, weight
 from .rng import XorShift64Star
@@ -336,17 +337,17 @@ def cmd_saturating(cfg, field):
 def cmd_equivalence(cfg, field):
     U1 = scatter.build_Us(field, 1)
     U5p = scatter.build_U5prime(field)
-    M = scatter.sec2_equivalence_matrix(field)
-    image = apply_gl(M, U5p)
-    sec2_ok = image == U1
+    if apply_gl(scatter.sec2_equivalence_matrix(field), U5p) != U1:
+        # a constant of the paper: a broken cross-check, not a refutation
+        raise ClosedFormMismatch("the Section 2 matrix does not map U'_5 onto U_1")
     dual_verdict = dual_mod.verify_dual_equivalence(field)
     payload = {
         "sec2_matrix": rows_to_text(field, 4, scatter.SEC2_EQUIV_MATRIX),
-        "sec2_maps_U5prime_to_U1": sec2_ok,
+        "sec2_maps_U5prime_to_U1": True,
         "U5prime_differs_from_U1": U5p != U1,
         "dual_equivalence": dual_verdict.to_json(),
     }
-    return payload, sec2_ok and dual_verdict.ok
+    return payload, dual_verdict.ok
 
 
 _HANDLERS = {

@@ -18,7 +18,6 @@ from .linalg import (
     MatrixFqm,
     fqm_span_dim,
     moore_matrix,
-    unflatten_vector,
     weight,
 )
 from .scatter import Verdict, trace_pair_span, trace_pairs, us_vector
@@ -114,14 +113,8 @@ def _meet_front(scene, S):
     field = scene.field
     shift = 4 * field.e
     rows = scene.W.f2rows() + S.f2rows()
-    gens = []
-    for mask in gf2.left_kernel_combos([r >> shift for r in rows], shift):
-        flat = 0
-        for i, r in enumerate(rows):
-            if mask >> i & 1:
-                flat ^= r
-        gens.append(unflatten_vector(field, 4, flat))
-    return FqSubspace.span(field, 4, gens)
+    masks = gf2.left_kernel_combos([r >> shift for r in rows], shift)
+    return FqSubspace(field, 4, [gf2.apply_cols(rows, m) for m in masks])
 
 
 def primal_closed_form(field):

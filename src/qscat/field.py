@@ -12,6 +12,10 @@ Scalar callers call its methods on raw ints; numpy batches call its
 builds the GF(2^18) exp table by doubling (exp[n:2n] = g^n * exp[0:n]).
 numpy loads on first use, so the q = 2 set-up (GF(64), U_s) never
 imports it.
+
+`elem_bits` writes z over the F_2-basis {s_i x^j}, s_i in `fq_basis`, so
+bits j*h .. j*h + h - 1 are its F_q-coordinate j over {1, x, ..., x^5};
+`bits_elem` inverts it (both the identity at h = 1).
 """
 
 from array import array
@@ -272,6 +276,7 @@ class BinaryField:
         self._bits_identity = bcols == [1 << t for t in range(e)]
         elems = _span_elements(self.fq_basis)
         self._fq_of_mask = tuple(elems)  # bit i of the index selects fq_basis[i]
+        self.one_bits = elems.index(1)  # 1 written over fq_basis
         self.fq_elements = tuple(sorted(elems))
 
     # -- arithmetic ------------------------------------------------------
@@ -385,16 +390,17 @@ class BinaryField:
             return z
         return gf2.apply_cols(self._coord_cols, z)
 
+    def bits_elem(self, bits):
+        """The element whose coordinate vector over {s_i x^j} is `bits`:
+        the inverse of elem_bits."""
+        if self._bits_identity:
+            return bits
+        return gf2.apply_cols(self.f2_basis, bits)
+
     def fq_coords(self, z):
         """The 6 F_q-coordinates of z over the basis {1, x, ..., x^5}."""
         bits, h, mask = self.elem_bits(z), self.h, self.q - 1
         return tuple(self._fq_of_mask[(bits >> (j * h)) & mask] for j in range(6))
-
-    def fq_assemble(self, coords):
-        z = 0
-        for j, c in enumerate(coords):
-            z ^= self.mul(c, 1 << j)
-        return z
 
     # -- wire format -----------------------------------------------------
 

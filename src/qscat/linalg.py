@@ -1,10 +1,11 @@
 """Linear algebra over F_{q^m} and the two subspace types.
 
-Vectors are tuples of ints over a BinaryField.  An FqmSubspace is kept in
-reduced row echelon form over F_{q^m} (unique canonical form); an
-FqSubspace is kept as the F_q-RREF of its flattened coordinate matrix,
-with the F_q-coordinates of ambient coordinate k occupying positions
-6k..6k+5 (the polynomial basis 1, x, ..., x^5 of F_{q^6} over F_q).
+Vectors are tuples of ints over a BinaryField.  A vector flattens to one
+int, coordinate k written by `field.elem_bits` at bits k*e .. k*e + e - 1,
+so F_q-coordinate j of coordinate k is the h bits from k*e + j*h.  An
+FqmSubspace is kept in reduced row echelon form over F_{q^m} (unique
+canonical form); an FqSubspace is kept as the GF(2) RREF of its flattened
+vectors, and its canonical F_q-RREF basis is read off that RREF.
 
 `row_reduce` is the one scalar F_{q^m} elimination: ranks, kernels and
 inverses are read off it, as flattened GF(2) work is off gf2.rref_bits.
@@ -45,32 +46,33 @@ def vec_scale(field, c, v):
 
 def flatten_vector(field, v):
     """Pack a vector into one int of r*e GF(2) coordinates: coordinate k
-    in its own polynomial bits, at bits k*e .. k*e + e - 1."""
-    e = field.e
+    as field.elem_bits, at bits k*e .. k*e + e - 1."""
+    e, elem_bits = field.e, field.elem_bits
     out = 0
     for k, z in enumerate(v):
-        out |= z << (k * e)
+        out |= elem_bits(z) << (k * e)
     return out
 
 
 def unflatten_vector(field, r, flat):
-    e = field.e
+    e, bits_elem = field.e, field.bits_elem
     mask = (1 << e) - 1
-    return tuple((flat >> (k * e)) & mask for k in range(r))
+    return tuple(bits_elem((flat >> (k * e)) & mask) for k in range(r))
 
 
-def _fq_span_rows(field, vectors):
-    """Flattened s * v over the F_2-basis s of F_q: they span <vectors>_{F_q}."""
-    return [
+def _span_rows(field, vectors, scalars):
+    """Flattened s * v over the scalars s and the vectors v: with the
+    F_2-basis of F_q (or of F_{q^m}) they span the F_q- (or F_{q^m}-)span."""
+    return tuple(
         flatten_vector(field, vec_scale(field, s, v))
         for v in vectors
-        for s in field.fq_basis
-    ]
+        for s in scalars
+    )
 
 
 def fq_rank(field, vectors):
     """dim_q of the F_q-span of the vectors, read off its F_2-rank."""
-    r2 = gf2.rank_bits(_fq_span_rows(field, vectors))
+    r2 = gf2.rank_bits(_span_rows(field, vectors, field.fq_basis))
     if r2 % field.h:
         raise InvariantViolation(
             "F_2-rank %d of an F_q-span is not a multiple of h = %d" % (r2, field.h)
@@ -226,14 +228,13 @@ def moore_matrix(field, ts):
 class FqmSubspace:
     """F_{q^m}-subspace of F_{q^m}^r in reduced row echelon form."""
 
-    __slots__ = ("field", "r", "rows", "pivots", "_f2rows")
+    __slots__ = ("field", "r", "rows", "pivots")
 
     def __init__(self, field, r, rows, pivots):
         self.field = field
         self.r = r
         self.rows = tuple(tuple(v) for v in rows)
         self.pivots = tuple(pivots)
-        self._f2rows = None
 
     @classmethod
     def span(cls, field, r, gens):
@@ -251,17 +252,10 @@ class FqmSubspace:
         return len(self.rows)
 
     def f2rows(self):
-        """Canonical GF(2) row basis of the subspace seen over F_2."""
-        if self._f2rows is None:
-            field = self.field
-            rows = [
-                flatten_vector(field, vec_scale(field, b, v))
-                for v in self.rows
-                for b in field.f2_basis
-            ]
-            _, rref, _ = gf2.rref_bits(rows, self.r * field.e)
-            self._f2rows = tuple(rref)
-        return self._f2rows
+        """An F_2-basis of the subspace, flattened and not reduced: b * v
+        over the F_2-basis b of F_{q^m} and the rows v, independent
+        because the rows are independent over F_{q^m}."""
+        return _span_rows(self.field, self.rows, self.field.f2_basis)
 
     def frob_image(self, i=1):
         field = self.field
@@ -284,38 +278,34 @@ class FqmSubspace:
 
 
 class FqSubspace:
-    """F_q-subspace of F_{q^m}^r with a canonical F_q-RREF basis."""
+    """F_q-subspace of F_{q^m}^r, kept as the GF(2) RREF of its flattened
+    vectors, with the canonical F_q-RREF basis read off it."""
 
     __slots__ = ("field", "r", "basis", "_f2rows")
 
-    def __init__(self, field, r, basis):
+    def __init__(self, field, r, flats):
+        """`flats`: flattened vectors whose F_2-span is the subspace."""
+        _, rows, _ = gf2.rref_bits(flats, r * field.e)
+        h, one = field.h, field.one_bits
+        if len(rows) % h:
+            raise InvariantViolation(
+                "F_2-rank %d of an F_q-subspace is not a multiple of h" % len(rows)
+            )
+        # the pivots fill whole F_q-coordinates, h rows each; row i of a block
+        # is s_i times the F_q-RREF row, and 1 = sum of s_i over one_bits
         self.field = field
         self.r = r
-        self.basis = tuple(tuple(v) for v in basis)
-        self._f2rows = None
+        self._f2rows = tuple(rows)
+        self.basis = tuple(
+            unflatten_vector(field, r, gf2.apply_cols(rows[t : t + h], one))
+            for t in range(0, len(rows), h)
+        )
 
     @classmethod
     def span(cls, field, r, gens):
-        gens = [g for g in gens if any(g)]
-        if any(len(g) != r for g in gens):
+        if any(len(g) != r for g in gens if any(g)):
             raise AmbientMismatch("generator length differs from ambient")
-        if not gens:
-            return cls(field, r, ())
-        coord_rows = []
-        for g in gens:
-            row = []
-            for z in g:
-                row.extend(field.fq_coords(z))
-            coord_rows.append(row)
-        rank, rref, _ = row_reduce(field, coord_rows)
-        basis = []
-        for row in rref:
-            basis.append(
-                tuple(
-                    field.fq_assemble(row[6 * k : 6 * k + 6]) for k in range(r)
-                )
-            )
-        return cls(field, r, basis)
+        return cls(field, r, _span_rows(field, gens, field.fq_basis))
 
     @property
     def dim_q(self):
@@ -331,11 +321,7 @@ class FqSubspace:
         return v
 
     def f2rows(self):
-        if self._f2rows is None:
-            field = self.field
-            rows = _fq_span_rows(field, self.basis)
-            _, rref, _ = gf2.rref_bits(rows, self.r * field.e)
-            self._f2rows = tuple(rref)
+        """The GF(2) RREF of the flattened subspace."""
         return self._f2rows
 
     def vectors(self):
@@ -372,11 +358,12 @@ def _check_ambient(U, H):
 
 
 def weight(U, H):
-    """dim_q(U ∩ H) via the kernel of the stacked flattened bases."""
+    """dim_q(U ∩ H) via the kernel of the stacked flattened bases: both
+    are F_2-independent, so one rank gives it."""
     _check_ambient(U, H)
     urows = U.f2rows()
     hrows = H.f2rows()
-    rank = gf2.rank_bits(list(urows) + list(hrows))
+    rank = gf2.rank_bits(urows + hrows)
     inter2 = len(urows) + len(hrows) - rank
     h = U.field.h
     if inter2 % h:
@@ -389,19 +376,10 @@ def weight(U, H):
 def intersect_fq(U, W):
     """U ∩ W as an FqSubspace (both arguments flattened over F_2)."""
     _check_ambient(U, W)
-    urows = list(U.f2rows())
-    wrows = list(W.f2rows())
-    ncols = U.r * U.field.e
-    combos = gf2.left_kernel_combos(urows + wrows, ncols)
-    gens = []
-    for mask in combos:
-        flat = 0
-        for i in range(len(urows)):
-            if (mask >> i) & 1:
-                flat ^= urows[i]
-        if flat:
-            gens.append(unflatten_vector(U.field, U.r, flat))
-    return FqSubspace.span(U.field, U.r, gens)
+    urows = U.f2rows()
+    cut = (1 << len(urows)) - 1
+    combos = gf2.left_kernel_combos(urows + W.f2rows(), U.r * U.field.e)
+    return FqSubspace(U.field, U.r, [gf2.apply_cols(urows, m & cut) for m in combos])
 
 
 def apply_gl(A, U):

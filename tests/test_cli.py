@@ -535,6 +535,20 @@ def test_verify_dual_closed_form_mismatch_exit_3(capsys, monkeypatch):
     assert "ClosedFormMismatch" in captured.err.splitlines()[-1]
 
 
+def test_equivalence_sec2_mismatch_exit_3(capsys, monkeypatch):
+    """The Section 2 matrix is a constant of the paper: one that does not
+    map U'_5 onto U_1 is a failed cross-check, exit 3 and no certificate."""
+    from qscat import scatter
+
+    identity = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
+    monkeypatch.setattr(scatter, "SEC2_EQUIV_MATRIX", identity)
+    code = cli.main(["equivalence"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "ClosedFormMismatch" in captured.err.splitlines()[-1]
+
+
 def test_system_count_weight_disagreement_exit_3(capsys, monkeypatch):
     """A solution count that differs from q^weight(U, W) is exit 3, and
     the message names the tuple's coefficients."""

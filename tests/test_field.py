@@ -269,11 +269,16 @@ def test_subfield_membership(F):
 
 
 def test_fq_coords_roundtrip(F, F8):
+    """bits_elem inverts elem_bits, and z = sum_j fq_coords(z)[j] x^j."""
     rng = XorShift64Star(8)
     for fld in (F, F8):
         for _ in range(300):
             z = fld.random_element(rng)
-            assert fld.fq_assemble(fld.fq_coords(z)) == z
+            assert fld.bits_elem(fld.elem_bits(z)) == z
+            again = 0
+            for j, c in enumerate(fld.fq_coords(z)):
+                again ^= fld.mul(c, 1 << j)
+            assert again == z
         for c in fld.fq_coords(fld.random_element(rng)):
             assert fld.in_subfield(c, 1)
 

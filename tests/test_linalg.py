@@ -194,14 +194,26 @@ def test_rref_decode_rejects_indices_outside_the_enumeration():
     ]
 
 
-def test_flatten_packs_each_coordinate_in_its_own_bits(F8):
-    """Over GF(2^18) too, coordinate k is its own 18 polynomial bits."""
+def test_flatten_packs_each_coordinate_in_its_own_bits(F, F8):
+    """Coordinate k is its elem_bits at bits k*e .. k*e + e - 1: over
+    GF(2^18) the h bits from k*e + j*h are its F_q-coordinate j (over
+    fq_basis); over GF(64) they are plain polynomial bits."""
     rng = XorShift64Star(31)
+    moved = 0
     for _ in range(50):
         v = tuple(F8.random_element(rng) for _ in range(4))
         flat = flatten_vector(F8, v)
-        assert flat == sum(z << (F8.e * k) for k, z in enumerate(v))
+        assert flat == sum(F8.elem_bits(z) << (F8.e * k) for k, z in enumerate(v))
+        for k, z in enumerate(v):
+            for j, c in enumerate(F8.fq_coords(z)):
+                bits = flat >> (k * F8.e + j * F8.h) & (F8.q - 1)
+                assert gf2.apply_cols(F8.fq_basis, bits) == c
+        moved += flat != sum(z << (F8.e * k) for k, z in enumerate(v))
         assert unflatten_vector(F8, 4, flat) == v
+        w = tuple(F.random_element(rng) for _ in range(4))
+        assert flatten_vector(F, w) == sum(z << (F.e * k) for k, z in enumerate(w))
+        assert unflatten_vector(F, 4, flatten_vector(F, w)) == w
+    assert moved  # at h = 3 the layout is not the polynomial one
 
 
 def test_enumerate_fq_subspaces_small(F):
@@ -290,6 +302,54 @@ def test_fq_span_q2_is_the_f2_rref(F):
         assert U.basis == tuple(unflatten_vector(F, 4, f) for f in rref)
         flat_basis = [flatten_vector(F, v) for v in U.basis]
         assert U.f2rows() == tuple(gf2.rref_bits(flat_basis, 4 * F.e)[1])
+
+
+def _fq_rref_by_coords(field, r, gens):
+    """The F_q-RREF basis by F_{q^6} elimination: row_reduce of the
+    fq_coords rows over 6r columns, each F_q-row reassembled as
+    sum_j c_j x^j per coordinate."""
+    rows = [[c for z in g for c in field.fq_coords(z)] for g in gens]
+    _, rref, _ = row_reduce(field, rows)
+
+    def assemble(cs):
+        z = 0
+        for j, c in enumerate(cs):
+            z ^= field.mul(c, 1 << j)
+        return z
+
+    return tuple(
+        tuple(assemble(row[6 * k : 6 * k + 6]) for k in range(r)) for row in rref
+    )
+
+
+@pytest.mark.parametrize("h", [1, 3, 5])
+def test_fq_span_reads_the_fq_rref_off_the_gf2_rref(h):
+    """FqSubspace.span's basis equals the F_q-RREF found by elimination
+    over F_{q^6}, on seeded generator sets with a zero, a repeated and an
+    F_q-scaled generator spliced in, and on the empty set; and the
+    unreduced f2rows of an F_{q^6}-subspace are F_2-independent."""
+    F = default_field(h)
+    rng = XorShift64Star(500 + h)
+    cases = [[]]
+    for _ in range(12 if h < 5 else 4):
+        gens = [
+            tuple(F.random_element(rng) for _ in range(4))
+            for _ in range(1 + rng.randrange(6))
+        ]
+        c = F.fq_elements[1 + rng.randrange(F.q - 1)]
+        g = gens[rng.randrange(len(gens))]
+        gens.insert(rng.randrange(len(gens) + 1), (0, 0, 0, 0))
+        gens.insert(rng.randrange(len(gens) + 1), g)
+        gens.insert(rng.randrange(len(gens) + 1), tuple(F.mul(c, z) for z in g))
+        cases.append(gens)
+    # sparse generators: pivots that do not sit in coordinate 0
+    cases.append([(0, 0, 1, 0), (0, 0, 2, 0), (0, 3, 0, 5), (0, 0, 0, 0)])
+    for gens in cases:
+        U = FqSubspace.span(F, 4, gens)
+        assert U.basis == _fq_rref_by_coords(F, 4, gens)
+        H = FqmSubspace.span(F, 4, gens)
+        rows = H.f2rows()
+        assert gf2.rank_bits(rows) == len(rows) == H.dim * F.e
 
 
 def test_rows_text_roundtrip(F, U1):

@@ -77,9 +77,14 @@ def test_every_library_function_is_reached_from_src():
     assert uncalled == set(_UNCALLED_IN_SRC)
 
 
+_FIELD_TABLES = ("_exp", "_log", "_coord_cols", "_bits_identity", "_fq_of_mask")
+
+
 def test_only_field_reads_the_field_tables():
-    """BinaryField's exp/log tables are its own: no other module under
-    src/qscat reads an attribute named _exp or _log."""
+    """BinaryField's exp/log tables and its change-of-basis tables are its
+    own: no other module under src/qscat reads _exp, _log, _coord_cols,
+    _bits_identity or _fq_of_mask, so the change of basis stays behind
+    elem_bits, bits_elem and fq_coords."""
     found = []
     for path in sorted(SRC.glob("*.py")):
         if path.name == "field.py":
@@ -88,6 +93,6 @@ def test_only_field_reads_the_field_tables():
         found += [
             "%s:%d" % (path.name, node.lineno)
             for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and node.attr in ("_exp", "_log")
+            if isinstance(node, ast.Attribute) and node.attr in _FIELD_TABLES
         ]
     assert found == []
