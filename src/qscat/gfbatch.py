@@ -36,7 +36,10 @@ For the saturation scan, a point id's codec word is XOR-linear, so the
 ids of a line's or a plane's points are XORs of the words of 64 scalar
 multiples of each RREF row (line_point_ids, plane_point_ids); a plane
 is named by its dual point, which the 3x3 minors of any three of its
-spanning points give (laplace_minors, plane_normal).  The seeded
+spanning points give (laplace_minors, plane_normal).  Scaling by
+1 / lead is F_2-linear too, so a packed dual's id is a shift by its
+pivot plus the XOR of two lookups, one per 12-bit half, in one
+[64 << 12] table (packed_id_table, packed_point_ids).  The seeded
 sampled tests run in batches over any tower field, whose
 BinaryField.mul_array is their product, and take the same xorshift64*
 stream as a one-sample-at-a-time loop would, one block of draws per
@@ -202,6 +205,24 @@ def normalize_points(tables, vecs):
     scale = tables.inv[lead]
     out = tables.mul(vecs, scale[:, None])
     return out, point_ids(out)
+
+
+def packed_id_table(tables):
+    """[64 << 12] int32: entry (lead << 12) | u is the codec word of the
+    point (0, 0, u & 63, u >> 6) scaled by 1 / lead, and that word << 12
+    the one of (u & 63, u >> 6, 0, 0); both are F_2-linear in u."""
+    units = flats_to_coords(np.int64(1) << np.arange(12), 2)
+    scaled = tables.mul(tables.inv[:, None, None], units)  # [64, 12, 2]
+    return subset_sums(coords_to_flats(scaled[..., ::-1]).astype(np.int32)).ravel()
+
+
+def packed_point_ids(id_table, w):
+    """normalize_points' ids of nonzero packed vectors w: the pivot is the
+    lowest nonzero 6-bit field, the lead its value (packed_id_table)."""
+    piv = np.bitwise_count((w & -w) - 1) // 6
+    lead = ((w >> (6 * piv)) & 63) << 12
+    words = (id_table[lead | (w & 0xFFF)] << 12) ^ id_table[lead | (w >> 12)]
+    return _ID_SHIFT[piv] + words
 
 
 # 2^14 positions keep each chunk's weight array (and the codeword scan's

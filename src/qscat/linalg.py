@@ -49,6 +49,10 @@ def flatten_vector(field, v):
     as field.elem_bits, at bits k*e .. k*e + e - 1."""
     e, elem_bits = field.e, field.elem_bits
     out = 0
+    if field.h == 1:  # elem_bits is the identity
+        for k, z in enumerate(v):
+            out |= z << (k * e)
+        return out
     for k, z in enumerate(v):
         out |= elem_bits(z) << (k * e)
     return out

@@ -3,19 +3,23 @@
 The one module that needs r = 4: L(U) is a point set of PG(3, 64), and
 linear_set_points rejects any other ambient F_64^r with a ConfigError.
 Points carry dense ids (pivot-block offset plus base-q^m digits).  The
-saturation scan walks every (rho+1)-subset of S, enumerated in numpy
-blocks by first index.  For rho = 2 a triple's four 3x3 minors decide
-it: they vanish iff the triple is collinear, and otherwise they are the
-dual point of the plane it spans.  Only the subsets the minors leave
-undecided (collinear triples, and every subset when rho != 2) are
-canonicalized by RREF; their points and lines are marked during the
-scan, once per distinct RREF in each batch.  Planes are deduplicated by
-their dual point id and marked afterwards in dual-id order, a chunk at a
-time, stopping as soon as every point is covered.  A failing instance
-marks every plane, and the first unmarked id is the witness.
+saturation scan walks every (rho+1)-subset of S, in numpy blocks by
+first index.  For rho = 2 the 3x3 minors of a triple (x, y, z), the
+dual of its plane, vanish iff it is collinear; they are F_64-linear in
+the Plücker coordinates of (y, z), packed once per pair into a 36-bit
+word p, so three 4,096-entry tables of x give the packed dual as
+T0[p & 0xfff] ^ T1[(p >> 12) & 0xfff] ^ T2[p >> 24], and two lookups
+its id (gfbatch.packed_point_ids).  Collinear triples, and every subset
+when rho != 2, are canonicalized by RREF in batches; their points and
+lines are marked during the scan, once per distinct RREF in a batch.
+Planes are deduplicated by their dual point id and marked afterwards in
+dual-id order, a chunk at a time, stopping as soon as every point is
+covered.  A failing instance marks every plane, and the first unmarked
+id is the witness.
 """
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Optional
 
 import numpy as np
@@ -151,75 +155,106 @@ def _small_span_keys(rref):
     return key
 
 
-def _saturation_worker(args, start, stride):
-    """Discovery pass: classify subset spans, flag planes by dual id.
+def _mark_spans(tables, mats, found):
+    """Row-reduce the spans mats [B, s, 4] into `found` (plane ids, covered
+    points and lines, small-span keys, full span); return the ranks."""
+    rank, rref, _ = gfbatch.rref_small_batch(tables, mats)
+    found["full_span"] |= bool((rank == 4).any())
+    r3 = rref[rank == 3]
+    if len(r3):
+        rows3 = list(r3[:, :3].transpose(1, 0, 2))
+        w = gfbatch.plane_normal(gfbatch.laplace_minors(tables.mul, rows3))
+        found["planes"][gfbatch.normalize_points(tables, w)[1]] = True
+    small = np.flatnonzero(rank <= 2)
+    if len(small):
+        # one representative per distinct span in this batch; spans
+        # repeated across batches are stamped again, which is harmless
+        keys, first = np.unique(_small_span_keys(rref[small]), return_index=True)
+        found["small_keys"].append(keys)
+        reps = small[first]
+        points = reps[rank[reps] == 1]
+        found["covered"][gfbatch.point_ids(rref[points, 0])] = True
+        lines = reps[rank[reps] == 2]
+        if len(lines):
+            ids = gfbatch.line_point_ids(tables, rref[lines, :2])
+            found["covered"][ids.ravel()] = True
+    return rank
 
-    For rho = 2 the Plücker coordinates of every pair (y, z) are built
-    once, and each block of triples (x, y, z) with first point x takes
-    them by slice; only triples whose minors vanish reach the RREF.
+
+_PAIR_MINORS = list(combinations(range(4), 2))  # minor k at bits 6k of a pair word
+_COLLINEAR_BATCH = 2048  # collinear triples per rref_small_batch call
+
+
+def _pair_slices(tables, ys, zs):
+    """[3, P] 12-bit slices of the 36-bit Plücker words of the pairs (y, z)."""
+    pluck = gfbatch.laplace_minors(tables.mul, [ys, zs])
+    words = gfbatch.coords_to_flats(np.stack([pluck[T] for T in _PAIR_MINORS], -1))
+    return (words >> np.array([[0], [12], [24]])) & 0xFFF
+
+
+def _dual_images(tables, firsts):
+    """[F, 3, 12] int32: the packed plane dual w(x; e_j) of each first
+    point x over the unit bit e_j of each slice of a pair word."""
+    units = gfbatch.flats_to_coords(np.int64(1) << np.arange(36), 6)
+    below = dict(zip(_PAIR_MINORS, units.T))
+    minors = gfbatch.laplace_minors(tables.mul, [firsts[:, None, :]], below)
+    duals = gfbatch.coords_to_flats(gfbatch.plane_normal(minors))
+    return duals.astype(np.int32).reshape(-1, 3, 12)
+
+
+def _subsets(i, tails):
+    """[B, s] indices of the subsets i followed by each of tails [B, s - 1]."""
+    return np.column_stack([np.full(len(tails), i), tails])
+
+
+def _flag_planes(tables, coords, tails, blocks, found):
+    """Flag the planes of the triples in `blocks` by dual id (see the
+    module docstring); return the collinear ones, [K, 3] indices."""
+    slices = _pair_slices(tables, coords[tails[:, 0]], coords[tails[:, 1]])
+    images = _dual_images(tables, coords)
+    id_table = gfbatch.packed_id_table(tables)
+    collinear = [np.empty((0, 3), dtype=np.int64)]
+    for i, lo, hi in blocks:
+        found["checked"] += hi - lo
+        t = gfbatch.subset_sums(images[i])
+        w = t[0][slices[0, lo:hi]] ^ t[1][slices[1, lo:hi]] ^ t[2][slices[2, lo:hi]]
+        on_plane = w != 0
+        found["planes"][gfbatch.packed_point_ids(id_table, w[on_plane])] = True
+        collinear.append(_subsets(i, tails[lo + np.flatnonzero(~on_plane)]))
+    return np.concatenate(collinear)
+
+
+def _saturation_worker(args, start, stride):
+    """Discovery pass: flag planes by dual id, mark the small spans.
+
+    For rho = 2, _flag_planes reads each triple's plane off table
+    lookups, and only the collinear triples are row-reduced, in batches
+    of _COLLINEAR_BATCH.  For rho != 2 every subset is row-reduced, one
+    block of first index at a time.
     """
     field, coords_list, rho = args
     tables = gfbatch.Gf64Tables(field)
     coords = np.array(coords_list, dtype=np.int16).reshape(-1, 4)
     n = len(coords)
-    s = rho + 1
-    tails = _lex_subsets(n, s - 1)
-    if s == 3:
-        pairs = [coords[tails[:, 0]], coords[tails[:, 1]]]
-        pluck = gfbatch.laplace_minors(tables.mul, pairs)
-    covered = np.zeros(gfbatch.POINT_COUNT, dtype=bool)
-    plane_bitmap = np.zeros(gfbatch.POINT_COUNT, dtype=bool)
-    small_keys = [np.empty(0, dtype=np.int64)]
-    full_span_seen = False
-    checked = 0
-    for i, lo, hi in _subset_blocks(tails, n, start, stride):
-        checked += hi - lo
-        rows = np.arange(lo, hi)
-        if s == 3:
-            below = {pair: p[lo:hi] for pair, p in pluck.items()}
-            minors = gfbatch.laplace_minors(tables.mul, [coords[i]], below)
-            w = gfbatch.plane_normal(minors)
-            spans_plane = w.any(axis=1)
-            _, dual_ids = gfbatch.normalize_points(tables, w[spans_plane])
-            plane_bitmap[dual_ids] = True
-            rows = rows[~spans_plane]
-            if not len(rows):
-                continue
-        mats = np.empty((len(rows), s, 4), dtype=np.int16)
-        mats[:, 0] = coords[i]
-        mats[:, 1:] = coords[tails[rows]]
-        rank, rref, _ = gfbatch.rref_small_batch(tables, mats)
-        if s == 3 and (rank == 3).any():
-            raise InvariantViolation("a triple of rank 3 has vanishing 3x3 minors")
-        if not full_span_seen and (rank == 4).any():
-            full_span_seen = True
-        r3 = rref[rank == 3]
-        if len(r3):
-            rows3 = list(r3[:, :3].transpose(1, 0, 2))
-            w = gfbatch.plane_normal(gfbatch.laplace_minors(tables.mul, rows3))
-            plane_bitmap[gfbatch.normalize_points(tables, w)[1]] = True
-        small = np.flatnonzero(rank <= 2)
-        if len(small):
-            # one representative per distinct span in this chunk; spans
-            # repeated across chunks are stamped again, which is harmless
-            keys, first = np.unique(
-                _small_span_keys(rref[small]), return_index=True
-            )
-            small_keys.append(keys)
-            reps = small[first]
-            points = reps[rank[reps] == 1]
-            covered[gfbatch.point_ids(rref[points, 0])] = True
-            lines = reps[rank[reps] == 2]
-            if len(lines):
-                ids = gfbatch.line_point_ids(tables, rref[lines, :2])
-                covered[ids.ravel()] = True
-    return {
-        "covered": covered,
-        "planes": plane_bitmap,
-        "checked": checked,
-        "small_keys": np.unique(np.concatenate(small_keys)),
-        "full_span": full_span_seen,
+    tails = _lex_subsets(n, rho)
+    blocks = _subset_blocks(tails, n, start, stride)
+    found = {
+        "covered": np.zeros(gfbatch.POINT_COUNT, dtype=bool),
+        "planes": np.zeros(gfbatch.POINT_COUNT, dtype=bool),
+        "checked": 0, "small_keys": [np.empty(0, dtype=np.int64)], "full_span": False,
     }
+    if rho == 2:
+        triples = _flag_planes(tables, coords, tails, blocks, found)
+        for c in range(0, len(triples), _COLLINEAR_BATCH):
+            rank = _mark_spans(tables, coords[triples[c : c + _COLLINEAR_BATCH]], found)
+            if (rank == 3).any():
+                raise InvariantViolation("a triple of rank 3 has vanishing 3x3 minors")
+    else:
+        for i, lo, hi in blocks:
+            found["checked"] += hi - lo
+            _mark_spans(tables, coords[_subsets(i, tails[lo:hi])], found)
+    found["small_keys"] = np.unique(np.concatenate(found["small_keys"]))
+    return found
 
 
 def is_rho_saturating(S, rho, workers=1, budget=DEFAULT_BUDGET):

@@ -241,6 +241,21 @@ def test_saturating_under_optimize_flag():
     )
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_saturating_u5_matches_the_u1_reference(capsys, workers):
+    """U_5 is GL-equivalent to U_1, so L(U_5) is 2-saturating with the
+    same counts: the result equals the stored U_1 reference's."""
+    code, cert = run_cli(capsys, "saturating", "--s", "5", "--rho", "2",
+                         "--workers", workers)
+    reference = json.loads(
+        (ROOT / "perfbench" / "reference" / "saturating_q2.json").read_text()
+    )
+    assert code == 0
+    assert json.dumps(cert["result"], sort_keys=True) == json.dumps(
+        reference["result"], sort_keys=True
+    )
+
+
 @pytest.mark.parametrize("args,code,golden", [
     (["--samples", "300", "--seed", "42"], 0, "verify_scattered_q8_sampled"),
     (["--order", "4", "--samples", "200", "--seed", "5"], 1, "sampled_h3_order4"),

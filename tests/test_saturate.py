@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from itertools import combinations
 from math import comb
 from pathlib import Path
@@ -12,15 +13,26 @@ from qscat.gfbatch import (
     POINT_COUNT,
     POINTS,
     Gf64Tables,
+    coords_to_flats,
     decode_rows,
+    laplace_minors,
     line_point_ids,
+    normalize_points,
+    plane_normal,
     plane_point_ids,
     point_ids,
     rref_small_batch,
 )
 from qscat.linalg import FqSubspace
 from qscat.rng import XorShift64Star
-from qscat.saturate import LinearSet, is_rho_saturating, linear_set_points
+from qscat.saturate import (
+    LinearSet,
+    _dual_images,
+    _pair_slices,
+    _saturation_worker,
+    is_rho_saturating,
+    linear_set_points,
+)
 from qscat.scatter import build_Us
 
 REFERENCE = (
@@ -300,3 +312,106 @@ def test_plane_rref_matches_rref_small_batch(F):
     rank, reference, _ = rref_small_batch(tables, basis)
     assert (rank == 3).all()
     assert np.array_equal(_plane_rref(tables, duals), reference)
+
+
+def _packed_mismatches(tables, xs, ys, zs, flip=None):
+    """Triples (x, y, z), x in xs and (y, z) in zip(ys, zs), whose packed
+    dual (the saturation scan's lookups) differs from the coords_to_flats
+    of plane_normal(laplace_minors(...)), or whose nonzero dual's id
+    differs from normalize_points'.  flip = (table, bit) plants a fault:
+    bit `bit` of the first triple's entry in the first x's T0 ("dual"), or
+    of the id-table entry that the first nonzero dual's low half reads
+    ("id").  Returns the count of
+    mismatches and the reference duals [X * P, 4]."""
+    slices = _pair_slices(tables, ys, zs)
+    id_table = gfbatch.packed_id_table(tables)
+    packed = []
+    for k, image in enumerate(_dual_images(tables, xs)):
+        t = gfbatch.subset_sums(image)
+        if flip is not None and flip[0] == "dual" and k == 0:
+            t[0, slices[0, 0]] ^= 1 << flip[1]
+        packed.append(t[0][slices[0]] ^ t[1][slices[1]] ^ t[2][slices[2]])
+    packed = np.concatenate(packed)
+    X, P = len(xs), len(ys)
+    rows = [np.repeat(xs, P, axis=0), np.tile(ys, (X, 1)), np.tile(zs, (X, 1))]
+    w = plane_normal(laplace_minors(tables.mul, rows))
+    if flip is not None and flip[0] == "id":
+        first = w[np.argmax(w.any(axis=1))]
+        lead = int(first[np.argmax(first != 0)])
+        id_table[(lead << 12) | int(coords_to_flats(first) & 0xFFF)] ^= 1 << flip[1]
+    bad = packed != coords_to_flats(w)
+    nonzero = np.flatnonzero(packed != 0)
+    ids = gfbatch.packed_point_ids(id_table, packed[nonzero])
+    bad[nonzero] |= ids != normalize_points(tables, w[nonzero])[1]
+    return int(bad.sum()), w
+
+
+def _sparse_points(rng, count):
+    """Random nonzero points of F_64^4, each coordinate zero with
+    probability 1/2, so their planes' duals meet every pivot."""
+    pts = rng.integers(1, 64, size=(count, 4)) * (rng.random((count, 4)) < 0.5)
+    pts[~pts.any(axis=1), 3] = 1
+    return pts.astype(np.int16)
+
+
+def _packed_kernel_inputs(F):
+    """(xs, ys, zs) of 40 x 600 seeded triples with planted zero duals:
+    pairs 0-99 are collinear with their x = xs[j % 40] (z = a x + b y),
+    pairs 100-149 repeat y, and pairs 150-199 take y = xs[j % 40]."""
+    tables = Gf64Tables(F)
+    rng = np.random.default_rng(30)
+    xs, ys, zs = _sparse_points(rng, 40), _sparse_points(rng, 600), _sparse_points(rng, 600)
+    a, b = (rng.integers(0, 64, size=(100, 1)).astype(np.int16) for _ in range(2))
+    zs[:100] = tables.mul(a, xs[np.arange(100) % 40]) ^ tables.mul(b, ys[:100])
+    zs[100:150] = ys[100:150]
+    ys[150:200] = xs[np.arange(150, 200) % 40]
+    return tables, xs, ys, zs
+
+
+def test_packed_duals_match_the_minors(F, U1):
+    """The packed dual of every triple, and the id of every nonzero one,
+    equal the minors path's, on seeded sparse triples (every pivot, every
+    lead, and collinear and repeated-point triples, whose dual is 0) and
+    on every triple of L(U_1) with one of six first points."""
+    tables, xs, ys, zs = _packed_kernel_inputs(F)
+    count, w = _packed_mismatches(tables, xs, ys, zs)
+    assert count == 0
+    w = w.reshape(40, 600, 4)
+    nonzero = w[w.any(axis=-1)]
+    piv = np.argmax(nonzero != 0, axis=1)
+    assert set(piv.tolist()) == {0, 1, 2, 3}
+    assert set(nonzero[np.arange(len(piv)), piv].tolist()) == set(range(1, 64))
+    own = np.arange(200) % 40, np.arange(200)  # each planted pair with its x
+    assert not w[own].any()
+    S = linear_set_points(U1)
+    pairs = np.array(list(combinations(range(len(S)), 2)))
+    ys, zs = S.coords[pairs[:, 0]], S.coords[pairs[:, 1]]
+    count, w = _packed_mismatches(tables, S.coords[:6], ys, zs)
+    assert count == 0
+    # the 254 pairs holding x repeat it, and each point of L(U) lies on
+    # 3 * 10,795 / 255 = 127 lines that meet L(U) in 3 points
+    assert (~w.any(axis=1)).sum() == 6 * (254 + 127)
+
+
+@pytest.mark.parametrize("flip", [("dual", 0), ("dual", 23), ("id", 0), ("id", 11)])
+def test_packed_duals_catch_a_flipped_table_bit(F, flip):
+    """A planted fault, one flipped bit of one lookup-table entry, makes
+    the comparison with the minors path fail."""
+    tables, xs, ys, zs = _packed_kernel_inputs(F)
+    assert _packed_mismatches(tables, xs, ys, zs, flip)[0] > 0
+
+
+def test_saturation_worker_peak_memory(F, U1):
+    """One discovery worker on L(U_1) at rho = 2 keeps its traced peak
+    under 8 MB: two id-indexed bitmaps, the packed pairs, the dual and id
+    tables, and the collinear triples row-reduced in batches."""
+    S = linear_set_points(U1)
+    args = (F, [tuple(int(c) for c in v) for v in S.coords], 2)
+    tracemalloc.start()
+    try:
+        found = _saturation_worker(args, 0, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(found["small_keys"]) == 10_795
+    assert peak < 8_000_000
