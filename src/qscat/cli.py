@@ -141,8 +141,8 @@ def resolve_config(ns):
         raise ConfigError("workers must be in 1..%d" % MAX_WORKERS)
     if cfg["s"] not in (1, 5):
         raise ConfigError("s must be 1 or 5")
-    if not 1 <= cfg["order"] < 8:
-        raise ConfigError("order must be in 1..7 (dim_q U_s = 8)")
+    if not 1 <= cfg["order"] < 4:
+        raise ConfigError("order must be in 1..3 (U_s lies in F_{q^6}^r, r = 4)")
     if not 0 <= cfg["codim"] <= 4:
         raise ConfigError("codim must be in 0..4")
     if cfg["rho"] < 0:

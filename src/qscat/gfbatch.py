@@ -32,18 +32,24 @@ in [B] arrays that every chunk reuses.  A vector of F_64^r packs into
 one int64 (coordinate k at bits 6k, coords_to_flats/flats_to_coords),
 so check_scan_shape admits r <= 10.
 
+One batched elimination per representation.  Matrices of field
+elements are triangularized in place by _forward_eliminate, inverse-free
+under any elementwise product: fqm_rank_batch counts its pivots, and
+rref_small_batch scales and back-substitutes them over GF(64).  Packed
+GF(64) rows are reduced by the span scan's _packed_rank.
+
 For the saturation scan, a point id's codec word is XOR-linear, so the
 ids of a line's or a plane's points are XORs of the words of 64 scalar
 multiples of each RREF row (line_point_ids, plane_point_ids); a plane
 is named by its dual point, which the 3x3 minors of any three of its
 spanning points give (laplace_minors, plane_normal).  Scaling by
-1 / lead is F_2-linear too, so a packed dual's id is a shift by its
-pivot plus the XOR of two lookups, one per 12-bit half, in one
-[64 << 12] table (packed_id_table, packed_point_ids).  The seeded
-sampled tests run in batches over any tower field, whose
-BinaryField.mul_array is their product, and take the same xorshift64*
-stream as a one-sample-at-a-time loop would, one block of draws per
-batch (`XorShift64Star.draws`).
+1 / lead is F_2-linear too, so one rule names the point of any nonzero
+packed vector of F_64^4: a shift by its pivot plus the XOR of two
+lookups, one per 12-bit half, in one [64 << 12] table (packed_id_table,
+packed_point_ids).  The seeded sampled tests run in batches over any
+tower field, whose BinaryField.mul_array is their product, and take the
+same xorshift64* stream as a one-sample-at-a-time loop would, one block
+of draws per batch (`XorShift64Star.draws`).
 """
 
 from functools import lru_cache
@@ -196,17 +202,6 @@ def point_ids(vecs):
     return _ID_SHIFT[piv] + coords_to_flats(vecs[..., ::-1])
 
 
-def normalize_points(tables, vecs):
-    """Scale rows so the first nonzero coordinate is 1; return (rows, ids)."""
-    vecs = np.asarray(vecs, dtype=np.int16)
-    piv = np.argmax(vecs != 0, axis=-1)
-    bidx = np.arange(len(vecs))
-    lead = vecs[bidx, piv]
-    scale = tables.inv[lead]
-    out = tables.mul(vecs, scale[:, None])
-    return out, point_ids(out)
-
-
 def packed_id_table(tables):
     """[64 << 12] int32: entry (lead << 12) | u is the codec word of the
     point (0, 0, u & 63, u >> 6) scaled by 1 / lead, and that word << 12
@@ -217,8 +212,10 @@ def packed_id_table(tables):
 
 
 def packed_point_ids(id_table, w):
-    """normalize_points' ids of nonzero packed vectors w: the pivot is the
-    lowest nonzero 6-bit field, the lead its value (packed_id_table)."""
+    """PG(3, 64) ids of nonzero packed vectors w of F_64^4, the one id rule
+    for a vector not yet scaled: point_ids of w scaled by 1 / lead.  The
+    pivot is the lowest nonzero 6-bit field, the lead its value, and
+    id_table is packed_id_table's."""
     piv = np.bitwise_count((w & -w) - 1) // 6
     lead = ((w >> (6 * piv)) & 63) << 12
     words = (id_table[lead | (w & 0xFFF)] << 12) ^ id_table[lead | (w >> 12)]
@@ -710,43 +707,58 @@ class CodewordScanner(DualCodimScanner):
         return self.weights_for_duals(decode_rows(enum, np.arange(lo, hi)))
 
 
+def _forward_eliminate(mul, work):
+    """Triangularize a [B, R, C] batch of field matrices in place; return
+    [B, R] pivot columns, -1 for a row that ends up zero.  mul is an
+    elementwise field product (Gf64Tables.mul or BinaryField.mul_array).
+
+    Row by row: row i's first nonzero entry a, in column p, is its pivot,
+    and each later row j becomes a * row_j + row_j[p] * row_i.  No
+    inverse is needed, and the later rows then vanish in column p.
+    """
+    B, R, _ = work.shape
+    bidx = np.arange(B)
+    pivots = np.empty((B, R), dtype=np.int64)
+    for i in range(R):
+        row = work[:, i]
+        nonzero = row != 0
+        live = nonzero.any(axis=1)
+        p = np.argmax(nonzero, axis=1)
+        pivots[:, i] = np.where(live, p, -1)
+        if i + 1 == R:
+            break
+        # a zero row leaves the later rows alone: 1 * row_j + 0
+        lead = np.where(live, row[bidx, p], 1)
+        rest = work[:, i + 1 :]
+        factors = rest[bidx, :, p]  # [B, R - i - 1]
+        work[:, i + 1 :] = mul(rest, lead[:, None, None]) ^ mul(
+            row[:, None, :], factors[:, :, None]
+        )
+    return pivots
+
+
 def rref_small_batch(tables, mats):
     """Full RREF of a batch of small GF(64) matrices.
 
-    mats: [B, s, 4] int16.  Returns (rank [B], rref [B, s, 4],
-    pivcols [B, s] with -1 padding).
+    mats: [B, s, 4].  Returns (rank [B], rref [B, s, 4] int16, zero rows
+    last): _forward_eliminate, then each pivot scaled to 1, each row's
+    pivot column cleared from the rows above it in increasing row order
+    (the rows below are already zero there, and row i is zero in the
+    pivot columns of the rows above it), and a stable sort of the rows
+    by pivot column.
     """
-    work = np.array(mats, dtype=np.int16, copy=True)
+    work = np.array(mats, dtype=np.int16)
     B, s, ncols = work.shape
-    rank = np.zeros(B, dtype=np.int64)
-    pivcols = np.full((B, s), -1, dtype=np.int64)
-    rowidx = np.arange(s)
-    bidx = np.arange(B)
-    for c in range(ncols):
-        col = work[:, :, c]
-        active = (col != 0) & (rowidx[None, :] >= rank[:, None])
-        anyact = active.any(axis=1)
-        piv = np.argmax(active, axis=1)
-        dest = np.where(anyact, rank, piv)
-        # swap rows piv <-> dest
-        prow = work[bidx, piv].copy()
-        drow = work[bidx, dest].copy()
-        work[bidx, dest] = prow
-        work[bidx, piv] = drow
-        # normalize the pivot row
-        lead = work[bidx, dest, c]
-        scale = np.where(anyact, tables.inv[lead], np.int16(1))
-        work[bidx, dest] = tables.mul(work[bidx, dest], scale[:, None])
-        # eliminate the pivot column from every other row
-        prow = work[bidx, dest]
-        factors = work[:, :, c].copy()
-        is_dest = rowidx[None, :] == dest[:, None]
-        factors = np.where(is_dest | ~anyact[:, None], np.int16(0), factors)
-        work ^= tables.mul(factors[:, :, None], prow[:, None, :])
-        slot = np.minimum(rank, s - 1)
-        pivcols[bidx, slot] = np.where(anyact, c, pivcols[bidx, slot])
-        rank += anyact
-    return rank, work, pivcols
+    pivots = _forward_eliminate(tables.mul, work)
+    live = pivots >= 0
+    cols = np.where(live, pivots, 0)
+    lead = np.take_along_axis(work, cols[:, :, None], axis=2)  # 0 on a zero row
+    work = tables.mul(work, tables.inv[lead])
+    for i in range(1, s):
+        factors = np.take_along_axis(work[:, :i], cols[:, i, None, None], axis=2)
+        work[:, :i] ^= tables.mul(factors, work[:, i, None])
+    order = np.argsort(np.where(live, pivots, ncols), axis=1, kind="stable")
+    return live.sum(axis=1), np.take_along_axis(work, order[:, :, None], axis=1)
 
 
 def laplace_minors(mul, rows, below=None):
@@ -778,8 +790,8 @@ def plane_normal(minors):
 
     From laplace_minors of three rows of F_64^4: w is zero iff the rows
     are dependent; otherwise w . v = 0 is the plane they span (v = a row
-    gives a determinant with a repeated row), so normalize_points(w) is
-    the plane's dual point.
+    gives a determinant with a repeated row), so packed_point_ids of
+    coords_to_flats(w) is the id of the plane's dual point.
     """
     return np.stack(
         [minors[tuple(k for k in range(4) if k != c)] for c in range(4)], axis=-1
@@ -829,33 +841,10 @@ SAMPLE_BATCH = 4096  # samples drawn and tested per numpy batch
 
 
 def fqm_rank_batch(mul, mats):
-    """F_{q^6}-rank of each matrix of a [B, R, C] batch; mul is the
-    field's elementwise product (BinaryField.mul_array).
-
-    Row by row: row i's first nonzero entry a, in column p, is its pivot,
-    and each later row j becomes a * row_j + row_j[p] * row_i.  No
-    inverse is needed, and the later rows then vanish in column p.
-    """
-    work = np.array(mats, dtype=np.int64)
-    B, R, _ = work.shape
-    rank = np.zeros(B, dtype=np.int64)
-    bidx = np.arange(B)
-    for i in range(R):
-        row = work[:, i]
-        nonzero = row != 0
-        live = nonzero.any(axis=1)
-        rank += live
-        if i + 1 == R:
-            break
-        p = np.argmax(nonzero, axis=1)
-        # a zero row leaves the later rows alone: 1 * row_j + 0
-        lead = np.where(live, row[bidx, p], 1)
-        rest = work[:, i + 1 :]
-        factors = rest[bidx, :, p]  # [B, R - i - 1]
-        work[:, i + 1 :] = mul(rest, lead[:, None, None]) ^ mul(
-            row[:, None, :], factors[:, :, None]
-        )
-    return rank
+    """F_{q^6}-rank of each matrix of a [B, R, C] batch, the count of
+    _forward_eliminate's pivots; mul is the field's elementwise product
+    (BinaryField.mul_array)."""
+    return (_forward_eliminate(mul, np.array(mats, dtype=np.int64)) >= 0).sum(axis=1)
 
 
 def _f2_image_rank(img, e):

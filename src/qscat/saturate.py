@@ -68,16 +68,10 @@ def linear_set_points(U, budget=DEFAULT_BUDGET):
         raise ConfigError(
             "linear-set points lie in PG(3, 64): need r = 4, got r = %d" % U.r
         )
-    tables = gfbatch.Gf64Tables(field)
+    id_table = gfbatch.packed_id_table(gfbatch.Gf64Tables(field))
     combo = gfbatch.subset_xor_table(U.basis)
-    vecs = gfbatch.flats_to_coords(combo[1:], 4)
-    norm, ids = gfbatch.normalize_points(tables, vecs)
-    order = np.argsort(ids, kind="stable")
-    ids = ids[order]
-    norm = norm[order]
-    keep = np.ones(len(ids), dtype=bool)
-    keep[1:] = ids[1:] != ids[:-1]
-    return LinearSet(field, ids[keep].copy(), norm[keep].copy())
+    ids = np.unique(gfbatch.packed_point_ids(id_table, combo[1:]))
+    return LinearSet(field, ids, gfbatch.decode_rows(gfbatch.POINTS, ids)[:, 0])
 
 
 def _lex_subsets(n, k):
@@ -155,16 +149,16 @@ def _small_span_keys(rref):
     return key
 
 
-def _mark_spans(tables, mats, found):
+def _mark_spans(tables, id_table, mats, found):
     """Row-reduce the spans mats [B, s, 4] into `found` (plane ids, covered
     points and lines, small-span keys, full span); return the ranks."""
-    rank, rref, _ = gfbatch.rref_small_batch(tables, mats)
+    rank, rref = gfbatch.rref_small_batch(tables, mats)
     found["full_span"] |= bool((rank == 4).any())
     r3 = rref[rank == 3]
     if len(r3):
-        rows3 = list(r3[:, :3].transpose(1, 0, 2))
-        w = gfbatch.plane_normal(gfbatch.laplace_minors(tables.mul, rows3))
-        found["planes"][gfbatch.normalize_points(tables, w)[1]] = True
+        minors = gfbatch.laplace_minors(tables.mul, list(r3[:, :3].transpose(1, 0, 2)))
+        w = gfbatch.coords_to_flats(gfbatch.plane_normal(minors))
+        found["planes"][gfbatch.packed_point_ids(id_table, w)] = True
     small = np.flatnonzero(rank <= 2)
     if len(small):
         # one representative per distinct span in this batch; spans
@@ -207,12 +201,11 @@ def _subsets(i, tails):
     return np.column_stack([np.full(len(tails), i), tails])
 
 
-def _flag_planes(tables, coords, tails, blocks, found):
+def _flag_planes(tables, id_table, coords, tails, blocks, found):
     """Flag the planes of the triples in `blocks` by dual id (see the
     module docstring); return the collinear ones, [K, 3] indices."""
     slices = _pair_slices(tables, coords[tails[:, 0]], coords[tails[:, 1]])
     images = _dual_images(tables, coords)
-    id_table = gfbatch.packed_id_table(tables)
     collinear = [np.empty((0, 3), dtype=np.int64)]
     for i, lo, hi in blocks:
         found["checked"] += hi - lo
@@ -234,6 +227,7 @@ def _saturation_worker(args, start, stride):
     """
     field, coords_list, rho = args
     tables = gfbatch.Gf64Tables(field)
+    id_table = gfbatch.packed_id_table(tables)
     coords = np.array(coords_list, dtype=np.int16).reshape(-1, 4)
     n = len(coords)
     tails = _lex_subsets(n, rho)
@@ -244,15 +238,16 @@ def _saturation_worker(args, start, stride):
         "checked": 0, "small_keys": [np.empty(0, dtype=np.int64)], "full_span": False,
     }
     if rho == 2:
-        triples = _flag_planes(tables, coords, tails, blocks, found)
+        triples = _flag_planes(tables, id_table, coords, tails, blocks, found)
         for c in range(0, len(triples), _COLLINEAR_BATCH):
-            rank = _mark_spans(tables, coords[triples[c : c + _COLLINEAR_BATCH]], found)
+            batch = coords[triples[c : c + _COLLINEAR_BATCH]]
+            rank = _mark_spans(tables, id_table, batch, found)
             if (rank == 3).any():
                 raise InvariantViolation("a triple of rank 3 has vanishing 3x3 minors")
     else:
         for i, lo, hi in blocks:
             found["checked"] += hi - lo
-            _mark_spans(tables, coords[_subsets(i, tails[lo:hi])], found)
+            _mark_spans(tables, id_table, coords[_subsets(i, tails[lo:hi])], found)
     found["small_keys"] = np.unique(np.concatenate(found["small_keys"]))
     return found
 

@@ -313,12 +313,15 @@ def is_h_scattered_fast(
 
     Requires that U spans the ambient over F_{q^6}; exhaustive mode is
     guarded by the work budget, then by gfbatch.check_scan_shape.  An
-    order outside 0..dim_q U - 1 leaves no subspace to test: a ConfigError.
+    order outside 0..dim_q U - 1 leaves no subspace to test, and one of r
+    or more none that could span order + 1: a ConfigError.
     """
     _check_mode(mode)
-    if not 0 <= order < U.dim_q:
+    top = min(U.r, U.dim_q)
+    if not 0 <= order < top:
         raise ConfigError(
-            "order must be in 0..%d (dim_q U - 1), got %d" % (U.dim_q - 1, order)
+            "order must be in 0..%d (r = %d, dim_q U = %d), got %d"
+            % (top - 1, U.r, U.dim_q, order)
         )
     field = U.field
     d = order + 1
@@ -379,17 +382,15 @@ def is_h_scattered_oracle(
 ):
     """Literal test: every order-dim F_{q^6}-subspace meets U in <= order.
 
-    A negative order is a ConfigError; an order >= r is the degenerate
-    verdict (no proper order-dim subspace to test)."""
+    An order outside 0..r - 1 is a ConfigError: at r or more there is no
+    proper order-dim subspace to test, so a verdict would be vacuous."""
     _check_mode(mode)
-    if order < 0:
-        raise ConfigError("order must be >= 0, got %d" % order)
+    if not 0 <= order < U.r:
+        raise ConfigError("order must be in 0..%d (r - 1), got %d" % (U.r - 1, order))
     field = U.field
     not_spanning = _not_spanning(U, order, mode)
     if not_spanning:
         return not_spanning
-    if order >= U.r:
-        return Verdict(True, None, 0, mode, {"order": order, "degenerate": True})
     if mode == "sampled":
         return _sampled(U, order, samples, seed, oracle=True)
     total = gaussian_binomial(U.r, order, field.order)

@@ -257,18 +257,18 @@ def test_saturating_u5_matches_the_u1_reference(capsys, workers):
 
 
 @pytest.mark.parametrize("args,code,golden", [
-    (["--samples", "300", "--seed", "42"], 0, "verify_scattered_q8_sampled"),
-    (["--order", "4", "--samples", "200", "--seed", "5"], 1, "sampled_h3_order4"),
+    (["--h", "3", "--samples", "300", "--seed", "42"], 0, "verify_scattered_q8_sampled"),
+    (["--h", "1", "--order", "3", "--samples", "500", "--seed", "5"], 1, "sampled_h1_order3"),
 ])
 def test_sampled_under_optimize_flag(args, code, golden):
     """The batched sampled tests and their witness re-check hold under
-    python -O: the q = 8 evidence run and the order-4 refutation."""
+    python -O: the q = 8 evidence run and the q = 2 order-3 refutation."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
     )
     proc = subprocess.run(
-        [sys.executable, "-O", "-m", "qscat.cli", "verify-scattered", "--h", "3",
+        [sys.executable, "-O", "-m", "qscat.cli", "verify-scattered",
          "--mode", "sampled", "--oracle", "sampled"] + args,
         env=env, capture_output=True, text=True, timeout=600,
     )
@@ -506,6 +506,8 @@ def test_closed_stdout_exit_2(flags, stdout, tmp_path):
         ("system-count", "--count", "-5"),
         ("spectrum", "--codim", "3", "--workers", "0"),
         ("spectrum", "--codim", "3", "--workers", str(10**9)),
+        # r = 4: no 4-dim proper subspace, so an order-4 verdict is vacuous
+        ("verify-scattered", "--order", "4"),
     ],
 )
 def test_invalid_input_exit_2(argv, capsys, monkeypatch):

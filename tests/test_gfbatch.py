@@ -22,13 +22,14 @@ from qscat.gfbatch import (
     fqm_rank_batch,
     laplace_minors,
     line_point_ids,
-    normalize_points,
+    packed_id_table,
+    packed_point_ids,
     plane_normal,
     plane_point_ids,
     point_ids,
     rref_small_batch,
 )
-from qscat.linalg import FqmSubspace, RrefEnumerator, fqm_span_dim, weight
+from qscat.linalg import FqmSubspace, RrefEnumerator, fqm_span_dim, row_reduce, weight
 from qscat.rankcode import rank_weight
 from qscat.rng import XorShift64Star
 from qscat.scatter import (
@@ -57,15 +58,16 @@ def test_product_table_matches_field(F):
     assert all(F.mul(x, int(tables.inv[x])) == 1 for x in range(1, 64))
 
 
-def _rref_dual(rref, pivcols):
+def _rref_dual(rref):
     """Reference plane normal of a rank-3 RREF [3, 4]: 1 at the one
     non-pivot column f and rref[i, f] at pivot column i."""
-    f = 6 - int(pivcols[:3].sum())
+    pivcols = np.argmax(rref[:3] != 0, axis=1)
+    f = 6 - int(pivcols.sum())
     w = np.zeros(4, dtype=np.int16)
     w[f] = 1
     for i in range(3):
         w[pivcols[i]] = rref[i, f]
-    return w
+    return w, f
 
 
 def test_plane_normal_matches_rref(F):
@@ -83,14 +85,14 @@ def test_plane_normal_matches_rref(F):
     mats[kind == 3, 1] = 0  # zero row
     mats[kind == 4, 1] = tables.mul(a[:, None], mats[:, 0])[kind == 4]
     w = plane_normal(laplace_minors(tables.mul, list(mats.transpose(1, 0, 2))))
-    rank, rref, pivcols = rref_small_batch(tables, mats)
+    rank, rref = rref_small_batch(tables, mats)
     assert set(rank.tolist()) == {0, 1, 2, 3}
     assert ((w != 0).any(axis=1) == (rank == 3)).all()
-    full = np.flatnonzero(rank == 3)
-    expect = np.array([_rref_dual(rref[k], pivcols[k]) for k in full])
-    _, ids = normalize_points(tables, w[full])
-    _, expect_ids = normalize_points(tables, expect)
-    assert (ids == expect_ids).all()
+    # the same projective point: w is the reference, whose entry f is 1,
+    # scaled by w_f
+    for k in np.flatnonzero(rank == 3):
+        expect, f = _rref_dual(rref[k])
+        assert (tables.mul(w[k, f], expect) == w[k]).all()
     # one x over the Plücker coordinates of a batch of pairs, as the
     # saturation scan calls it
     pluck = laplace_minors(tables.mul, [mats[:, 1], mats[:, 2]])
@@ -99,6 +101,51 @@ def test_plane_normal_matches_rref(F):
         laplace_minors(tables.mul, [np.broadcast_to(mats[0, 0], (B, 4)), mats[:, 1], mats[:, 2]])
     )
     assert (one == again).all()
+
+
+def test_rref_small_batch_matches_row_reduce(F):
+    """The batched RREF, zero-padded to s rows, and its rank equal the
+    scalar linalg.row_reduce's, and fqm_rank_batch gives the same rank, on
+    seeded batches of s = 1..5 rows with zero, repeated and dependent
+    rows (ranks 0 to 4)."""
+    tables = Gf64Tables(F)
+    rng = np.random.default_rng(31)
+    ranks = set()
+    for s in range(1, 6):
+        B = 400
+        mats = rng.integers(0, 64, size=(B, s, 4)).astype(np.int16)
+        mats[: B // 2] *= (rng.random((B // 2, s, 4)) < 0.4).astype(np.int16)
+        kind = np.arange(B) % 4
+        a, b = (rng.integers(0, 64, size=(B, 1)).astype(np.int16) for _ in range(2))
+        mats[kind == 1, -1] = 0  # zero row
+        mats[kind == 2, -1] = mats[kind == 2, 0]  # repeated row
+        if s > 2:  # the last row on the span of the first two
+            lin = tables.mul(a, mats[:, 0]) ^ tables.mul(b, mats[:, 1])
+            mats[kind == 3, -1] = lin[kind == 3]
+        rank, rref = rref_small_batch(tables, mats)
+        assert rref.shape == (B, s, 4) and rref.dtype == np.int16
+        assert (fqm_rank_batch(tables.mul, mats) == rank).all()
+        for k in range(B):
+            r, rows, _ = row_reduce(F, mats[k].tolist())
+            expect = np.zeros((s, 4), dtype=np.int16)
+            expect[:r] = np.reshape(rows, (r, 4))
+            assert rank[k] == r and (rref[k] == expect).all()
+        ranks |= set(rank.tolist())
+    assert ranks == {0, 1, 2, 3, 4}
+
+
+def test_packed_point_ids_decode_to_the_scaled_vector(F):
+    """The scalar decode of each packed id is its vector scaled by
+    1 / lead, on seeded vectors of every pivot and every lead."""
+    rng = np.random.default_rng(32)
+    vecs = rng.integers(0, 64, size=(2000, 4))
+    piv = np.arange(2000) % 4
+    vecs[np.arange(4) < piv[:, None]] = 0
+    vecs[np.arange(2000), piv] = np.arange(2000) % 63 + 1
+    ids = packed_point_ids(packed_id_table(Gf64Tables(F)), coords_to_flats(vecs))
+    for v, pid, p in zip(vecs.tolist(), ids.tolist(), piv.tolist()):
+        scale = F.inv(v[p])
+        assert POINTS.decode(pid)[0][0] == tuple(F.mul(scale, x) for x in v)
 
 
 def test_tables_reject_other_towers(F8):
@@ -130,15 +177,15 @@ def _kernel_rref(tables, duals):
     """RREF rows of the subspace {x : w . x = 0 for every w in duals}, from
     the RREF of the duals: e_f + sum_i rref[i, f] e_(pivot i) per free
     column f."""
-    rank, rref, piv = rref_small_batch(tables, np.array([duals], dtype=np.int16))
-    piv = piv[0, : rank[0]]
+    rank, rref = rref_small_batch(tables, np.array([duals], dtype=np.int16))
+    piv = np.argmax(rref[0, : rank[0]] != 0, axis=1)
     basis = []
     for f in (c for c in range(4) if c not in piv):
         v = np.zeros(4, dtype=np.int16)
         v[f] = 1
         v[piv] = rref[0, : rank[0], f]
         basis.append(v)
-    rank, rref, _ = rref_small_batch(tables, np.array([basis]))
+    rank, rref = rref_small_batch(tables, np.array([basis]))
     assert rank[0] == len(basis) == 4 - len(duals)
     return rref[0, : rank[0]]
 

@@ -3,9 +3,9 @@
 The files under tests/golden/ hold the expected `result` block of each
 command below, so any change to what a certificate says shows up here.
 Commands whose scans take a worker count run at 1 and 2 workers.  The
-sampled goldens (h = 1, 3, 5 at orders 1-3, and the order-4 refutation)
-and the planted q = 2 verdicts were written by the one-sample-at-a-time
-sampled loops that the batched ones replaced; `saturating --rho 1` by
+sampled goldens (h = 1, 3, 5 at orders 1-3) and the planted q = 2
+verdicts were written by the one-sample-at-a-time sampled loops that the
+batched ones replaced; `saturating --rho 1` by
 the point-id kernels that built [P, 64, 4] coordinate arrays before the
 XOR-packed ones; closed_forms.json by the constructions that listed each
 system's two T-families by hand; verify_dual_h3 and equivalence_h3 by the
@@ -64,13 +64,6 @@ for _h, _samples in ((1, 500), (3, 200), (5, 100)):
             False,
             1 if (_h, _order) == (1, 3) else 0,
         )
-# order + 1 = 5 vectors of F_{q^6}^4 never span 5 dimensions
-CASES["sampled_h3_order4"] = (
-    ["verify-scattered", "--h", "3", "--mode", "sampled", "--oracle", "sampled",
-     "--order", "4", "--samples", "200", "--seed", "5"],
-    False,
-    1,
-)
 
 RUNS = [
     (name, workers)

@@ -12,7 +12,9 @@ from qscat.gfbatch import (
     CodewordScanner,
     DualCodimScanner,
     Gf64Tables,
-    normalize_points,
+    coords_to_flats,
+    packed_id_table,
+    packed_point_ids,
 )
 from qscat.linalg import FqSubspace, apply_gl, gaussian_binomial, weight
 from qscat.rankcode import (
@@ -331,6 +333,7 @@ def test_shared_kernel_fault_breaks_a_moment(F, U_planted, monkeypatch):
     hyperplanes of U_planted as 2 and one as 4: the count and the first
     moment hold, the second is off by 16, so classify refuses it."""
     tables = Gf64Tables(F)
+    id_table = packed_id_table(tables)
     weights = CodewordScanner(tables, U_planted.basis).scan_range(0, 266_305)
     faults = dict(zip(np.flatnonzero(weights == 3)[:3].tolist(), (2, 2, 4)))
     real = DualCodimScanner.weights_for_duals
@@ -338,7 +341,7 @@ def test_shared_kernel_fault_breaks_a_moment(F, U_planted, monkeypatch):
     def faulty(self, duals):
         out = real(self, duals)
         if duals.shape[1] == 1:
-            _, ids = normalize_points(tables, duals[:, 0, :])
+            ids = packed_point_ids(id_table, coords_to_flats(duals[:, 0, :]))
             for i in np.flatnonzero(np.isin(ids, list(faults))):
                 out[i] = faults[int(ids[i])]
         return out

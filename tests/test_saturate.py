@@ -17,7 +17,6 @@ from qscat.gfbatch import (
     decode_rows,
     laplace_minors,
     line_point_ids,
-    normalize_points,
     plane_normal,
     plane_point_ids,
     point_ids,
@@ -74,7 +73,7 @@ def _mark_every_span(F, S, rho, chunk=256):
     subs = np.array(list(combinations(range(len(S)), rho + 1)))
     covered = np.zeros(POINT_COUNT, dtype=bool)
     for lo in range(0, len(subs), chunk):
-        rank, rref, _ = rref_small_batch(tables, S.coords[subs[lo : lo + chunk]])
+        rank, rref = rref_small_batch(tables, S.coords[subs[lo : lo + chunk]])
         assert rank.min() >= min(rho + 1, 2)
         covered[point_ids(rref[rank == 1, 0])] = True
         for r, ids_of in ((2, line_point_ids), (3, plane_point_ids)):
@@ -106,6 +105,26 @@ def test_linear_set_of_U(F, U1):
     assert len(S) <= (2**U1.dim_q - 1) // (2 - 1)
     for coords in S.coords[:10]:
         assert coords[next(i for i in range(4) if coords[i])] == 1
+
+
+@pytest.mark.parametrize("name", ["U1", "U_planted"])
+def test_linear_set_is_the_scaled_vectors(F, request, name):
+    """L(U) is the set of U's nonzero vectors scaled by 1 / lead in scalar
+    field arithmetic, for the scattered U_1 and the non-scattered
+    U_planted; its ids ascend, and each decodes to its coordinates."""
+    U = request.getfixturevalue(name)
+    expect = set()
+    for v in U.vectors():
+        if any(v):
+            scale = F.inv(next(x for x in v if x))
+            expect.add(tuple(F.mul(scale, x) for x in v))
+    S = linear_set_points(U)
+    assert (len(S) == 255) is (name == "U1")
+    assert sorted(map(tuple, S.coords.tolist())) == sorted(expect)
+    assert (S.ids[1:] > S.ids[:-1]).all()
+    assert [POINTS.decode(pid)[0][0] for pid in S.ids.tolist()] == [
+        tuple(v) for v in S.coords.tolist()
+    ]
 
 
 def test_linear_set_single_line(F):
@@ -309,7 +328,7 @@ def test_plane_rref_matches_rref_small_batch(F):
         basis[bidx, r, k] = np.where(is_free, 1, basis[bidx, r, k])
         basis[bidx, r, piv] ^= np.where(is_free, duals[:, k], 0).astype(np.int16)
         slot += is_free
-    rank, reference, _ = rref_small_batch(tables, basis)
+    rank, reference = rref_small_batch(tables, basis)
     assert (rank == 3).all()
     assert np.array_equal(_plane_rref(tables, duals), reference)
 
@@ -318,7 +337,7 @@ def _packed_mismatches(tables, xs, ys, zs, flip=None):
     """Triples (x, y, z), x in xs and (y, z) in zip(ys, zs), whose packed
     dual (the saturation scan's lookups) differs from the coords_to_flats
     of plane_normal(laplace_minors(...)), or whose nonzero dual's id
-    differs from normalize_points'.  flip = (table, bit) plants a fault:
+    does not name it (_id_mismatches).  flip = (table, bit) plants a fault:
     bit `bit` of the first triple's entry in the first x's T0 ("dual"), or
     of the id-table entry that the first nonzero dual's low half reads
     ("id").  Returns the count of
@@ -342,8 +361,23 @@ def _packed_mismatches(tables, xs, ys, zs, flip=None):
     bad = packed != coords_to_flats(w)
     nonzero = np.flatnonzero(packed != 0)
     ids = gfbatch.packed_point_ids(id_table, packed[nonzero])
-    bad[nonzero] |= ids != normalize_points(tables, w[nonzero])[1]
+    bad[nonzero] |= _id_mismatches(tables, ids, w[nonzero])
     return int(bad.sum()), w
+
+
+def _id_mismatches(tables, ids, vecs):
+    """[N] bool: the ids that do not name their nonzero vectors [N, 4].  An
+    id names v when it is a point of PG(3, 64) whose decoded coordinates,
+    scaled by v's lead, are v."""
+    inside = (ids >= 0) & (ids < POINT_COUNT)
+    order = np.argsort(ids[inside])  # decode_rows takes ascending ids
+    points = np.empty((len(order), 4), dtype=np.int16)
+    points[order] = decode_rows(POINTS, ids[inside][order])[:, 0]
+    v = vecs[inside]
+    lead = v[np.arange(len(v)), np.argmax(v != 0, axis=1)]
+    bad = ~inside
+    bad[inside] = (tables.mul(points, lead[:, None]) != v).any(axis=1)
+    return bad
 
 
 def _sparse_points(rng, count):

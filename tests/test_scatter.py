@@ -155,8 +155,14 @@ def test_witness_cross_derivation(F, U1):
 
 
 def test_oracle_degenerate_order(F, U1):
-    v = is_h_scattered_oracle(U1, 4)
-    assert v.ok and v.details.get("degenerate")
+    """At order >= r = 4 there is no proper order-dim subspace to test:
+    both tests refuse the order, in either mode, instead of certifying it."""
+    for test in (is_h_scattered_oracle, is_h_scattered_fast):
+        for order in (4, 7):
+            with pytest.raises(ConfigError, match="order"):
+                test(U1, order)
+            with pytest.raises(ConfigError, match="order"):
+                test(U1, order, mode="sampled", samples=10, seed=1)
 
 
 def test_sampled_oracle_order_zero(U1):
