@@ -12,25 +12,26 @@ per (scalars, n, d) (_enumerator).  The engines share three primitives:
   a range, with no array behind it.
 * One position decoder.  decode_rows turns ascending positions into
   their RREF rows: the d >= 3 oracle's duals, the codeword scan's
-  normals and the saturation's plane duals.  The points of PG(3, 64)
-  are the positions of POINTS, and point_ids is decode_rows' inverse.
+  normals and the saturation's plane duals.  The points of PG(r - 1,
+  64) are the positions of RrefEnumerator(range(64), r, 1) (POINTS at
+  r = 4), and point_ids is decode_rows' inverse on them.
 * One subset-sum builder.  subset_sums tabulates the XOR of every
   subset of n vectors by doubling: U's packed subset sums
-  (subset_xor_table), the span scan's per-row deposit tables, the
-  oracle's kernel bitmaps and rng's byte-sliced jump tables.
+  (subset_xor_table, the span scan's vectors and linear_set's), the
+  span scan's per-row deposit tables, the oracle's kernel bitmaps and
+  rng's byte-sliced jump tables.
 
-The oracle (DualCodimScanner) reads point and line weights off cached
-kernel bitmaps, in broadcast tiles of 4,096 positions that stay in
-cache; where the kernels that are constant along a tile row can already
-meet in {0} (the points of F_64^4), a row filter ANDs only the rows
-where they do not, a block of 4,096 rows at a time.  The d >= 3 oracle
-and the codeword scan (CodewordScanner, one normal per hyperplane) rank
-GF(2) bit matrices (rank_batch).  The span scan (FqSpanScanner) reads
-each row's coefficient mask off its deposit table, which depends on
-(nb, d, profile) only, and row-reduces the packed vectors over GF(64)
-in [B] arrays that every chunk reuses.  A vector of F_64^r packs into
-one int64 (coordinate k at bits 6k, coords_to_flats/flats_to_coords),
-so check_scan_shape admits r <= 10.
+The oracle (DualCodimScanner) reads point weights off L(U) with
+multiplicities (linear_set: a point of weight w carries 2^w - 1 of U's
+nonzero vectors), and line weights off cached kernel bitmaps, in
+broadcast tiles of 4,096 positions that stay in cache.  The d >= 3
+oracle and the codeword scan (CodewordScanner, one normal per
+hyperplane) rank GF(2) bit matrices (rank_batch).  The span scan
+(FqSpanScanner) reads each row's coefficient mask off its deposit
+table, which depends on (nb, d, profile) only, and row-reduces the
+packed vectors over GF(64) in [B] arrays that every chunk reuses.  A
+vector of F_64^r packs into one int64 (coordinate k at bits 6k,
+coords_to_flats/flats_to_coords), so check_scan_shape admits r <= 10.
 
 One batched elimination per representation.  Matrices of field
 elements are triangularized in place by _forward_eliminate, inverse-free
@@ -43,8 +44,8 @@ ids of a line's or a plane's points are XORs of the words of 64 scalar
 multiples of each RREF row (line_point_ids, plane_point_ids); a plane
 is named by its dual point, which the 3x3 minors of any three of its
 spanning points give (laplace_minors, plane_normal).  Scaling by
-1 / lead is F_2-linear too, so one rule names the point of any nonzero
-packed vector of F_64^4: a shift by its pivot plus the XOR of two
+1 / lead is F_2-linear too, so the point_ids of any nonzero packed
+vector of F_64^4, scaled, is a shift by its pivot plus the XOR of two
 lookups, one per 12-bit half, in one [64 << 12] table (packed_id_table,
 packed_point_ids).  The seeded sampled tests run in batches over any
 tower field, whose BinaryField.mul_array is their product, and take the
@@ -72,7 +73,6 @@ def _enumerator(scalars, n, d):
 # the points of PG(3, 64): a point's id is its position here (point_ids)
 POINTS = _enumerator(range(64), 4, 1)
 POINT_COUNT = POINTS.total
-_ID_SHIFT = np.array(POINTS.offsets) - np.array(POINTS.counts)
 
 
 class Gf64Tables:
@@ -186,20 +186,55 @@ def subset_xor_table(vectors):
     return subset_sums(coords_to_flats(vectors))
 
 
-def point_ids(vecs):
-    """Dense PG(3, 64) ids of normalized coordinate rows [..., 4]: their
-    positions in POINTS, which decode_rows inverts.
+def _id_shift(r):
+    """(offsets - counts) per pivot of the points of PG(r - 1, 64)."""
+    enum = _enumerator(range(64), r, 1)
+    return np.array(enum.offsets) - np.array(enum.counts)
 
-    The id of a row v with pivot p is POINTS.offsets[p] plus the base-64
-    word of its coordinates after the pivot.  The word of all of v,
-    coordinate 0 the top digit, adds the pivot's 1 at weight
-    POINTS.counts[p]; so the id is (offsets - counts)[p] plus that word,
-    the codec word of the reversed coordinates, coords_to_flats(v[...,
-    ::-1]), which is XOR-linear in v.
+
+_ID_SHIFT = _id_shift(4)
+
+
+def point_ids(vecs):
+    """Dense PG(r - 1, 64) ids of normalized coordinate rows [..., r]
+    (r <= 10): their positions in RrefEnumerator(range(64), r, 1), the
+    points that the d = 1 oracle and CodewordScanner walk (POINTS for
+    r = 4), which decode_rows inverts.
+
+    The id of a row v with pivot p is offsets[p] plus the base-64 word of
+    its coordinates after the pivot.  The word of all of v, coordinate 0
+    the top digit, adds the pivot's 1 at weight counts[p]; so the id is
+    (offsets - counts)[p] plus that word, the codec word of the reversed
+    coordinates, coords_to_flats(v[..., ::-1]), which is XOR-linear in v.
     """
     vecs = np.asarray(vecs)
     piv = np.argmax(vecs != 0, axis=-1)
-    return _ID_SHIFT[piv] + coords_to_flats(vecs[..., ::-1])
+    return _id_shift(vecs.shape[-1])[piv] + coords_to_flats(vecs[..., ::-1])
+
+
+def linear_set(tables, u_basis):
+    """L(U) with multiplicities: (ids, counts), the point_ids of the points
+    that U's nonzero vectors span, ascending, and how many of them each
+    point carries.
+
+    Each nonzero vector of U lies on exactly one point, and a point P
+    carries the 2^w - 1 nonzero vectors of U ∩ P, w = dim_q(U ∩ P) its
+    weight: so the 2^nb - 1 nonzero subset sums of U's basis, each scaled
+    by 1 / lead, name every point of nonzero weight, and bitwise_count of
+    a count is its weight.  A count of any other form is an
+    InvariantViolation.
+    """
+    r = len(u_basis[0])
+    vecs = flats_to_coords(subset_xor_table(u_basis)[1:], r)
+    lead = vecs[np.arange(len(vecs)), np.argmax(vecs != 0, axis=-1)]
+    ids, counts = np.unique(
+        point_ids(tables.mul(vecs, tables.inv[lead][:, None])), return_counts=True
+    )
+    if (counts & (counts + 1)).any():
+        raise InvariantViolation(
+            "a point of L(U) carries a vector count not of the form 2^w - 1"
+        )
+    return ids, counts
 
 
 def packed_id_table(tables):
@@ -309,7 +344,11 @@ class DualCodimScanner:
     = 0 for every f.  Enumeration order matches
     RrefEnumerator(range(64), r, d).
 
-    For d <= 2 each w_f depends only on its (profile, f) and on the
+    For d = 1 the weights are read off U's own vectors: linear_set,
+    built on the first point scan, numbers the points of nonzero weight,
+    and each chunk is zero-filled and gets those weights written in.
+
+    For d = 2 each w_f depends only on its (profile, f) and on the
     digits of at most two RREF cells (i, f), so it takes at most 4,096
     values.  The scanner builds, once per (profile, f) met, a kernel
     table: the kernel K[w] = {a in F_2^nb : (sum_j a_j u_j) . w = 0} of
@@ -320,22 +359,6 @@ class DualCodimScanner:
     ones, and the AND of the slices is one [words, 4096] tile that stays
     in cache.  For d >= 3 each dual is met once, so the weight is nb
     minus the rank of the (nb x 6(r-d))-bit map u -> (u . w_f)_f.
-
-    The row filter.  A tile row is the 64 positions that differ in the
-    last digit only.  That digit is the cell (i, c) of the profile's
-    last free column c, so the other r - d - 1 kernels, the head, are
-    constant along a row.  The full AND is a subset of the head's AND,
-    so a row whose head ANDs to {0} (popcount 1: only a = 0) has weight
-    0 at all 64 positions.  A kernel has F_2-dimension >= nb - 6, since
-    its map goes to F_64; so the head's AND can be {0} only when
-    6 (r - d - 1) >= nb, and only then does the filter run: on the points
-    of F_64^4 (2-kernel heads, nb <= 10) and at r = 3 for nb <= 6, while
-    lines of F_64^4 at nb = 8 keep the tile loop.  The filter works a
-    row block at a time, the <= 4,096 rows that differ in their last two
-    digits at most, whose head ANDs are one tile: it ANDs the block's
-    live rows with K[w_c] and keeps the block's nonzero weights (for
-    points, at most one per nonzero u) for the chunks that read it, each
-    of which zeroes its weights and writes those in.
     """
 
     MAX_WIDTH = 10  # nb fields of 6 bits in an int64
@@ -352,9 +375,10 @@ class DualCodimScanner:
         basis = np.array(u_basis, dtype=np.int16)
         scal = np.arange(64, dtype=np.int16)
         self.tk = coords_to_flats(tables.mul(basis.T[:, None, :], scal[:, None]))
+        self._tables, self._basis = tables, u_basis
+        self._points = None  # linear_set(tables, u_basis), for d = 1
         self._plans = {}  # piv -> tile plan
         self._tiles = {}  # tile digit count -> (tile, popcounts, sizes) buffers
-        self._block = (None,)  # ((piv, g), positions, weights) of the last row block
 
     @staticmethod
     def enumerator(r, nb, d):
@@ -394,7 +418,7 @@ class DualCodimScanner:
         duals = np.zeros((len(keys), self.r), dtype=np.int16)
         duals[:, f] = 1
         duals[:, [piv[i] for i in reversed(rows)]] = flats_to_coords(keys, len(rows))
-        # d <= 2: at most 64^2 = 4,096 values, built with 2^nb bytes each
+        # d = 2: at most 64^2 = 4,096 values, built with 2^nb bytes each
         bitmaps = np.ascontiguousarray(self.kernel_bitmaps(duals).T)
         return bitmaps.reshape(bitmaps.shape[:1] + (64,) * len(rows))
 
@@ -402,20 +426,14 @@ class DualCodimScanner:
         """How each kernel table of profile piv is sliced for a tile.
 
         The last t = min(2, len(cells)) cells vary inside a tile, the
-        others are fixed digits of the tile number g.  Returns (t, views,
-        row_filter): views lists, per free column, its kernel table with
-        its _tile_slices.  row_filter is None, or, when the row filter
-        runs (see the class docstring), (t', head, tail): the head is a
-        list of kernel tables with their _tile_slices for the tiles of
-        t' = min(2, len(cells) - 1) row digits, the row blocks, and the
-        tail one pair of a kernel table and the shifts of the row number
-        that give its axes but the last cell's.  Built once per profile
-        and scanner.
+        others are fixed digits of the tile number g.  Returns (t, views):
+        views lists, per free column, its kernel table with its
+        _tile_slices.  Built once per profile and scanner.
         """
         plan = self._plans.get(piv)
         if plan is None:
             n = len(cells)
-            views, head, tail = [], [], None
+            views = []
             for f in range(self.r):
                 if f in piv:
                     continue
@@ -423,17 +441,7 @@ class DualCodimScanner:
                 table = self._kernel_table(piv, f, rows)
                 axes = [cells.index((i, f)) for i in rows]
                 views.append((table,) + _tile_slices(table, axes, n))
-                if n - 1 in axes:
-                    # a row number's digits are the cells but the last
-                    tail = (table, [6 * (n - 2 - k) for k in axes if k < n - 1])
-                else:
-                    head.append((table,) + _tile_slices(table, axes, n - 1))
-            # K[w] has F_2-dimension >= nb - 6, so the head's AND can be
-            # {0} only when 6 |head| >= nb; a one-position profile has no row
-            row_filter = None
-            if n and 6 * len(head) >= self.nb:
-                row_filter = (min(2, n - 1), head, tail)
-            plan = (min(2, n), views, row_filter)
+            plan = (min(2, n), views)
             self._plans[piv] = plan
         return plan
 
@@ -449,9 +457,9 @@ class DualCodimScanner:
         return bufs
 
     def _and_tile(self, views, g, t):
-        """The AND of the kernel slices of tile g into the reused tile
-        buffer of t digits, and its [64^t] kernel sizes minus one (|AND_f
-        K[w_f]| = 2^weight, and 2^weight - 1 has weight bits set)."""
+        """The [64^t] kernel sizes minus one of tile g (|AND_f K[w_f]| =
+        2^weight, and 2^weight - 1 has weight bits set), from the AND of
+        its kernel slices in the reused tile buffer of t digits."""
         tile, pops, sizes = self._tile_buffers(t, views[0][0].shape[0])
         every = slice(None)
         slices = [
@@ -466,17 +474,26 @@ class DualCodimScanner:
         np.bitwise_count(tile, out=pops)
         np.add.reduce(pops.reshape(len(tile), -1), axis=0, dtype=np.uint16, out=sizes)
         sizes -= 1
-        return tile, sizes
+        return sizes
 
     def iter_weights(self, d, start=0, stride=1, chunk=SCAN_CHUNK):
         """Yield (range of global positions, weights array) per chunk of
         worker `start` of `stride` (see _rref_chunks)."""
         enum = self.enumerator(self.r, self.nb, d)
+        if d == 1 and self._points is None:
+            self._points = linear_set(self._tables, self._basis)
         for lo, hi, parts in _rref_chunks(enum, start, stride, chunk):
+            if d == 1:
+                ids, counts = self._points
+                i, j = np.searchsorted(ids, (lo, hi))
+                weights = np.zeros(hi - lo, dtype=np.int64)
+                weights[ids[i:j] - lo] = np.bitwise_count(counts[i:j])
+                yield range(lo, hi), weights
+                continue
             weights = np.empty(hi - lo, dtype=np.int64)
             for s, p, a, b in parts:
                 piv = enum.profiles[p]
-                if d <= 2:
+                if d == 2:
                     self._tile_weights(piv, enum.cells[p], a, b, weights[s : s + b - a])
                 else:
                     at = enum.offsets[p]
@@ -486,56 +503,12 @@ class DualCodimScanner:
 
     def _tile_weights(self, piv, cells, a, b, out):
         """Weights of the local positions [a, b) of profile piv into out."""
-        t, views, row_filter = self._tile_plan(piv, cells)
-        if row_filter is not None:
-            self._row_weights(piv, row_filter, a, b, out)
-            return
+        t, views = self._tile_plan(piv, cells)
         T = 64**t
         for g in range(a // T, (b - 1) // T + 1):
-            _, sizes = self._and_tile(views, g, t)
+            sizes = self._and_tile(views, g, t)
             lo, hi = max(a, g * T), min(b, (g + 1) * T)
             out[lo - a : hi - a] = np.bitwise_count(sizes[lo - g * T : hi - g * T])
-
-    def _row_weights(self, piv, row_filter, a, b, out):
-        """_tile_weights through the row filter: zero out, then write the
-        nonzero weights of the row blocks that meet [a, b)."""
-        out[:] = 0
-        bits = 6 * (row_filter[0] + 1)  # a row block spans 64^(t' + 1) positions
-        for g in range(a >> bits, ((b - 1) >> bits) + 1):
-            pos, weights = self._row_block(piv, row_filter, g)
-            i, j = np.searchsorted(pos, (a, b))
-            out[pos[i:j] - a] = weights[i:j]
-
-    def _row_block(self, piv, row_filter, g):
-        """(local positions, weights) of the nonzero weights in row block
-        g of profile piv, kept until another block is asked for."""
-        if self._block[0] != (piv, g):
-            t, head, (tail, tail_shifts) = row_filter
-            heads, sizes = self._and_tile(head, g, t)
-            # K[w] holds 0, so the head's AND is {0} when its popcount is 1
-            live = np.flatnonzero(sizes)
-            words = len(heads)
-            heads = heads.reshape(words, -1)[:, live]
-            nums = (g << (6 * t)) + live  # the live rows' numbers
-            weights = np.empty((len(live), 64), dtype=np.uint8)
-            # 64 live rows at a time fill the 4,096-position tile buffers
-            tile, pops, sizes = self._tile_buffers(2, words)
-            every = slice(None)
-            for s in range(0, len(live), 64):
-                rows = nums[s : s + 64]
-                n = len(rows)
-                kernel = tail[(every,) + tuple((rows >> k) & 63 for k in tail_shifts)]
-                np.bitwise_and(heads[:, s : s + n, None], kernel.reshape(words, -1, 64),
-                               out=tile[:, :n])
-                np.bitwise_count(tile[:, :n], out=pops[:, :n])
-                counts = sizes[: 64 * n].reshape(n, 64)
-                np.add.reduce(pops[:, :n], axis=0, dtype=np.uint16, out=counts)
-                counts -= 1
-                np.bitwise_count(counts, out=weights[s : s + n])
-            nonzero = np.flatnonzero(weights)
-            pos = (nums[nonzero >> 6] << 6) | (nonzero & 63)
-            self._block = ((piv, g), pos, weights.ravel()[nonzero])
-        return self._block[1:]
 
     def _rank_weights(self, piv, rows):
         """Weights of the subspaces of profile piv with RREF rows [B, d, r]:
@@ -681,10 +654,10 @@ class CodewordScanner(DualCodimScanner):
     hyperplane weight that weights_for_duals gives for the dual m.
     Scaling m by F_64^* keeps m^⊥, so one normal per hyperplane is
     walked, its first nonzero coordinate 1: normal number i is position
-    i of RrefEnumerator(range(64), r, 1) (for r = 4 the point_ids
-    numbering), which _rref_chunks deals as in the other scans and
-    decode_rows decodes.  Callers read the codeword weights as nb - w and
-    multiply the counts by 63.
+    i of RrefEnumerator(range(64), r, 1) (the point_ids numbering),
+    which _rref_chunks deals as in the other scans and decode_rows
+    decodes.  Callers read the codeword weights as nb - w and multiply
+    the counts by 63.
     """
 
     @staticmethod

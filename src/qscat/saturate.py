@@ -23,6 +23,10 @@ from itertools import combinations
 from typing import Optional
 
 import numpy as np
+# np.unique's default path reads np.ma, whose lazy first import takes
+# ~15 ms (numpy 2.4, one shared vCPU): take it here, once, rather than
+# in each fork worker of the scan
+import numpy.ma  # noqa: F401
 
 from .errors import ConfigError, InvariantViolation, WorkLimitExceeded
 from .field import BinaryField
@@ -53,7 +57,8 @@ class SaturationInstance:
 
 
 def linear_set_points(U, budget=DEFAULT_BUDGET):
-    """The projective points spanned by nonzero vectors of U.
+    """The projective points spanned by nonzero vectors of U: the ids of
+    gfbatch.linear_set, with their normalized coordinates.
 
     Size is at most (q^dim - 1)/(q - 1), with equality iff U is
     scattered; for scattered U the enumeration meets no duplicates.  The
@@ -68,9 +73,7 @@ def linear_set_points(U, budget=DEFAULT_BUDGET):
         raise ConfigError(
             "linear-set points lie in PG(3, 64): need r = 4, got r = %d" % U.r
         )
-    id_table = gfbatch.packed_id_table(gfbatch.Gf64Tables(field))
-    combo = gfbatch.subset_xor_table(U.basis)
-    ids = np.unique(gfbatch.packed_point_ids(id_table, combo[1:]))
+    ids, _ = gfbatch.linear_set(gfbatch.Gf64Tables(field), U.basis)
     return LinearSet(field, ids, gfbatch.decode_rows(gfbatch.POINTS, ids)[:, 0])
 
 

@@ -29,7 +29,15 @@ from qscat.gfbatch import (
     point_ids,
     rref_small_batch,
 )
-from qscat.linalg import FqmSubspace, RrefEnumerator, fqm_span_dim, row_reduce, weight
+from qscat.linalg import (
+    FqmSubspace,
+    FqSubspace,
+    RrefEnumerator,
+    fqm_span_dim,
+    row_reduce,
+    rows_from_text,
+    weight,
+)
 from qscat.rankcode import rank_weight
 from qscat.rng import XorShift64Star
 from qscat.scatter import (
@@ -479,16 +487,13 @@ def test_chunks_deal_every_position_once(F, which, d, chunk, request):
     assert lo == sorted(lo)
 
 
-@pytest.mark.parametrize("which, filtered", [
-    ("U_G", True), ("random-3-8", False), ("random-4-5", True), ("U_planted", True),
-])
-def test_row_filter_matches_the_rank_path(F, which, filtered, request):
+@pytest.mark.parametrize("which", ["U_G", "random-3-8", "random-4-5", "U_planted"])
+def test_point_weights_match_the_rank_path(F, which, request):
     """Full point scans (and line scans at r = 3) equal the rank path's
-    weights (_rank_weights, as the d >= 3 scans take them) at chunks of
-    1,000 and SCAN_CHUNK positions and 1-3 workers.  The row filter runs
-    iff the head's 6 (r - d - 1) bits cover nb: U_G (r = 3, nb = 6)
-    filters on 1-kernel heads, r = 3 at nb = 8 keeps the tile loop, r = 4
-    filters on 2-kernel heads, and U_planted has live rows of weight 3."""
+    weights (_rank_weights, which ranks each point's kernel as the d >= 3
+    scans do) at chunks of 1,000 and SCAN_CHUNK positions and 1-3
+    workers.  Point weights are read off linear_set, line weights off
+    the tile loop, and U_planted has a point of weight 3."""
     if which.startswith("random"):
         r, nb = map(int, which.split("-")[1:])
         U = random_fq_subspace(F, r, nb, XorShift64Star(r * nb))
@@ -505,20 +510,62 @@ def test_row_filter_matches_the_rank_path(F, which, filtered, request):
             for workers in (1, 2, 3):
                 got = _dealt(scanner.iter_weights, d, enum.total, workers, chunk)
                 assert np.array_equal(got, expect), (d, chunk, workers)
-        # (t, views, row_filter) per profile; a one-position profile has no row
-        plans = [plan for piv, plan in scanner._plans.items() if len(piv) == d and plan[0]]
-        assert {row_filter is not None for _, _, row_filter in plans} == {filtered and d == 1}
     if which == "U_planted":
         assert expect.max() == 3
 
 
+# a maximum 2-scattered subspace of V(5, 64), U_b = F_32 + b F_32 in
+# F_{2^30}, as rows_to_text writes it
+R5_SYSTEM = """\
+5 6 1 b5
+10 00 00 00 00
+20 01 33 d2 d1
+40 01 42 c2 61
+80 00 42 60 90
+01 01 70 20 f1
+02 80 01 23 a3
+00 10 20 21 50
+00 21 01 13 50
+00 40 e2 53 52
+00 02 f3 40 00
+"""
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_r5_point_oracle_holds(workers):
+    """The oracle at order 1 on the r = 5 system (dim_q 10) reads the
+    weights of all 17,043,521 points of PG(4, 64) off linear_set: 1,023
+    points of weight 1, one per nonzero vector, and none of weight 2."""
+    field, r, rows = rows_from_text(R5_SYSTEM)
+    U = FqSubspace.span(field, r, rows)
+    assert U.dim_q == 10
+    v = is_h_scattered_oracle(U, 1, workers=workers)
+    assert v.ok and v.checked_count == 17_043_521
+    assert v.details["weight_hist"] == {"0": 17_042_498, "1": 1023}
+
+
+@pytest.mark.parametrize("lead", [2, 4, 6])
+def test_linear_set_counts_catch_a_wrong_inverse(F, U_planted, lead):
+    """U_planted's point <(1, 0, 0, 0)> carries the 7 vectors (a, 0, 0, 0),
+    a in <1, x, x^2>.  With one bit of 1 / lead flipped, the vector of
+    that lead lands on another id, the point keeps 6 of its 7 vectors,
+    and linear_set raises instead of reporting a weight."""
+    tables = Gf64Tables(F)
+    ids, counts = gfbatch.linear_set(tables, U_planted.basis)
+    assert counts[ids == 0].tolist() == [7]
+    tables.inv[lead] ^= 1
+    with pytest.raises(InvariantViolation, match="2\\^w - 1"):
+        gfbatch.linear_set(tables, U_planted.basis)
+
+
 @pytest.mark.parametrize("which, d, count", [("random", 1, None), ("U1", 2, 20)])
 def test_scan_chunks_allocate_only_their_weights(F, U1, which, d, count):
-    """After the first chunk, which builds the profile's kernel tables
-    and tile buffers, each chunk of a full point scan of a random 8-dim U
-    (the row filter) and of 20 chunks of U_1's line scan (the tile loop)
-    keeps its weight array and a small constant at most, and peaks above
-    that by at most numpy's two ufunc buffers (the tile AND broadcasts
+    """After the first chunk, which builds linear_set or the profile's
+    kernel tables and tile buffers, each chunk of a full point scan of a
+    random 8-dim U (zero-filled, then the linear set's weights written
+    in) and of 20 chunks of U_1's line scan (the tile loop) keeps its
+    weight array and a small constant at most, and peaks above that by
+    at most numpy's two ufunc buffers (the tile AND broadcasts
     two kernel slices).  So no positions array comes with a chunk, and
     no array the size of a profile is built per chunk."""
     U = U1 if which == "U1" else random_fq_subspace(F, 4, 8, XorShift64Star(48))

@@ -355,9 +355,9 @@ def _bincount_dispatch(values, d, workers, lo, hi, nb):
 
 
 @pytest.mark.parametrize("which, engine, d, lo, hi", [
-    ("U1", "DualCodimScanner", 1, 0, 0),  # row filter; first weight 1 at 901
-    ("U_planted", "DualCodimScanner", 1, 1, 8),  # row filter; live rows of weight 3
-    ("random-3-8", "DualCodimScanner", 1, 0, 1),  # the tile loop
+    ("U1", "DualCodimScanner", 1, 0, 0),  # linear_set; first weight 1 at 901
+    ("U_planted", "DualCodimScanner", 1, 1, 8),  # linear_set; a point of weight 3
+    ("random-3-8", "DualCodimScanner", 1, 0, 1),  # linear_set at r = 3
     ("U_G", "DualCodimScanner", 2, 0, 1),  # lines (of F_64^3), the tile loop
     ("U_G", "CodewordScanner", 2, 0, 1),
     ("U_planted", "FqSpanScanner", 3, 0, 2),  # the first span 3 at 34
