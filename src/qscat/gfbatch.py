@@ -16,10 +16,9 @@ per (scalars, n, d) (_enumerator).  The engines share three primitives:
   64) are the positions of RrefEnumerator(range(64), r, 1) (POINTS at
   r = 4), and point_ids is decode_rows' inverse on them.
 * One subset-sum builder.  subset_sums tabulates the XOR of every
-  subset of n vectors by doubling: U's packed subset sums
-  (subset_xor_table, the span scan's vectors and linear_set's), the
-  span scan's per-row deposit tables, the oracle's kernel bitmaps and
-  rng's byte-sliced jump tables.
+  subset of n vectors by doubling: U's packed subset sums (the span
+  scan's vectors and linear_set's), the span scan's per-row deposit
+  tables, the oracle's kernel bitmaps and rng's byte-sliced jump tables.
 
 The oracle (DualCodimScanner) reads point weights off L(U) with
 multiplicities (linear_set: a point of weight w carries 2^w - 1 of U's
@@ -181,11 +180,6 @@ def subset_sums(vectors, base=0):
     return table
 
 
-def subset_xor_table(vectors):
-    """table[mask] = packed sum of the GF(64)^r vectors selected by mask."""
-    return subset_sums(coords_to_flats(vectors))
-
-
 def _id_shift(r):
     """(offsets - counts) per pivot of the points of PG(r - 1, 64)."""
     enum = _enumerator(range(64), r, 1)
@@ -225,7 +219,7 @@ def linear_set(tables, u_basis):
     InvariantViolation.
     """
     r = len(u_basis[0])
-    vecs = flats_to_coords(subset_xor_table(u_basis)[1:], r)
+    vecs = flats_to_coords(subset_sums(coords_to_flats(u_basis))[1:], r)
     lead = vecs[np.arange(len(vecs)), np.argmax(vecs != 0, axis=-1)]
     ids, counts = np.unique(
         point_ids(tables.mul(vecs, tables.inv[lead][:, None])), return_counts=True
@@ -324,17 +318,6 @@ def decode_rows(enum, positions):
     return rows
 
 
-def _tile_slices(table, axes, n):
-    """(shifts, shape) that slice a kernel table, whose axes read the
-    digits `axes` of n, for a tile of the last t = min(2, n) digits: the
-    shift of the tile number that gives each fixed axis (None for a tile
-    axis), and the shape that broadcasts the slice over the tile."""
-    fixed = n - min(2, n)
-    shifts = [6 * (fixed - 1 - k) if k < fixed else None for k in axes]
-    shape = [64 if k in axes else 1 for k in range(fixed, n)]
-    return shifts, table.shape[:1] + tuple(shape)
-
-
 class DualCodimScanner:
     """Weights of U against every d-dim F_{q^m}-subspace of F_{64}^r.
 
@@ -352,13 +335,14 @@ class DualCodimScanner:
     digits of at most two RREF cells (i, f), so it takes at most 4,096
     values.  The scanner builds, once per (profile, f) met, a kernel
     table: the kernel K[w] = {a in F_2^nb : (sum_j a_j u_j) . w = 0} of
-    each value as a 2^nb-bit bitmap, with one 64-wide axis per cell that
-    w_f reads.  The weight is log2 |AND_f K[w_f]|.  Positions are walked
-    in tiles: within a profile, every digit but the last two is fixed,
-    each table is sliced at the fixed digits and broadcast over the free
-    ones, and the AND of the slices is one [words, 4096] tile that stays
-    in cache.  For d >= 3 each dual is met once, so the weight is nb
-    minus the rank of the (nb x 6(r-d))-bit map u -> (u . w_f)_f.
+    each value as a 2^nb-bit bitmap, viewed with one 64-wide axis per
+    cell of the profile, of stride 0 on the cells that w_f does not read.
+    The weight is log2 |AND_f K[w_f]|.  Positions are walked in tiles:
+    within a profile, every digit but the last two is fixed, one tuple of
+    the fixed digits indexes every table, and the AND of the views is one
+    [words, 4096] tile that stays in cache.  For d >= 3 each dual is met
+    once, so the weight is nb minus the rank of the (nb x 6(r-d))-bit
+    map u -> (u . w_f)_f.
     """
 
     MAX_WIDTH = 10  # nb fields of 6 bits in an int64
@@ -377,7 +361,7 @@ class DualCodimScanner:
         self.tk = coords_to_flats(tables.mul(basis.T[:, None, :], scal[:, None]))
         self._tables, self._basis = tables, u_basis
         self._points = None  # linear_set(tables, u_basis), for d = 1
-        self._plans = {}  # piv -> tile plan
+        self._kernels = {}  # piv -> the kernel tables of its free columns
         self._tiles = {}  # tile digit count -> (tile, popcounts, sizes) buffers
 
     @staticmethod
@@ -395,55 +379,37 @@ class DualCodimScanner:
         img = flats_to_coords(self._dots(duals), self.nb)  # [B, nd, nb]
         return self.nb - _f2_image_rank(img.transpose(0, 2, 1), 6)
 
-    def kernel_bitmaps(self, duals):
-        """[B, r] dual vectors -> [B, words] uint64 bitmaps of K[w].
+    def kernel_bitmaps(self, dots):
+        """[B] dot packs (_dots) of dual vectors w -> [B, words] uint64
+        bitmaps of K[w].
 
         Bit a (a = sum_j a_j 2^j) is set iff (sum_j a_j u_j) . w = 0.
         """
-        dots = flats_to_coords(self._dots(duals), self.nb).astype(np.uint8)
+        dots = flats_to_coords(dots, self.nb).astype(np.uint8)
         sums = subset_sums(dots)  # sums[:, a] = (sum_j a_j u_j) . w
         packed = np.packbits(sums == 0, axis=1, bitorder="little")
         if packed.shape[1] % 8:  # nb < 6: fewer than 8 bytes
             packed = np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8)))
         return packed.view(np.uint64)
 
-    def _kernel_table(self, piv, f, rows):
-        """Bitmaps of K[w_f] for every value of the digits w_f depends on.
+    def _kernel_table(self, piv, f, cells):
+        """Bitmaps of K[w_f] for every value of the cells of profile piv:
+        the bitmap words, then one 64-wide axis per cell, of stride 0 on
+        the cells other than the (i, f) that w_f reads.
 
-        w_f reads the cells (i, f) for i in rows; the table has the bitmap
-        words as its first axis, then one 64-wide axis per such cell, in
-        row order.
+        u . w_f is F_2-linear in w_f = e_f + sum_i rref[i][f] e_{piv_i},
+        so the dot packs of its values are tk[f, 1] outer-XORed with
+        tk[piv[i]] once per cell (i, f), in the cells' (row) order.
         """
-        keys = np.arange(64 ** len(rows), dtype=np.int64)
-        duals = np.zeros((len(keys), self.r), dtype=np.int16)
-        duals[:, f] = 1
-        duals[:, [piv[i] for i in reversed(rows)]] = flats_to_coords(keys, len(rows))
+        dots = self.tk[f, 1]
+        for i, c in cells:
+            if c == f:
+                dots = np.bitwise_xor.outer(dots, self.tk[piv[i]])
         # d = 2: at most 64^2 = 4,096 values, built with 2^nb bytes each
-        bitmaps = np.ascontiguousarray(self.kernel_bitmaps(duals).T)
-        return bitmaps.reshape(bitmaps.shape[:1] + (64,) * len(rows))
-
-    def _tile_plan(self, piv, cells):
-        """How each kernel table of profile piv is sliced for a tile.
-
-        The last t = min(2, len(cells)) cells vary inside a tile, the
-        others are fixed digits of the tile number g.  Returns (t, views):
-        views lists, per free column, its kernel table with its
-        _tile_slices.  Built once per profile and scanner.
-        """
-        plan = self._plans.get(piv)
-        if plan is None:
-            n = len(cells)
-            views = []
-            for f in range(self.r):
-                if f in piv:
-                    continue
-                rows = [i for i in range(len(piv)) if piv[i] < f]
-                table = self._kernel_table(piv, f, rows)
-                axes = [cells.index((i, f)) for i in rows]
-                views.append((table,) + _tile_slices(table, axes, n))
-            plan = (min(2, n), views)
-            self._plans[piv] = plan
-        return plan
+        bitmaps = np.ascontiguousarray(self.kernel_bitmaps(np.ravel(dots)).T)
+        words = bitmaps.shape[:1]
+        axes = tuple(64 if c == f else 1 for _, c in cells)
+        return np.broadcast_to(bitmaps.reshape(words + axes), words + (64,) * len(cells))
 
     def _tile_buffers(self, t, words):
         """The tile, its popcounts and its kernel sizes, reused by every
@@ -455,26 +421,6 @@ class DualCodimScanner:
                     np.empty(64**t, dtype=np.uint16))
             self._tiles[t] = bufs
         return bufs
-
-    def _and_tile(self, views, g, t):
-        """The [64^t] kernel sizes minus one of tile g (|AND_f K[w_f]| =
-        2^weight, and 2^weight - 1 has weight bits set), from the AND of
-        its kernel slices in the reused tile buffer of t digits."""
-        tile, pops, sizes = self._tile_buffers(t, views[0][0].shape[0])
-        every = slice(None)
-        slices = [
-            table[(every,) + tuple(every if s is None else (g >> s) & 63 for s in shifts)]
-            .reshape(shape)
-            for table, shifts, shape in views
-        ]
-        # x & x = x, so one free column ANDs its slice with itself
-        np.bitwise_and(slices[0], slices[-1], out=tile)
-        for kernel in slices[1:-1]:
-            np.bitwise_and(tile, kernel, out=tile)
-        np.bitwise_count(tile, out=pops)
-        np.add.reduce(pops.reshape(len(tile), -1), axis=0, dtype=np.uint16, out=sizes)
-        sizes -= 1
-        return sizes
 
     def iter_weights(self, d, start=0, stride=1, chunk=SCAN_CHUNK):
         """Yield (range of global positions, weights array) per chunk of
@@ -502,11 +448,31 @@ class DualCodimScanner:
             yield range(lo, hi), weights
 
     def _tile_weights(self, piv, cells, a, b, out):
-        """Weights of the local positions [a, b) of profile piv into out."""
-        t, views = self._tile_plan(piv, cells)
+        """Weights of the local positions [a, b) of profile piv into out.
+
+        The last t = min(2, len(cells)) cells vary inside a tile; the
+        others are the digits of the tile number g, the top digit first,
+        and index every kernel table of the profile alike.
+        """
+        tables = self._kernels.get(piv)
+        if tables is None:
+            tables = [self._kernel_table(piv, f, cells)
+                      for f in range(self.r) if f not in piv]
+            self._kernels[piv] = tables
+        t = min(2, len(cells))
+        fixed = len(cells) - t
         T = 64**t
+        tile, pops, sizes = self._tile_buffers(t, len(tables[0]))
         for g in range(a // T, (b - 1) // T + 1):
-            sizes = self._and_tile(views, g, t)
+            at = (slice(None),) + tuple((g >> 6 * k) & 63 for k in reversed(range(fixed)))
+            # x & x = x, so one free column ANDs its table with itself
+            np.bitwise_and(tables[0][at], tables[-1][at], out=tile)
+            for kernel in tables[1:-1]:
+                np.bitwise_and(tile, kernel[at], out=tile)
+            np.bitwise_count(tile, out=pops)
+            np.add.reduce(pops.reshape(len(tile), -1), axis=0, dtype=np.uint16, out=sizes)
+            # |AND_f K[w_f]| = 2^weight, and 2^weight - 1 has weight bits set
+            sizes -= 1
             lo, hi = max(a, g * T), min(b, (g + 1) * T)
             out[lo - a : hi - a] = np.bitwise_count(sizes[lo - g * T : hi - g * T])
 
@@ -569,7 +535,7 @@ class FqSpanScanner:
     def __init__(self, tables, u_basis):
         self.nb = len(u_basis)
         self.r = len(u_basis[0])
-        self.sums = subset_xor_table(u_basis)
+        self.sums = subset_sums(coords_to_flats(u_basis))
         prod = tables.prod.astype(np.int64)
         # shifted[k][64 a + b] = (a * b) << 6k, coordinate k of a product
         self.shifted = [prod << 6 * k for k in range(self.r)]

@@ -228,10 +228,9 @@ def _saturation_worker(args, start, stride):
     of _COLLINEAR_BATCH.  For rho != 2 every subset is row-reduced, one
     block of first index at a time.
     """
-    field, coords_list, rho = args
+    field, coords, rho = args
     tables = gfbatch.Gf64Tables(field)
     id_table = gfbatch.packed_id_table(tables)
-    coords = np.array(coords_list, dtype=np.int16).reshape(-1, 4)
     n = len(coords)
     tails = _lex_subsets(n, rho)
     blocks = _subset_blocks(tails, n, start, stride)
@@ -275,8 +274,7 @@ def is_rho_saturating(S, rho, workers=1, budget=DEFAULT_BUDGET):
     if total > budget:
         raise WorkLimitExceeded(total, budget)
     ambient = gfbatch.POINT_COUNT
-    coords_list = [tuple(int(c) for c in v) for v in S.coords]
-    args = (field, coords_list, rho)
+    args = (field, S.coords, rho)
     results = run_partitioned(_saturation_worker, args, workers)
     covered = np.zeros(ambient, dtype=bool)
     plane_bitmap = np.zeros(ambient, dtype=bool)

@@ -137,10 +137,6 @@ def build_U5prime(field):
     return trace_pair_span(field, 4, vec)
 
 
-def sec2_equivalence_matrix(field):
-    return MatrixFqm(field, SEC2_EQUIV_MATRIX)
-
-
 # -- witnesses -------------------------------------------------------------
 
 

@@ -19,6 +19,7 @@ from qscat.dual import (
     verify_dual_equivalence,
 )
 from qscat.linalg import (
+    MatrixFqm,
     apply_gl,
     gaussian_binomial,
     moore_matrix,
@@ -28,6 +29,7 @@ from qscat.rankcode import classify
 from qscat.rng import XorShift64Star
 from qscat.saturate import linear_set_points
 from qscat.scatter import (
+    SEC2_EQUIV_MATRIX,
     build_U5prime,
     build_Us,
     count_solutions,
@@ -40,7 +42,6 @@ from qscat.scatter import (
     random_invertible,
     random_fqm_subspace,
     retta4_subspace,
-    sec2_equivalence_matrix,
     semilinear_system,
     weight_spectrum,
 )
@@ -141,7 +142,7 @@ def test_criterion_04_code_profile(profile, hyper_spec, line_verdict):
 def test_criterion_05_equivalences(F, U1):
     """Section-2 matrix equivalence, dual closed forms, dual scatteredness."""
     U5p = build_U5prime(F)
-    M = sec2_equivalence_matrix(F)
+    M = MatrixFqm(F, SEC2_EQUIV_MATRIX)
     assert apply_gl(M, U5p) == U1
     assert U5p != U1
     verdict = verify_dual_equivalence(F)

@@ -28,6 +28,7 @@ from qscat.gfbatch import (
     plane_point_ids,
     point_ids,
     rref_small_batch,
+    subset_sums,
 )
 from qscat.linalg import (
     FqmSubspace,
@@ -274,8 +275,8 @@ def _awkward_basis(F, r, seed):
             tuple(a ^ b for a, b in zip(vecs[0], vecs[2]))] + vecs
 
 
-def test_subset_xor_table_matches_a_per_mask_sum(F, U1):
-    """The doubling build of subset_xor_table gives, mask by mask, the
+def test_packed_subset_sums_match_a_per_mask_sum(F, U1):
+    """subset_sums of the packed basis vectors gives, mask by mask, the
     packed XOR of the basis vectors that the mask selects."""
     for basis in (U1.basis, _awkward_basis(F, 10, 39)):
         flats = coords_to_flats(basis).tolist()
@@ -286,7 +287,7 @@ def test_subset_xor_table_matches_a_per_mask_sum(F, U1):
                 if mask >> k & 1:
                     acc ^= flat
             expect.append(acc)
-        assert gfbatch.subset_xor_table(basis).tolist() == expect
+        assert subset_sums(coords_to_flats(basis)).tolist() == expect
 
 
 def _f2_combine(basis, row):
@@ -364,31 +365,36 @@ def test_coefficient_masks_decode_the_rref(nb, dims):
 
 def _weight_at(scanner, d, pos):
     """The scanner's weight of the subspace at one enumeration position."""
-    enum = RrefEnumerator(range(64), 4, d)
+    enum = RrefEnumerator(range(64), scanner.r, d)
     ((got_pos, w),) = scanner.iter_weights(d, start=pos, stride=enum.total, chunk=1)
     assert np.asarray(got_pos).tolist() == [pos]
     return int(w[0])
 
 
-@pytest.mark.parametrize("which", ["U1", "random-5", "random-6"])
+@pytest.mark.parametrize("which", ["U1", "random-5", "random-6", "r5", "r6"])
 def test_bitmap_weights_match_scalar_weight(F, U1, which):
     """Kernel-bitmap weights of points (d = 1) and lines (d = 2) equal the
-    scalar weight at seeded positions in every pivot profile."""
+    scalar weight at seeded positions in every pivot profile.  At r = 5
+    and 6 a line has 3 and 4 free columns, so a tile ANDs 3 and 4 kernel
+    tables."""
     if which == "U1":
         U = U1
-    else:
+    elif which.startswith("random"):
         U = random_fq_subspace(F, 4, 8, XorShift64Star(int(which.split("-")[1])))
+    else:
+        r = int(which[1])
+        U = random_fq_subspace(F, r, {5: 10, 6: 9}[r], XorShift64Star(r))
     scanner = DualCodimScanner(Gf64Tables(F), U.basis)
     rng = np.random.default_rng(17)
     for d in (1, 2):
-        enum = RrefEnumerator(range(64), 4, d)
+        enum = RrefEnumerator(range(64), U.r, d)
         for p in range(len(enum.profiles)):
             lo, count = enum.offsets[p], enum.counts[p]
             picks = {lo, lo + count - 1}
             picks.update(int(x) for x in lo + rng.integers(0, count, 6))
             for pos in sorted(picks):
                 rows, piv = enum.decode(pos)
-                H = FqmSubspace(F, 4, rows, piv)
+                H = FqmSubspace(F, U.r, rows, piv)
                 assert _weight_at(scanner, d, pos) == weight(U, H), (d, pos)
 
 
@@ -604,7 +610,7 @@ def test_kernel_bitmaps_are_subspaces(F, U1):
     scanner = DualCodimScanner(Gf64Tables(F), U1.basis)
     duals = np.random.default_rng(3).integers(0, 64, size=(40, 4)).astype(np.int16)
     duals[0] = 0
-    bitmaps = scanner.kernel_bitmaps(duals)
+    bitmaps = scanner.kernel_bitmaps(scanner._dots(duals))
     assert bitmaps.shape == (40, 4) and bitmaps.dtype == np.uint64
     ranks = 8 - scanner.weights_for_duals(duals[:, None, :])
     for bm, rank in zip(bitmaps, ranks):

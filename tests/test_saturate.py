@@ -440,7 +440,7 @@ def test_saturation_worker_peak_memory(F, U1):
     under 8 MB: two id-indexed bitmaps, the packed pairs, the dual and id
     tables, and the collinear triples row-reduced in batches."""
     S = linear_set_points(U1)
-    args = (F, [tuple(int(c) for c in v) for v in S.coords], 2)
+    args = (F, S.coords, 2)
     tracemalloc.start()
     try:
         found = _saturation_worker(args, 0, 1)

@@ -22,6 +22,7 @@ from qscat.linalg import (
 )
 from qscat.rng import XorShift64Star
 from qscat.scatter import (
+    SEC2_EQUIV_MATRIX,
     build_U5prime,
     build_Us,
     count_solutions,
@@ -36,7 +37,6 @@ from qscat.scatter import (
     random_frobenius_fixed,
     random_invertible,
     retta4_subspace,
-    sec2_equivalence_matrix,
     semilinear_system,
     solutions,
     weight_spectrum,
@@ -82,7 +82,7 @@ def test_sec2_equivalence(F, U1):
     U5p = build_U5prime(F)
     assert U5p.dim_q == 8
     assert U5p != U1
-    M = sec2_equivalence_matrix(F)
+    M = MatrixFqm(F, SEC2_EQUIV_MATRIX)
     assert apply_gl(M, U5p) == U1
 
 
