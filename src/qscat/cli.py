@@ -314,7 +314,7 @@ def cmd_code_profile(cfg, field):
     U = scatter.build_Us(field, cfg["s"])
     C = rankcode.code_from_system(U)
     profile = rankcode.classify(C, workers=cfg["workers"], budget=cfg["budget"])
-    return {"profile": profile.to_json()}, True
+    return {"profile": profile}, True
 
 
 def cmd_saturating(cfg, field):
@@ -325,10 +325,11 @@ def cmd_saturating(cfg, field):
     inst = saturate.is_rho_saturating(
         S, cfg["rho"], workers=cfg["workers"], budget=cfg["budget"]
     )
+    details = inst.verdict.details
     payload = {
-        "linear_set_size": inst.size_s,
-        "ambient_points": inst.ambient_points,
-        "rho": inst.rho,
+        "linear_set_size": details["size_s"],
+        "ambient_points": details["ambient_points"],
+        "rho": details["rho"],
         "verdict": inst.verdict.to_json(),
     }
     return payload, inst.verdict.ok

@@ -342,7 +342,8 @@ class DualCodimScanner:
     the fixed digits indexes every table, and the AND of the views is one
     [words, 4096] tile that stays in cache.  For d >= 3 each dual is met
     once, so the weight is nb minus the rank of the (nb x 6(r-d))-bit
-    map u -> (u . w_f)_f.
+    map u -> (u . w_f)_f; d = r takes this path too, with no dual and
+    weight nb.
     """
 
     MAX_WIDTH = 10  # nb fields of 6 bits in an int64
@@ -439,7 +440,7 @@ class DualCodimScanner:
             weights = np.empty(hi - lo, dtype=np.int64)
             for s, p, a, b in parts:
                 piv = enum.profiles[p]
-                if d == 2:
+                if d == 2 and self.r > 2:
                     self._tile_weights(piv, enum.cells[p], a, b, weights[s : s + b - a])
                 else:
                     at = enum.offsets[p]

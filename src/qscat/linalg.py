@@ -407,8 +407,7 @@ class RrefEnumerator:
 
     Subspaces are identified with RREF matrices ordered by pivot profile
     (lexicographic) and then by the free entries read row-major as a
-    base-Q number (most significant digit first).  Workers reproduce any
-    (start, stride) slice independently.
+    base-Q number (most significant digit first).
     """
 
     def __init__(self, scalars, n, d):
@@ -458,8 +457,8 @@ class RrefEnumerator:
             rows[i][c] = self.scalars[digit]
         return tuple(tuple(r) for r in rows), piv
 
-    def iter_slice(self, start=0, stride=1):
-        for index in range(start, self.total, stride):
+    def iter_slice(self):
+        for index in range(self.total):
             rows, piv = self.decode(index)
             yield index, rows, piv
 

@@ -1,9 +1,10 @@
 """Rank-metric code of a q-system and its generalized weight profile.
 
 The code of an [n, k] system U < F_{q^m}^k has a k x n generator whose
-columns are an F_q-basis of U.  A generalized weight d_rho has two
-independent algorithms, and generalized_weight runs both and requires
-them to agree:
+columns are an F_q-basis u_1, ..., u_n of U, so message m encodes to
+(m . u_j)_j.  A generalized weight d_rho has two independent
+algorithms, and generalized_weight runs both and requires them to
+agree:
 
 * F_q side: d_rho = n - max{dim_q S : S <= U, dim <S>_{F_{q^m}} <= k - rho},
   read off the complete span histograms of the F_q-subspaces of U
@@ -26,6 +27,8 @@ scatter.exhaustive_scan, the scan dispatcher of the scatteredness tests.
 """
 
 from dataclasses import dataclass, field as dc_field
+from functools import reduce
+from operator import xor
 from typing import Optional
 
 from .errors import (
@@ -52,19 +55,15 @@ class RankCode:
     n: int
     k: int
     m: int
-    generator: tuple  # k rows of length n
     system: object  # the FqSubspace U
     _span_histograms: Optional[tuple] = dc_field(default=None, repr=False)
 
     def encode(self, message):
+        """The codeword (m . u_j)_j over U's basis vectors u_j."""
         mul = self.field.mul
-        out = []
-        for j in range(self.n):
-            acc = 0
-            for i in range(self.k):
-                acc ^= mul(message[i], self.generator[i][j])
-            out.append(acc)
-        return tuple(out)
+        return tuple(
+            reduce(xor, map(mul, message, u), 0) for u in self.system.basis
+        )
 
 
 def code_from_system(U):
@@ -74,10 +73,7 @@ def code_from_system(U):
     n = U.dim_q
     if fqm_span_dim(field, U.basis) < k:
         raise DegenerateSystem("system does not span the ambient space")
-    generator = tuple(
-        tuple(U.basis[j][i] for j in range(n)) for i in range(k)
-    )
-    return RankCode(field, n, k, field.m, generator, U)
+    return RankCode(field, n, k, field.m, U)
 
 
 def rank_weight(field, v):
@@ -189,51 +185,14 @@ def generalized_weight(C, rho, workers=1, budget=DEFAULT_BUDGET):
     return fq_side
 
 
-@dataclass
-class WeightProfile:
-    """Distance profile and MRD classification of one code."""
-
-    n: int
-    k: int
-    m: int
-    d: int
-    d_rho: tuple  # indexed rho = 1..k
-    singleton_ok: bool
-    is_mrd: bool
-    rho_mrd_flags: tuple
-    near_mrd: bool
-    mode: str
-    spectrum: Optional[dict] = None
-    checks: dict = dc_field(default_factory=dict)
-
-    def to_json(self):
-        return {
-            "n": self.n,
-            "k": self.k,
-            "m": self.m,
-            "d": self.d,
-            "d_rho": list(self.d_rho),
-            "singleton_ok": self.singleton_ok,
-            "is_mrd": self.is_mrd,
-            "rho_mrd": list(self.rho_mrd_flags),
-            "near_mrd": self.near_mrd,
-            "mode": self.mode,
-            "spectrum": (
-                {str(w): c for w, c in sorted(self.spectrum.items())}
-                if self.spectrum is not None
-                else None
-            ),
-            "checks": self.checks,
-        }
-
-
 # the d_rho cross-checked by subspace scans in classify: rho = 1 reads
 # the hyperplane scan behind d, and rho = 2 (the 17M-line scan) is left out
 ORACLE_RHOS = (1, 3, 4)
 
 
 def classify(C, workers=1, budget=DEFAULT_BUDGET):
-    """Full profile: d, all d_rho, Singleton equality and MRD flags.
+    """The code-profile certificate block: n, k, m, d, every d_rho, the
+    Singleton and MRD flags, the weight distribution and its checks.
 
     d and the distribution come from the codeword scan, whose hyperplane
     histogram must have the moments j = 0..n that the span histograms
@@ -248,7 +207,7 @@ def classify(C, workers=1, budget=DEFAULT_BUDGET):
     hist = [spec1.get(w, 0) for w in range(n + 1)]
     spans = span_histograms(C, workers=workers, budget=budget)  # cached by span_table
     _check_incidences(C.system, k - 1, hist, dict(enumerate(spans)))
-    d_rho = tuple(n - best[k - rho] for rho in range(1, k + 1))
+    d_rho = [n - best[k - rho] for rho in range(1, k + 1)]
     checks = {
         "d_codeword_scan": d,
         "d_hyperplane_scan": d,
@@ -263,8 +222,7 @@ def classify(C, workers=1, budget=DEFAULT_BUDGET):
     mk = m * k
     singleton_ok = mk <= min(m * (n - d + 1), n * (m - d + 1))
     is_mrd = mk == min(m * (n - d + 1), n * (m - d + 1))
-    rho_mrd_flags = tuple(d_rho[rho - 1] == n - k + rho for rho in range(1, k + 1))
-    near_mrd = d == n - k and all(rho_mrd_flags[1:])
+    rho_mrd = [d_rho[rho - 1] == n - k + rho for rho in range(1, k + 1)]
     if d != d_rho[0]:
         raise InvariantViolation("d = %d but d_1 = %d" % (d, d_rho[0]))
     if is_mrd:
@@ -273,17 +231,17 @@ def classify(C, workers=1, budget=DEFAULT_BUDGET):
             raise ClosedFormMismatch(
                 "MRD code has distribution %r, Delsarte gives %r" % (dist, delsarte)
             )
-    return WeightProfile(
-        n=n,
-        k=k,
-        m=m,
-        d=d,
-        d_rho=d_rho,
-        singleton_ok=singleton_ok,
-        is_mrd=is_mrd,
-        rho_mrd_flags=rho_mrd_flags,
-        near_mrd=near_mrd,
-        mode="exhaustive",
-        spectrum=dist,
-        checks=checks,
-    )
+    return {
+        "n": n,
+        "k": k,
+        "m": m,
+        "d": d,
+        "d_rho": d_rho,
+        "singleton_ok": singleton_ok,
+        "is_mrd": is_mrd,
+        "rho_mrd": rho_mrd,
+        "near_mrd": d == n - k and all(rho_mrd[1:]),
+        "mode": "exhaustive",
+        "spectrum": {str(w): c for w, c in sorted(dist.items())},
+        "checks": checks,
+    }

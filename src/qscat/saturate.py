@@ -20,7 +20,6 @@ id is the witness.
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional
 
 import numpy as np
 # np.unique's default path reads np.ma, whose lazy first import takes
@@ -49,11 +48,8 @@ class LinearSet:
 
 @dataclass
 class SaturationInstance:
-    size_s: int
-    ambient_points: int
-    rho: int
     verdict: Verdict
-    covered: Optional[np.ndarray] = None  # mark bitmap, id-indexed
+    covered: np.ndarray  # mark bitmap, id-indexed
 
 
 def linear_set_points(U, budget=DEFAULT_BUDGET):
@@ -96,19 +92,19 @@ def _lex_subsets(n, k):
     return subs
 
 
-def _subset_blocks(tails, n, start, stride, chunk=32768):
+def _subset_blocks(tails, n, start, stride):
     """One worker's slice of the s-subsets of range(n), by first index.
 
     tails holds every (s-1)-subset of range(n) in lexicographic order.
     The s-subsets with first index i are i followed by each tail whose
     first entry exceeds i, a suffix of tails.  Yields (i, lo, hi) for
-    i = start, start + stride, ..., with hi - lo <= chunk.
+    i = start, start + stride, ..., with hi - lo <= _SUBSET_BLOCK.
     """
     firsts = tails[:, 0] if tails.shape[1] else np.full(len(tails), n)
     for i in range(start, n, stride):
         lo = int(np.searchsorted(firsts, i, side="right"))
-        for c in range(lo, len(tails), chunk):
-            yield i, c, min(c + chunk, len(tails))
+        for c in range(lo, len(tails), _SUBSET_BLOCK):
+            yield i, c, min(c + _SUBSET_BLOCK, len(tails))
 
 
 def _plane_rref(tables, duals):
@@ -123,7 +119,7 @@ def _plane_rref(tables, duals):
     return rows
 
 
-def _mark_planes(tables, covered, plane_bitmap, chunk=256):
+def _mark_planes(tables, covered, plane_bitmap):
     """Mark the points of the flagged planes, in dual-id order.
 
     Stops after the first chunk that leaves every point covered: later
@@ -132,8 +128,8 @@ def _mark_planes(tables, covered, plane_bitmap, chunk=256):
     sweep.
     """
     dual_ids = np.flatnonzero(plane_bitmap)
-    for lo in range(0, len(dual_ids), chunk):
-        rows = gfbatch.decode_rows(gfbatch.POINTS, dual_ids[lo : lo + chunk])
+    for lo in range(0, len(dual_ids), _MARK_BATCH):
+        rows = gfbatch.decode_rows(gfbatch.POINTS, dual_ids[lo : lo + _MARK_BATCH])
         ids = gfbatch.plane_point_ids(tables, _plane_rref(tables, rows[:, 0]))
         covered[ids.ravel()] = True
         if covered.all():
@@ -180,6 +176,8 @@ def _mark_spans(tables, id_table, mats, found):
 
 _PAIR_MINORS = list(combinations(range(4), 2))  # minor k at bits 6k of a pair word
 _COLLINEAR_BATCH = 2048  # collinear triples per rref_small_batch call
+_SUBSET_BLOCK = 32768  # subsets per block of one first index
+_MARK_BATCH = 256  # planes per _mark_planes step
 
 
 def _pair_slices(tables, ys, zs):
@@ -316,4 +314,4 @@ def is_rho_saturating(S, rho, workers=1, budget=DEFAULT_BUDGET):
             "coords": [field.to_hex(c) for c in vec],
         }
     verdict = Verdict(witness is None, witness, checked, "exhaustive", details)
-    return SaturationInstance(n, ambient, rho, verdict, covered)
+    return SaturationInstance(verdict, covered)

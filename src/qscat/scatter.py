@@ -492,10 +492,6 @@ class SemilinearSystem:
     """
 
     field: BinaryField
-    a: int
-    b: int
-    c: int
-    d: int
     alpha: int
     beta: int
     gamma: int
@@ -551,9 +547,7 @@ def semilinear_system(field, a, b, c, d):
         inputs.append((0, t))
         images.append((mul(b, t) ^ frob(t, 1), mul(d, t) ^ frob(t, 3)))
     alpha, beta, gamma, case = _case_invariants(field, a, b, c, d)
-    return SemilinearSystem(
-        field, a, b, c, d, alpha, beta, gamma, case, tuple(inputs), tuple(images)
-    )
+    return SemilinearSystem(field, alpha, beta, gamma, case, tuple(inputs), tuple(images))
 
 
 def count_solutions(sys):

@@ -115,28 +115,28 @@ def test_criterion_03_hyperplane_spectrum(hyper_spec):
 def test_criterion_04_code_profile(profile, hyper_spec, line_verdict):
     """[8,4,4] near-MRD profile with exact generalized weights."""
     p = profile
-    assert (p.n, p.k, p.m) == (8, 4, 6)
-    assert p.d == 4
-    assert p.checks["d_codeword_scan"] == 4
-    assert p.checks["d_hyperplane_scan"] == 4
-    assert p.d_rho == (4, 6, 7, 8)
+    assert (p["n"], p["k"], p["m"]) == (8, 4, 6)
+    assert p["d"] == 4
+    assert p["checks"]["d_codeword_scan"] == 4
+    assert p["checks"]["d_hyperplane_scan"] == 4
+    assert p["d_rho"] == [4, 6, 7, 8]
     # independent oracle for d_2 from the exhaustive line scan
     v, _ = line_verdict
-    assert 8 - v.details["max_weight"] == 6 == p.d_rho[1]
-    assert p.checks["d_1_subspace_scan"] == 4
-    assert p.checks["d_3_subspace_scan"] == 7
-    assert p.checks["d_4_subspace_scan"] == 8
+    assert 8 - v.details["max_weight"] == 6 == p["d_rho"][1]
+    assert p["checks"]["d_1_subspace_scan"] == 4
+    assert p["checks"]["d_3_subspace_scan"] == 7
+    assert p["checks"]["d_4_subspace_scan"] == 8
     # Singleton equality mk = 24 = n(m - d + 1)
     assert 6 * 4 == 24 == 8 * (6 - 4 + 1)
-    assert p.singleton_ok and p.is_mrd
-    assert p.rho_mrd_flags == (False, True, True, True)
-    assert p.near_mrd
+    assert p["singleton_ok"] and p["is_mrd"]
+    assert p["rho_mrd"] == [False, True, True, True]
+    assert p["near_mrd"]
     # weight distribution matches the hyperplane spectrum correspondence
     spec, _ = hyper_spec
-    assert p.spectrum == {8 - w: 63 * c for w, c in spec.items()}
-    assert sum(p.spectrum.values()) == 64**4 - 1
+    assert p["spectrum"] == {str(8 - w): 63 * c for w, c in spec.items()}
+    assert sum(p["spectrum"].values()) == 64**4 - 1
     print("ACCEPTANCE 4 PASS: d=4 (both algorithms), d_rho=%s, near_mrd=%s"
-          % (list(p.d_rho), p.near_mrd))
+          % (p["d_rho"], p["near_mrd"]))
 
 
 def test_criterion_05_equivalences(F, U1):

@@ -40,10 +40,12 @@ from qscat.scatter import (
 
 def test_code_parameters(F, code):
     assert (code.n, code.k, code.m) == (8, 4, 6)
-    # generator columns are the canonical basis vectors of U
+    # generator columns are the canonical basis vectors of U: e_i
+    # encodes to the i-th coordinates of U's basis
     U = code.system
-    for j in range(8):
-        assert tuple(code.generator[i][j] for i in range(4)) == U.basis[j]
+    for i in range(4):
+        e_i = tuple(int(j == i) for j in range(4))
+        assert code.encode(e_i) == tuple(u[i] for u in U.basis)
 
 
 def test_degenerate_system_rejected(F):
@@ -318,11 +320,11 @@ def test_planted_low_weight_codeword(F, U1):
         if weight(U, H0) == 5:
             break
     profile = classify(code_from_system(U), workers=2)
-    assert profile.d <= 3
+    assert profile["d"] <= 3
     # the codeword scan against the oracle's hyperplane walk
     spec = weight_spectrum(U, codim=1, workers=2)
-    assert profile.d == 8 - max(spec)
-    assert profile.checks["hyperplane_weight_hist"] == {
+    assert profile["d"] == 8 - max(spec)
+    assert profile["checks"]["hyperplane_weight_hist"] == {
         str(w): c for w, c in sorted(spec.items())
     }
 

@@ -138,7 +138,7 @@ def test_rho0_fails_by_cardinality(F, U1):
     inst = is_rho_saturating(S, 0)
     v = inst.verdict
     assert not v.ok
-    assert len(S) == 255 < inst.ambient_points == 266_305
+    assert len(S) == 255 < v.details["ambient_points"] == 266_305
     assert v.witness["kind"] == "uncovered_point"
     # the witness is re-checkable: its id is not among the marked points
     assert not inst.covered[v.witness["point_id"]]

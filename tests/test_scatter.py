@@ -456,6 +456,17 @@ def test_weight_spectrum_small_codims(F, U1):
     assert all(w % 2 == 0 for w in fixed)
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_weight_spectrum_whole_space_and_zero_subspace(F, r, workers):
+    """Codim 0 is the whole space, which holds all of U; codim r is the
+    zero subspace, which meets U in 0.  At r = 2 the whole space is a
+    line with no free column."""
+    U = random_fq_subspace(F, r, 4, XorShift64Star(3))
+    assert weight_spectrum(U, 0, workers=workers) == {U.dim_q: 1}
+    assert weight_spectrum(U, r, workers=workers) == {0: 1}
+
+
 def test_semilinear_zero_coefficients(F, U1):
     sys0 = semilinear_system(F, 0, 0, 0, 0)
     n = count_solutions(sys0)
