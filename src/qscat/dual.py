@@ -15,8 +15,9 @@ from . import gf2
 from .linalg import (
     FqSubspace,
     FqmSubspace,
-    MatrixFqm,
+    det,
     fqm_span_dim,
+    mat_vec,
     moore_matrix,
     weight,
 )
@@ -45,7 +46,6 @@ class DelsarteScene:
     field: object
     W: FqSubspace
     Gamma: FqmSubspace
-    beta_gram: MatrixFqm
     Gamma_perp: FqmSubspace
 
 
@@ -76,17 +76,11 @@ def build_scene(field):
     T = field.trace_kernel_basis()
     W = trace_pair_span(field, 8, lambda x, y: w_vector(field, x, y))
     Gamma = FqmSubspace.span(field, 8, _GAMMA_ROWS)
-    gram = MatrixFqm(
-        field,
-        [
-            [1 if abs(i - j) == 4 else 0 for j in range(8)]
-            for i in range(8)
-        ],
-    )
+    gram = [[1 if abs(i - j) == 4 else 0 for j in range(8)] for i in range(8)]
     # invariants of the embedding
     if fqm_span_dim(field, W.basis) != 8:
         raise InvariantViolation("W does not span Z over F_{q^6}")
-    if moore_matrix(field, T).det() == 0:
+    if det(field, moore_matrix(field, T)) == 0:
         raise InvariantViolation("Moore determinant vanished on the T basis")
     # Gamma's rows and e_0..e_3 span Z: dim Gamma = 4 and Gamma ∩ V = 0
     front = [tuple(1 if j == k else 0 for j in range(8)) for k in range(4)]
@@ -94,7 +88,7 @@ def build_scene(field):
         raise InvariantViolation("Gamma is not a complement of V")
     if weight(W, Gamma) != 0:
         raise InvariantViolation("W ∩ Gamma is nontrivial")
-    if gram.det() == 0:
+    if det(field, gram) == 0:
         raise InvariantViolation("beta is degenerate")
     # beta is nondegenerate, so dim Gamma-perp = 8 - 4: a 4-dim space
     # beta-orthogonal to Gamma is Gamma-perp
@@ -103,7 +97,7 @@ def build_scene(field):
         beta_form(field, g, p) for g in Gamma.rows for p in perp.rows
     ):
         raise InvariantViolation("Gamma-perp differs from its closed form")
-    return DelsarteScene(field, W, Gamma, gram, perp)
+    return DelsarteScene(field, W, Gamma, perp)
 
 
 def _meet_front(scene, S):
@@ -182,13 +176,12 @@ def verify_dual_equivalence(field, matrix_rows=DUAL_EQUIV_MATRIX):
     A.U_1 lies in the rearranged dual; then that the images span all of
     it (dim_q 8).
     """
-    A = MatrixFqm(field, matrix_rows)
     images = []
     for x, y in trace_pairs(field):
         vec = us_vector(field, 1, x, y)
-        img = A.apply_to_vector(vec)
+        img = mat_vec(field, matrix_rows, vec)
         z, t = img[0], img[1]
-        in_T = field.rel_trace(z, 2) == 0 and field.rel_trace(t, 2) == 0
+        in_T = field.rel_trace(z) == 0 and field.rel_trace(t) == 0
         if not (in_T and img == rearranged_vector(field, z, t)):
             witness = {
                 "kind": "basis_image_mismatch",

@@ -21,10 +21,6 @@ class ZeroInverse(QscatError):
     """Multiplicative inverse of zero requested."""
 
 
-class BadSubIndex(QscatError):
-    """Relative trace subfield index must be 1 or 2."""
-
-
 class AmbientMismatch(QscatError):
     """Objects live in different ambient spaces."""
 

@@ -22,7 +22,6 @@ from array import array
 from functools import lru_cache
 
 from .errors import (
-    BadSubIndex,
     ConfigError,
     DegreeMismatch,
     EvenH,
@@ -322,15 +321,9 @@ class BinaryField:
         """a^(q^i); the Galois group is cyclic of order 6."""
         return gf2.apply_cols(self._frob_cols[i % 6], a)
 
-    def rel_trace(self, a, sub_index):
-        """Trace onto F_q (sub_index 1) or F_{q^2} (sub_index 2)."""
-        if sub_index not in (1, 2):
-            raise BadSubIndex("sub_index must be 1 or 2, got %r" % (sub_index,))
-        step = sub_index
-        out = 0
-        for i in range(0, 6, step):
-            out ^= self.frob(a, i)
-        return out
+    def rel_trace(self, a):
+        """Tr_{q^6/q^2}(a) = a + a^(q^2) + a^(q^4), onto F_{q^2}."""
+        return a ^ self.frob(a, 2) ^ self.frob(a, 4)
 
     def in_subfield(self, a, d):
         """Membership in F_{q^d} decided by a^(q^d) == a."""

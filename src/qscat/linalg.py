@@ -7,9 +7,11 @@ FqmSubspace is kept in reduced row echelon form over F_{q^m} (unique
 canonical form); an FqSubspace is kept as the GF(2) RREF of its flattened
 vectors, and its canonical F_q-RREF basis is read off that RREF.
 
-`row_reduce` is the one scalar F_{q^m} elimination: ranks, kernels and
-inverses are read off it, as flattened GF(2) work is off gf2.rref_bits.
-`det_cofactor` is the elimination-free reference the tests use.
+A matrix over F_{q^m} is a tuple of rows: `det` and `mat_vec` act on it
+and `apply_gl` maps a subspace by it.  `row_reduce` is the one scalar
+F_{q^m} elimination: ranks, kernels and determinants are read off it, as
+flattened GF(2) work is off gf2.rref_bits.  `det_cofactor` is the
+elimination-free reference the tests use.
 """
 
 from bisect import bisect_right
@@ -49,10 +51,6 @@ def flatten_vector(field, v):
     as field.elem_bits, at bits k*e .. k*e + e - 1."""
     e, elem_bits = field.e, field.elem_bits
     out = 0
-    if field.h == 1:  # elem_bits is the identity
-        for k, z in enumerate(v):
-            out |= z << (k * e)
-        return out
     for k, z in enumerate(v):
         out |= elem_bits(z) << (k * e)
     return out
@@ -170,60 +168,29 @@ def left_kernel_fq(field, rows):
     return [r[ncols:] for r in rref if not any(r[:ncols])]
 
 
-class MatrixFqm:
-    """Dense matrix over one field; rows are tuples."""
+def det(field, rows):
+    """Determinant of a square matrix, read off row_reduce."""
+    if any(len(row) != len(rows) for row in rows):
+        raise ValueError("determinant of a non-square matrix")
+    return row_reduce(field, rows)[2]
 
-    __slots__ = ("field", "rows")
 
-    def __init__(self, field, rows):
-        rows = tuple(tuple(r) for r in rows)
-        if rows and any(len(r) != len(rows[0]) for r in rows):
-            raise ValueError("ragged rows")
-        self.field = field
-        self.rows = rows
-
-    @property
-    def shape(self):
-        return (len(self.rows), len(self.rows[0]) if self.rows else 0)
-
-    def apply_to_vector(self, v):
-        """Column action A.v (v as a column vector)."""
-        mul = self.field.mul
-        out = []
-        for row in self.rows:
-            acc = 0
-            for a, x in zip(row, v):
-                acc ^= mul(a, x)
-            out.append(acc)
-        return tuple(out)
-
-    def det(self):
-        n, m = self.shape
-        if n != m:
-            raise ValueError("determinant of non-square matrix")
-        return row_reduce(self.field, self.rows)[2]
-
-    def inverse(self):
-        n, m = self.shape
-        if n != m:
-            raise SingularMatrix("non-square matrix")
-        aug = [list(self.rows[i]) + [1 if j == i else 0 for j in range(n)] for i in range(n)]
-        rank, rref, _ = row_reduce(self.field, aug)
-        if rank < n or any(rref[i][i] != 1 for i in range(n)):
-            raise SingularMatrix("matrix is singular")
-        return MatrixFqm(self.field, [r[n:] for r in rref])
-
-    def __repr__(self):
-        return "MatrixFqm(%dx%d)" % self.shape
+def mat_vec(field, rows, v):
+    """A.v for the matrix A with the given rows (v as a column vector)."""
+    mul = field.mul
+    out = []
+    for row in rows:
+        acc = 0
+        for a, x in zip(row, v):
+            acc ^= mul(a, x)
+        out.append(acc)
+    return tuple(out)
 
 
 def moore_matrix(field, ts):
     """Square Moore matrix with entry (i, j) = t_i^(q^j)."""
-    ts = tuple(ts)
     n = len(ts)
-    return MatrixFqm(
-        field, [[field.frob(t, j) for j in range(n)] for t in ts]
-    )
+    return tuple(tuple(field.frob(t, j) for j in range(n)) for t in ts)
 
 
 # -- subspaces ------------------------------------------------------------
@@ -232,24 +199,19 @@ def moore_matrix(field, ts):
 class FqmSubspace:
     """F_{q^m}-subspace of F_{q^m}^r in reduced row echelon form."""
 
-    __slots__ = ("field", "r", "rows", "pivots")
+    __slots__ = ("field", "r", "rows")
 
-    def __init__(self, field, r, rows, pivots):
+    def __init__(self, field, r, rows):
         self.field = field
         self.r = r
         self.rows = tuple(tuple(v) for v in rows)
-        self.pivots = tuple(pivots)
 
     @classmethod
     def span(cls, field, r, gens):
         gens = [g for g in gens if any(g)]
-        if not gens:
-            return cls(field, r, (), ())
         if any(len(g) != r for g in gens):
             raise AmbientMismatch("generator length differs from ambient")
-        rank, rref, _ = row_reduce(field, gens)
-        pivots = tuple(next(j for j, x in enumerate(row) if x) for row in rref)
-        return cls(field, r, rref, pivots)
+        return cls(field, r, row_reduce(field, gens)[1])
 
     @property
     def dim(self):
@@ -387,16 +349,14 @@ def intersect_fq(U, W):
 
 
 def apply_gl(A, U):
-    """Image of a subspace under v -> A.v (column action)."""
-    try:
-        A.inverse()
-    except SingularMatrix:
-        raise SingularMatrix("apply_gl requires an invertible matrix")
-    gens_attr = "basis" if isinstance(U, FqSubspace) else "rows"
-    gens = [A.apply_to_vector(v) for v in getattr(U, gens_attr)]
+    """Image of a subspace under v -> A.v (column action); A is given by
+    its rows and must be an invertible U.r x U.r matrix."""
+    field, r = U.field, U.r
+    if len(A) != r or any(len(row) != r for row in A) or not det(field, A):
+        raise SingularMatrix("apply_gl requires an invertible %d x %d matrix" % (r, r))
     if isinstance(U, FqSubspace):
-        return FqSubspace.span(U.field, U.r, gens)
-    return FqmSubspace.span(U.field, U.r, gens)
+        return FqSubspace.span(field, r, [mat_vec(field, A, v) for v in U.basis])
+    return FqmSubspace.span(field, r, [mat_vec(field, A, v) for v in U.rows])
 
 
 # -- deterministic RREF enumeration ---------------------------------------
@@ -458,9 +418,9 @@ class RrefEnumerator:
         return tuple(tuple(r) for r in rows), piv
 
     def iter_slice(self):
+        """The RREF rows of every subspace, in index order."""
         for index in range(self.total):
-            rows, piv = self.decode(index)
-            yield index, rows, piv
+            yield self.decode(index)[0]
 
 
 # -- wire format ----------------------------------------------------------

@@ -36,8 +36,8 @@ from .parallel import run_partitioned
 from .linalg import (
     FqSubspace,
     FqmSubspace,
-    MatrixFqm,
     RrefEnumerator,
+    det,
     fq_rank,
     fqm_span_dim,
     gaussian_binomial,
@@ -419,8 +419,8 @@ def enumerate_frobenius_fixed(field, r, d):
     """All d-dim subspaces fixed by x -> x^(q^2) (F_{q^2}-rational RREF)."""
     elems = field.subfield_elements(2)
     enum = RrefEnumerator(elems, r, d)
-    for _, rows, piv in enum.iter_slice():
-        yield FqmSubspace(field, r, rows, piv)
+    for rows in enum.iter_slice():
+        yield FqmSubspace(field, r, rows)
 
 
 def random_frobenius_fixed(field, r, d, rng):
@@ -454,8 +454,10 @@ def weight_spectrum(
     if not 0 <= codim <= U.r:
         raise ValueError("codim must be in 0..%d, got %d" % (U.r, codim))
     d = U.r - codim
-    if d == 0:
+    if d == 0:  # the zero subspace
         return {0: 1}
+    if d == U.r:  # the whole space holds all of U
+        return {U.dim_q: 1}
     if frobenius_fixed_only:
         total = gaussian_binomial(U.r, d, field.q**2)
         if total > budget:
@@ -494,7 +496,6 @@ class SemilinearSystem:
     field: BinaryField
     alpha: int
     beta: int
-    gamma: int
     case: str
     inputs: tuple  # (u, v) basis pairs
     images: tuple  # (F1, F2) per input
@@ -531,7 +532,7 @@ def _case_invariants(field, a, b, c, d):
         case = "alpha_beta_zero_gamma_nonzero"
     else:
         case = "alpha_beta_nonzero"
-    return alpha, beta, gamma, case
+    return alpha, beta, case
 
 
 def semilinear_system(field, a, b, c, d):
@@ -546,8 +547,8 @@ def semilinear_system(field, a, b, c, d):
     for t in T:
         inputs.append((0, t))
         images.append((mul(b, t) ^ frob(t, 1), mul(d, t) ^ frob(t, 3)))
-    alpha, beta, gamma, case = _case_invariants(field, a, b, c, d)
-    return SemilinearSystem(field, alpha, beta, gamma, case, tuple(inputs), tuple(images))
+    alpha, beta, case = _case_invariants(field, a, b, c, d)
+    return SemilinearSystem(field, alpha, beta, case, tuple(inputs), tuple(images))
 
 
 def count_solutions(sys):
@@ -642,10 +643,11 @@ def fast_oracle_agreement(field, count, seed, orders=(1, 2), workers=1):
 
 def random_invertible(field, r, rng):
     while True:
-        rows = [[field.random_element(rng) for _ in range(r)] for _ in range(r)]
-        M = MatrixFqm(field, rows)
-        if M.det() != 0:
-            return M
+        rows = tuple(
+            tuple(field.random_element(rng) for _ in range(r)) for _ in range(r)
+        )
+        if det(field, rows) != 0:
+            return rows
 
 
 def random_fqm_subspace(field, r, d, rng):

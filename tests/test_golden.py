@@ -10,7 +10,9 @@ the point-id kernels that built [P, 64, 4] coordinate arrays before the
 XOR-packed ones; closed_forms.json by the constructions that listed each
 system's two T-families by hand; verify_dual_h3 and equivalence_h3 by the
 dual scene that intersected F_q-spans, solved for Gamma-perp by
-elimination and rebuilt A.U_1 to compare it.
+elimination and rebuilt A.U_1 to compare it; verify_dual_h5 and
+equivalence_h5 by the layer that wrapped each F_{q^6} matrix in a class
+and built its inverse in apply_gl.
 """
 
 import json
@@ -43,6 +45,10 @@ CASES = {
     "equivalence": (["equivalence"], False, 0),
     "verify_dual_h3": (["verify-dual", "--h", "3"], False, 0),
     "equivalence_h3": (["equivalence", "--h", "3"], False, 0),
+    # GF(2^30) has no exp/log tables: det, mat_vec and apply_gl multiply
+    # by poly_mulmod there
+    "verify_dual_h5": (["verify-dual", "--h", "5"], False, 0),
+    "equivalence_h5": (["equivalence", "--h", "5"], False, 0),
     "system_count": (["system-count", "--count", "500", "--seed", "7"], False, 0),
     "spectrum_codim3": (["spectrum", "--codim", "3"], True, 0),
     "spectrum_codim1_fixed": (["spectrum", "--codim", "1", "--fixed-only"], True, 0),

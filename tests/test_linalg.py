@@ -8,15 +8,16 @@ from qscat.field import default_field
 from qscat.linalg import (
     FqSubspace,
     FqmSubspace,
-    MatrixFqm,
     RrefEnumerator,
     apply_gl,
+    det,
     det_cofactor,
     flatten_vector,
     fqm_span_dim,
     gaussian_binomial,
     intersect_fq,
     left_kernel_fq,
+    mat_vec,
     moore_matrix,
     row_reduce,
     rows_from_text,
@@ -28,8 +29,16 @@ from qscat.rng import XorShift64Star
 from qscat.scatter import random_fqm_subspace, random_invertible
 
 
-def identity(F, n):
-    return MatrixFqm(F, [[int(i == j) for j in range(n)] for i in range(n)])
+def identity(n):
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+def inverse(F, A):
+    """A^-1, read off the RREF of [A | I]."""
+    n = len(A)
+    rank, rref, _ = row_reduce(F, [a + e for a, e in zip(A, identity(n))])
+    assert rank == n and [r[:n] for r in rref] == list(identity(n))
+    return tuple(r[n:] for r in rref)
 
 
 def test_gaussian_binomial_frozen_counts():
@@ -43,28 +52,30 @@ def test_gaussian_binomial_frozen_counts():
 
 
 def test_row_reduce_examples(F):
-    ident = identity(F, 4)
-    assert row_reduce(F, ident.rows)[0] == 4 and ident.det() == 1
-    dup = MatrixFqm(F, [(1, 2, 3, 4)] * 2 + [(5, 6, 7, 8), (9, 10, 11, 12)])
-    assert dup.det() == 0
+    ident = identity(4)
+    assert row_reduce(F, ident)[0] == 4 and det(F, ident) == 1
+    dup = [(1, 2, 3, 4)] * 2 + [(5, 6, 7, 8), (9, 10, 11, 12)]
+    assert det(F, dup) == 0
+    for rows in (dup[:3], [r + (1,) for r in dup], [(1, 2)] * 3):
+        with pytest.raises(ValueError):
+            det(F, rows)
 
 
 def test_det_matches_cofactor_oracle(F):
     rng = XorShift64Star(11)
     for _ in range(100):
         rows = [[F.random_element(rng) for _ in range(4)] for _ in range(4)]
-        assert MatrixFqm(F, rows).det() == det_cofactor(F, rows)
+        assert det(F, rows) == det_cofactor(F, rows)
 
 
 def test_matrix_inverse_roundtrip(F):
     rng = XorShift64Star(12)
     for _ in range(30):
         M = random_invertible(F, 4, rng)
-        Minv = M.inverse()
-        for e_i in identity(F, 4).rows:
-            assert M.apply_to_vector(Minv.apply_to_vector(e_i)) == e_i
-    with pytest.raises(SingularMatrix):
-        MatrixFqm(F, [[0] * 4] * 4).inverse()
+        Minv = inverse(F, M)
+        for e_i in identity(4):
+            assert mat_vec(F, M, mat_vec(F, Minv, e_i)) == e_i
+            assert mat_vec(F, Minv, mat_vec(F, M, e_i)) == e_i
 
 
 def brute_force_dependent(F, ts):
@@ -82,20 +93,20 @@ def brute_force_dependent(F, ts):
 
 def test_moore_matrix(F):
     T = F.trace_kernel_basis()
-    assert moore_matrix(F, T).det() != 0
-    assert moore_matrix(F, (T[0], T[0], T[2], T[3])).det() == 0
+    assert det(F, moore_matrix(F, T)) != 0
+    assert det(F, moore_matrix(F, (T[0], T[0], T[2], T[3]))) == 0
     # entry (i, j) is t_i^(q^j)
     M = moore_matrix(F, T)
-    assert M.rows[2][3] == F.frob(T[2], 3)
+    assert M[2][3] == F.frob(T[2], 3)
     rng = XorShift64Star(13)
     for _ in range(1000):
         ts = [F.random_element(rng) for _ in range(4)]
-        vanish = moore_matrix(F, ts).det() == 0
+        vanish = det(F, moore_matrix(F, ts)) == 0
         assert vanish == brute_force_dependent(F, ts)
     # all 4-subsets of a fixed 5-element set
     fixed = [1, 2, 4, 8, F.mul(3, 7)]
     for sub in combinations(fixed, 4):
-        vanish = moore_matrix(F, sub).det() == 0
+        vanish = det(F, moore_matrix(F, sub)) == 0
         assert vanish == brute_force_dependent(F, list(sub))
 
 
@@ -160,20 +171,20 @@ def test_fqm_span_dim_examples(F, U1):
 def test_enumerate_fqm_counts_and_dedup(F):
     seen = set()
     n = 0
-    for _, rows, _ in RrefEnumerator(range(F.order), 2, 1).iter_slice():
+    for rows in RrefEnumerator(range(F.order), 2, 1).iter_slice():
         seen.add(FqmSubspace.span(F, 2, rows).rows)
         n += 1
     assert n == len(seen) == gaussian_binomial(2, 1, 64) == 65
     only = list(RrefEnumerator(range(F.order), 4, 4).iter_slice())
-    assert len(only) == 1 and FqmSubspace.span(F, 4, only[0][1]).dim == 4
+    assert len(only) == 1 and FqmSubspace.span(F, 4, only[0]).dim == 4
     assert gaussian_binomial(4, 3, F.order) == 266_305
 
 
 def test_enumeration_is_deterministic(F):
     enum = RrefEnumerator(range(F.order), 2, 1)
-    full = [(i, rows) for i, rows, _ in enum.iter_slice()]
-    again = [(i, rows) for i, rows, _ in enum.iter_slice()]
-    assert full == again
+    full = list(enum.iter_slice())
+    assert full == list(enum.iter_slice())
+    assert full == [enum.decode(i)[0] for i in range(enum.total)]
 
 
 def test_rref_decode_rejects_indices_outside_the_enumeration():
@@ -220,7 +231,7 @@ def test_enumerate_fq_subspaces_small(F):
         enum = RrefEnumerator(F.fq_elements, small.dim_q, d)
         return [
             FqSubspace.span(F, 4, [small.combine(row) for row in rows])
-            for _, rows, _ in enum.iter_slice()
+            for rows in enum.iter_slice()
         ]
 
     subs = subspaces(2)
@@ -234,14 +245,18 @@ def test_enumerate_fq_subspaces_small(F):
 
 
 def test_apply_gl(F, U1):
-    assert apply_gl(identity(F, 4), U1) == U1
+    assert apply_gl(identity(4), U1) == U1
     rng = XorShift64Star(16)
     for _ in range(10):
         A = random_invertible(F, 4, rng)
-        back = apply_gl(A.inverse(), apply_gl(A, U1))
+        back = apply_gl(inverse(F, A), apply_gl(A, U1))
         assert back == U1
-    with pytest.raises(SingularMatrix):
-        apply_gl(MatrixFqm(F, [[0] * 4] * 4), U1)
+    # a singular matrix, and matrices of the wrong shape (a 4 x 5 one has
+    # full rank 4 but does not act on F_{q^6}^4)
+    wide = tuple(row + (0,) for row in identity(4))
+    for A in (((0,) * 4,) * 4, identity(3), identity(5), wide):
+        with pytest.raises(SingularMatrix):
+            apply_gl(A, U1)
 
 
 def test_weight_gl_invariance(F, U1):

@@ -12,7 +12,6 @@ from qscat.field import BinaryField
 from qscat.linalg import (
     FqSubspace,
     FqmSubspace,
-    MatrixFqm,
     apply_gl,
     fqm_span_dim,
     gaussian_binomial,
@@ -62,7 +61,7 @@ def test_build_us_shape(F, U1):
     frob = F.frob
     for v in U1.vectors():
         x, y = v[0], v[1]
-        assert F.rel_trace(x, 2) == 0 and F.rel_trace(y, 2) == 0
+        assert F.rel_trace(x) == 0 and F.rel_trace(y) == 0
         assert v[2] == frob(x, 2) ^ frob(y, 1)
         assert v[3] == frob(x, 1) ^ frob(y, 3)
 
@@ -82,8 +81,7 @@ def test_sec2_equivalence(F, U1):
     U5p = build_U5prime(F)
     assert U5p.dim_q == 8
     assert U5p != U1
-    M = MatrixFqm(F, SEC2_EQUIV_MATRIX)
-    assert apply_gl(M, U5p) == U1
+    assert apply_gl(SEC2_EQUIV_MATRIX, U5p) == U1
 
 
 def test_fast_certification_counts(F, U1):
@@ -458,13 +456,17 @@ def test_weight_spectrum_small_codims(F, U1):
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
-def test_weight_spectrum_whole_space_and_zero_subspace(F, r, workers):
+def test_weight_spectrum_whole_space_and_zero_subspace(F, F8, r, workers):
     """Codim 0 is the whole space, which holds all of U; codim r is the
     zero subspace, which meets U in 0.  At r = 2 the whole space is a
-    line with no free column."""
-    U = random_fq_subspace(F, r, 4, XorShift64Star(3))
-    assert weight_spectrum(U, 0, workers=workers) == {U.dim_q: 1}
-    assert weight_spectrum(U, r, workers=workers) == {0: 1}
+    line with no free column.  Neither needs a scan, so both hold at
+    q = 8 too, where exhaustive scans are refused."""
+    for field in (F, F8):
+        U = random_fq_subspace(field, r, 4, XorShift64Star(3))
+        assert weight_spectrum(U, 0, workers=workers) == {U.dim_q: 1}
+        assert weight_spectrum(U, r, workers=workers) == {0: 1}
+        fixed = weight_spectrum(U, 0, frobenius_fixed_only=True, workers=workers)
+        assert fixed == {U.dim_q: 1}
 
 
 def test_semilinear_zero_coefficients(F, U1):
@@ -536,7 +538,7 @@ def test_semilinear_random_tuples(F, U1):
         assert n == F.q ** weight(U1, W)
         if i < 25:
             for u, v in solutions(sysm):
-                assert F.rel_trace(u, 2) == 0 and F.rel_trace(v, 2) == 0
+                assert F.rel_trace(u) == 0 and F.rel_trace(v) == 0
                 f1 = F.mul(a, u) ^ F.mul(b, v) ^ F.frob(u, 2) ^ F.frob(v, 1)
                 f2 = F.mul(c, u) ^ F.mul(d, v) ^ F.frob(u, 1) ^ F.frob(v, 3)
                 assert f1 == 0 and f2 == 0
