@@ -260,7 +260,10 @@ def cmd_spectrum(cfg, field):
 
 
 def cmd_system_count(cfg, field):
-    U = scatter.build_Us(field, cfg["s"])
+    # the semilinear system and its alpha/beta/gamma cases are U_1's
+    if cfg["s"] != 1:
+        raise ConfigError("system-count is U_1's: s must be 1, got %d" % cfg["s"])
+    U = scatter.build_Us(field, 1)
     rng = XorShift64Star(cfg["seed"])
     q2 = field.q**2
     buckets = {}

@@ -19,6 +19,11 @@ at q != 2.  Larger q produce sampled-evidence verdicts.  Each test has
 one scalar re-check of its witness (_fq_witness, _oracle_witness), which
 the exhaustive mode feeds the decoded first refuting position and the
 sampled mode the first refuting draw.
+
+The semilinear system of a line W = retta4_subspace(a, b, c, d) is W's
+two equations evaluated on U_1's vector us_vector(1, u, v), (u, v) in
+T x T, so it has q^weight(U_1, W) solutions; its case split reads the
+invariants alpha, beta and gamma off the relative trace.
 """
 
 from dataclasses import asdict, dataclass, field as dc_field
@@ -485,70 +490,55 @@ def weight_spectrum(
 
 @dataclass
 class SemilinearSystem:
-    """F_q-linear system F1 = F2 = 0 on T x T.
+    """F_q-linear system F1 = F2 = 0 on T x T: the equations
+    w = a u + b v and t = c u + d v of the line retta4_subspace(a, b, c,
+    d), evaluated on U_1's vector (u, v, w, t) = us_vector(1, u, v).
 
-    F1(u, v) = a u + b v + u^(q^2) + v^q and
-    F2(u, v) = c u + d v + u^q + v^(q^3), with both unknowns constrained
-    to the trace kernel T.  images[i] holds (F1, F2) evaluated on the
-    i-th F_q-basis element of T x T (recorded in inputs[i]).
+    So F1(u, v) = a u + b v + u^(q^2) + v^q and
+    F2(u, v) = c u + d v + u^q + v^(q^3), and images[i] holds (F1, F2)
+    on the i-th pair of trace_pairs(field).
     """
 
     field: BinaryField
     alpha: int
     beta: int
     case: str
-    inputs: tuple  # (u, v) basis pairs
-    images: tuple  # (F1, F2) per input
+    images: tuple  # (F1, F2) per pair of trace_pairs
 
     def nullity_q(self):
         return len(self.images) - fq_rank(self.field, self.images)
 
 
 def _case_invariants(field, a, b, c, d):
-    frob, mul = field.frob, field.mul
-
-    def pair_inv(x, y):
-        return (
-            mul(x, frob(y, 2))
-            ^ mul(x, frob(y, 4))
-            ^ mul(frob(x, 2), y)
-            ^ mul(frob(x, 2), frob(y, 4))
-            ^ mul(frob(x, 4), y)
-            ^ mul(frob(x, 4), frob(y, 2))
-        )
-
-    alpha = pair_inv(a, c)
-    beta = pair_inv(b, d)
-    gamma = mul(frob(b, 2) ^ frob(b, 4), frob(c, 2) ^ frob(c, 4)) ^ mul(
-        frob(d, 2) ^ frob(d, 4), frob(a, 2) ^ frob(a, 4)
-    )
-    if alpha and not beta:
+    """alpha = Tr(a c'), beta = Tr(b d') and gamma = b' c' + d' a', with
+    Tr = rel_trace and x' = Tr(x) + x = x^(q^2) + x^(q^4); as traces,
+    alpha and beta lie in F_{q^2}."""
+    mul, tr = field.mul, field.rel_trace
+    a1, b1, c1, d1 = (tr(x) ^ x for x in (a, b, c, d))
+    alpha, beta = tr(mul(a, c1)), tr(mul(b, d1))
+    gamma = mul(b1, c1) ^ mul(d1, a1)
+    if alpha and beta:
+        case = "alpha_beta_nonzero"
+    elif alpha:
         case = "alpha_nonzero_beta_zero"
-    elif not alpha and beta:
+    elif beta:
         case = "alpha_zero_beta_nonzero"
-    elif not alpha and not beta and not gamma:
-        case = "alpha_beta_zero_gamma_zero"
-    elif not alpha and not beta:
+    elif gamma:
         case = "alpha_beta_zero_gamma_nonzero"
     else:
-        case = "alpha_beta_nonzero"
+        case = "alpha_beta_zero_gamma_zero"
     return alpha, beta, case
 
 
 def semilinear_system(field, a, b, c, d):
     """Assemble the system for coefficients (a, b, c, d) in F_{q^6}."""
-    frob, mul = field.frob, field.mul
-    T = field.trace_kernel_basis()
-    inputs = []
+    mul = field.mul
     images = []
-    for t in T:
-        inputs.append((t, 0))
-        images.append((mul(a, t) ^ frob(t, 2), mul(c, t) ^ frob(t, 1)))
-    for t in T:
-        inputs.append((0, t))
-        images.append((mul(b, t) ^ frob(t, 1), mul(d, t) ^ frob(t, 3)))
+    for u, v in trace_pairs(field):
+        w = us_vector(field, 1, u, v)
+        images.append((w[2] ^ mul(a, u) ^ mul(b, v), w[3] ^ mul(c, u) ^ mul(d, v)))
     alpha, beta, case = _case_invariants(field, a, b, c, d)
-    return SemilinearSystem(field, alpha, beta, case, tuple(inputs), tuple(images))
+    return SemilinearSystem(field, alpha, beta, case, tuple(images))
 
 
 def count_solutions(sys):
@@ -569,7 +559,8 @@ def solutions(sys, cap=4096):
         for f1, f2 in sys.images
     ]
     combos = left_kernel_fq(field, coord_rows)
-    coeff_vecs = [(0,) * len(sys.inputs)]
+    pairs = trace_pairs(field)
+    coeff_vecs = [(0,) * len(pairs)]
     for combo in combos:
         coeff_vecs = [
             tuple(b ^ field.mul(g, c) for b, c in zip(base, combo))
@@ -579,7 +570,7 @@ def solutions(sys, cap=4096):
     sols = []
     for coeffs in coeff_vecs:
         u = v = 0
-        for coeff, (tu, tv) in zip(coeffs, sys.inputs):
+        for coeff, (tu, tv) in zip(coeffs, pairs):
             if coeff:
                 u ^= field.mul(coeff, tu)
                 v ^= field.mul(coeff, tv)

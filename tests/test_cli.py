@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qscat import cli
+from qscat import cli, dual, scatter
 from qscat.errors import ClosedFormMismatch, InvariantViolation
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -508,6 +508,9 @@ def test_closed_stdout_exit_2(flags, stdout, tmp_path):
         ("spectrum", "--codim", "3", "--workers", str(10**9)),
         # r = 4: no 4-dim proper subspace, so an order-4 verdict is vacuous
         ("verify-scattered", "--order", "4"),
+        # the semilinear system and its cases are U_1's
+        ("system-count", "--s", "5"),
+        ("system-count", "--h", "3", "--s", "5"),
     ],
 )
 def test_invalid_input_exit_2(argv, capsys, monkeypatch):
@@ -542,7 +545,6 @@ def test_internal_error_exit_3(exc, capsys, monkeypatch):
 def test_verify_dual_closed_form_mismatch_exit_3(capsys, monkeypatch):
     """A scene that disagrees with a closed form is a failed cross-check:
     exit 3 and no certificate, not a refutation without a witness."""
-    from qscat import dual
 
     monkeypatch.setattr(dual, "primal_closed_form", dual.dual_closed_form_1)
     code = cli.main(["verify-dual"])
@@ -552,14 +554,22 @@ def test_verify_dual_closed_form_mismatch_exit_3(capsys, monkeypatch):
     assert "ClosedFormMismatch" in captured.err.splitlines()[-1]
 
 
-def test_equivalence_sec2_mismatch_exit_3(capsys, monkeypatch):
-    """The Section 2 matrix is a constant of the paper: one that does not
-    map U'_5 onto U_1 is a failed cross-check, exit 3 and no certificate."""
-    from qscat import scatter
-
+@pytest.mark.parametrize(
+    "owner,name,command",
+    [
+        (scatter, "SEC2_EQUIV_MATRIX", "equivalence"),
+        (dual, "DUAL_EQUIV_MATRIX", "verify-dual"),
+        (dual, "DUAL_EQUIV_MATRIX", "equivalence"),
+    ],
+    ids=["sec2-equivalence", "dual-verify-dual", "dual-equivalence"],
+)
+def test_equivalence_sec2_mismatch_exit_3(owner, name, command, capsys, monkeypatch):
+    """The Section 2 matrix and the dual matrix are constants of the
+    paper: one that does not map its source onto its image is a failed
+    cross-check, exit 3 and no certificate."""
     identity = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
-    monkeypatch.setattr(scatter, "SEC2_EQUIV_MATRIX", identity)
-    code = cli.main(["equivalence"])
+    monkeypatch.setattr(owner, name, identity)
+    code = cli.main([command])
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
@@ -569,7 +579,6 @@ def test_equivalence_sec2_mismatch_exit_3(capsys, monkeypatch):
 def test_system_count_weight_disagreement_exit_3(capsys, monkeypatch):
     """A solution count that differs from q^weight(U, W) is exit 3, and
     the message names the tuple's coefficients."""
-    from qscat import scatter
 
     monkeypatch.setattr(scatter, "count_solutions", lambda sysm: 0)
     code = cli.main(["system-count", "--count", "5"])

@@ -13,7 +13,7 @@ from qscat.dual import (
     verify_dual_equivalence,
     w_vector,
 )
-from qscat.errors import InvariantViolation
+from qscat.errors import ClosedFormMismatch, InvariantViolation, SingularMatrix
 from qscat.linalg import apply_gl, det, fq_rank, fqm_span_dim, vec_scale, weight
 from qscat.rng import XorShift64Star
 from qscat.scatter import is_h_scattered_fast
@@ -118,21 +118,26 @@ def test_dual_equivalence_verdict(F):
     assert apply_gl(perm, dual) == rearranged_dual(F)
 
 
-def test_dual_equivalence_identity_fails(F, F8):
+def test_dual_equivalence_identity_fails(F, F8, monkeypatch):
+    """The dual matrix is a constant of the paper: one that does not map
+    U_1 onto the rearranged dual is a failed cross-check."""
+    from qscat import dual
+
     ident = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    monkeypatch.setattr(dual, "DUAL_EQUIV_MATRIX", ident)
     for field in (F, F8):
-        v = verify_dual_equivalence(field, ident)
-        assert not v.ok and v.witness["kind"] == "basis_image_mismatch"
-        assert v.checked_count == 0 and v.details == {}
+        with pytest.raises(ClosedFormMismatch):
+            verify_dual_equivalence(field)
 
 
-def test_dual_equivalence_zero_matrix_fails(F, F8):
-    """Every basis image of the zero matrix is the rearranged vector at
-    z = t = 0, but the images span nothing."""
+def test_dual_equivalence_zero_matrix_fails(F, F8, monkeypatch):
+    """apply_gl refuses the singular zero matrix before any comparison."""
+    from qscat import dual
+
+    monkeypatch.setattr(dual, "DUAL_EQUIV_MATRIX", ((0, 0, 0, 0),) * 4)
     for field in (F, F8):
-        v = verify_dual_equivalence(field, ((0, 0, 0, 0),) * 4)
-        assert not v.ok and v.checked_count == 8 and v.details == {}
-        assert v.witness == {"kind": "image_not_full", "image_dim_q": 0}
+        with pytest.raises(SingularMatrix):
+            verify_dual_equivalence(field)
 
 
 def test_scene_and_equivalence_q8(F8):

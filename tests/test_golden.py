@@ -12,7 +12,10 @@ system's two T-families by hand; verify_dual_h3 and equivalence_h3 by the
 dual scene that intersected F_q-spans, solved for Gamma-perp by
 elimination and rebuilt A.U_1 to compare it; verify_dual_h5 and
 equivalence_h5 by the layer that wrapped each F_{q^6} matrix in a class
-and built its inverse in apply_gl.
+and built its inverse in apply_gl; system_count_h3 and system_count_h5
+by the semilinear system that typed U_1's Frobenius exponents in two
+hand-written loops over T's basis and wrote each case invariant as six
+Frobenius products.
 """
 
 import json
@@ -50,6 +53,14 @@ CASES = {
     "verify_dual_h5": (["verify-dual", "--h", "5"], False, 0),
     "equivalence_h5": (["equivalence", "--h", "5"], False, 0),
     "system_count": (["system-count", "--count", "500", "--seed", "7"], False, 0),
+    # GF(2^30) has no exp/log tables: rel_trace and mul take the
+    # poly_mulmod path at h = 5
+    "system_count_h3": (
+        ["system-count", "--h", "3", "--count", "200", "--seed", "7"], False, 0
+    ),
+    "system_count_h5": (
+        ["system-count", "--h", "5", "--count", "60", "--seed", "7"], False, 0
+    ),
     "spectrum_codim3": (["spectrum", "--codim", "3"], True, 0),
     "spectrum_codim1_fixed": (["spectrum", "--codim", "1", "--fixed-only"], True, 0),
     # refuted: the witness is the first point off the marked lines

@@ -8,7 +8,7 @@ import pytest
 
 from qscat import gf2, scatter
 from qscat.errors import ConfigError, EvenH, WorkLimitExceeded
-from qscat.field import BinaryField
+from qscat.field import BinaryField, default_field
 from qscat.linalg import (
     FqSubspace,
     FqmSubspace,
@@ -549,13 +549,62 @@ def test_semilinear_random_tuples(F, U1):
     assert len(buckets) == 5  # every case class is exercised
 
 
-def test_semilinear_alpha_beta_in_fq2(F):
+def test_semilinear_alpha_beta_in_fq2(F, F8):
+    """alpha and beta lie in F_{q^2}, and the relative-trace form of the
+    invariants agrees with their six-term Frobenius expansion, the case
+    label (which reads gamma) included, on seeded tuples and on every
+    pattern of zero coefficients, at h = 1, 3 and 5.  GF(2^30) has no
+    exp/log tables, so h = 5 multiplies by poly_mulmod."""
+    for field in (F, F8, default_field(5)):
+        _check_case_invariants(field)
+
+
+def _check_case_invariants(field):
+    frob, mul = field.frob, field.mul
+
+    def pair_inv(x, y):
+        return (
+            mul(x, frob(y, 2))
+            ^ mul(x, frob(y, 4))
+            ^ mul(frob(x, 2), y)
+            ^ mul(frob(x, 2), frob(y, 4))
+            ^ mul(frob(x, 4), y)
+            ^ mul(frob(x, 4), frob(y, 2))
+        )
+
+    def reference(a, b, c, d):
+        alpha, beta = pair_inv(a, c), pair_inv(b, d)
+        gamma = mul(frob(b, 2) ^ frob(b, 4), frob(c, 2) ^ frob(c, 4)) ^ mul(
+            frob(d, 2) ^ frob(d, 4), frob(a, 2) ^ frob(a, 4)
+        )
+        if alpha and not beta:
+            case = "alpha_nonzero_beta_zero"
+        elif not alpha and beta:
+            case = "alpha_zero_beta_nonzero"
+        elif not alpha and not beta and not gamma:
+            case = "alpha_beta_zero_gamma_zero"
+        elif not alpha and not beta:
+            case = "alpha_beta_zero_gamma_nonzero"
+        else:
+            case = "alpha_beta_nonzero"
+        return alpha, beta, case
+
     rng = XorShift64Star(23)
-    for _ in range(100):
-        a, b, c, d = (F.random_element(rng) for _ in range(4))
-        sysm = semilinear_system(F, a, b, c, d)
-        assert F.in_subfield(sysm.alpha, 2)
-        assert F.in_subfield(sysm.beta, 2)
+    tuples = [tuple(field.random_element(rng) for _ in range(4)) for _ in range(100)]
+    tuples += [
+        tuple(x if mask >> i & 1 else 0 for i, x in enumerate(tuples[0]))
+        for mask in range(16)
+    ]
+    labels = set()
+    for coeffs in tuples:
+        got = scatter._case_invariants(field, *coeffs)
+        assert got == reference(*coeffs)
+        sysm = semilinear_system(field, *coeffs)
+        assert (sysm.alpha, sysm.beta, sysm.case) == got
+        assert field.in_subfield(sysm.alpha, 2)
+        assert field.in_subfield(sysm.beta, 2)
+        labels.add(sysm.case)
+    assert len(labels) == 5  # every case class is exercised
 
 
 def test_max_dim_bound_examples():
